@@ -1,12 +1,23 @@
 #include "core/context.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <stdexcept>
 #include <utility>
 
 #include "switchsim/switch_model.hpp"
 
 namespace gmfnet::core {
+
+namespace {
+
+/// A fresh process-unique content version (never 0).
+std::uint64_t next_flow_version() {
+  static std::atomic<std::uint64_t> next{1};
+  return next.fetch_add(1, std::memory_order_relaxed);
+}
+
+}  // namespace
 
 JitterMap JitterMap::initial(const AnalysisContext& ctx) {
   JitterMap m;
@@ -21,8 +32,9 @@ JitterMap JitterMap::initial(const AnalysisContext& ctx) {
       src_jitter.frames[k] = flow.frame(k).jitter;
       src_jitter.max = gmfnet::max(src_jitter.max, src_jitter.frames[k]);
     }
-    m.per_flow_[f] = std::make_shared<StageMap>();
-    (*m.per_flow_[f])[stages.front()] = std::move(src_jitter);
+    m.per_flow_[f] = std::make_shared<FlowEntries>();
+    m.per_flow_[f]->stages[stages.front()] = std::move(src_jitter);
+    m.per_flow_[f]->version = next_flow_version();
   }
   return m;
 }
@@ -30,19 +42,20 @@ JitterMap JitterMap::initial(const AnalysisContext& ctx) {
 const JitterMap::StageMap& JitterMap::flow_map(std::size_t f) const {
   static const StageMap kEmpty;
   if (f >= per_flow_.size() || !per_flow_[f]) return kEmpty;
-  return *per_flow_[f];
+  return per_flow_[f]->stages;
 }
 
 JitterMap::StageMap& JitterMap::mutable_flow_map(std::size_t f) {
   if (f >= per_flow_.size()) per_flow_.resize(f + 1);
   auto& slot = per_flow_[f];
   if (!slot) {
-    slot = std::make_shared<StageMap>();
+    slot = std::make_shared<FlowEntries>();
   } else if (slot.use_count() > 1) {
     // Shared with a snapshot/copy: clone before the write.
-    slot = std::make_shared<StageMap>(*slot);
+    slot = std::make_shared<FlowEntries>(*slot);
   }
-  return *slot;
+  slot->version = next_flow_version();
+  return slot->stages;
 }
 
 gmfnet::Time JitterMap::jitter(FlowId flow, const StageKey& stage,
@@ -61,9 +74,22 @@ gmfnet::Time JitterMap::max_jitter(FlowId flow, const StageKey& stage) const {
   return it == sm.end() ? gmfnet::Time::zero() : it->second.max;
 }
 
-void JitterMap::set_jitter(FlowId flow, const StageKey& stage,
+bool JitterMap::set_jitter(FlowId flow, const StageKey& stage,
                            std::size_t frame, gmfnet::Time value) {
-  StageJitter& sj = mutable_flow_map(static_cast<std::size_t>(flow.v))[stage];
+  const auto f = static_cast<std::size_t>(flow.v);
+  {
+    // An equal write is a no-op: no copy-on-write clone and no new
+    // version, so hop caches keyed on flow_version stay valid.  A missing
+    // entry is always created, even for a zero value — absent and zero
+    // entries differ structurally.
+    const StageMap& m = flow_map(f);
+    const auto it = m.find(stage);
+    if (it != m.end() && frame < it->second.frames.size() &&
+        it->second.frames[frame] == value) {
+      return false;
+    }
+  }
+  StageJitter& sj = mutable_flow_map(f)[stage];
   auto& v = sj.frames;
   if (frame >= v.size()) v.resize(frame + 1, gmfnet::Time::zero());
   const gmfnet::Time old = v[frame];
@@ -77,6 +103,7 @@ void JitterMap::set_jitter(FlowId flow, const StageKey& stage,
     for (const gmfnet::Time t : v) m = gmfnet::max(m, t);
     sj.max = m;
   }
+  return true;
 }
 
 void JitterMap::adopt_flow(const JitterMap& other, FlowId flow) {
@@ -104,16 +131,9 @@ void JitterMap::clear_flow(FlowId flow) {
   if (f < per_flow_.size()) per_flow_[f] = nullptr;
 }
 
-JitterMap::FlowStateHandle JitterMap::flow_state(FlowId flow) const {
+std::uint64_t JitterMap::flow_version(FlowId flow) const {
   const auto f = static_cast<std::size_t>(flow.v);
-  if (f >= per_flow_.size()) return nullptr;
-  return per_flow_[f];
-}
-
-const void* JitterMap::flow_state_ptr(FlowId flow) const {
-  const auto f = static_cast<std::size_t>(flow.v);
-  return f < per_flow_.size() ? static_cast<const void*>(per_flow_[f].get())
-                              : nullptr;
+  return f < per_flow_.size() && per_flow_[f] ? per_flow_[f]->version : 0;
 }
 
 bool JitterMap::flow_equals(const JitterMap& other, FlowId flow) const {

@@ -93,7 +93,10 @@ class JitterMap {
   [[nodiscard]] gmfnet::Time max_jitter(FlowId flow,
                                         const StageKey& stage) const;
 
-  void set_jitter(FlowId flow, const StageKey& stage, std::size_t frame,
+  /// Writes one entry; returns true when the map changed (a new entry, or
+  /// a different value).  Writing the value already stored leaves the map
+  /// untouched — in particular a shared per-flow map is not cloned.
+  bool set_jitter(FlowId flow, const StageKey& stage, std::size_t frame,
                   gmfnet::Time value);
 
   /// Replaces this map's entries for `flow` with those of `other` (used by
@@ -118,20 +121,14 @@ class JitterMap {
   /// flows a sweep may have changed, instead of the whole map.
   [[nodiscard]] bool flow_equals(const JitterMap& other, FlowId flow) const;
 
-  /// Opaque shared handle to one flow's current entry state (null = no
-  /// entries).  Holding the handle *pins* that state: per-flow maps are
-  /// copy-on-write and only mutate in place when unshared, so any later
-  /// write to the flow — in this map or any copy — clones first.  Therefore
-  /// flow_state_ptr(f) == held_handle.get() proves the flow's entries are
-  /// unchanged since the handle was taken (no in-place mutation, and no
-  /// address reuse while the handle keeps the old state alive).  The hop-
-  /// level envelope cache (core/hop_level.hpp) uses this to revalidate a
-  /// built envelope in O(1) per interferer, with zero map lookups.
-  using FlowStateHandle = std::shared_ptr<const void>;
-  [[nodiscard]] FlowStateHandle flow_state(FlowId flow) const;
-  /// The raw identity of `flow`'s current state, for comparison against a
-  /// *held* FlowStateHandle (sound only while the handle is alive).
-  [[nodiscard]] const void* flow_state_ptr(FlowId flow) const;
+  /// Content version of `flow`'s entries: a process-unique id, shared by
+  /// every map holding the same copy-on-write state and replaced by every
+  /// write that changes the entries (0 = no entries).  Equal versions
+  /// therefore prove equal entries, with no state kept alive to rule out
+  /// address reuse.  The hop-level envelope cache (core/hop_level.hpp) uses
+  /// this to revalidate a built envelope in O(1) per interferer, with zero
+  /// map lookups.
+  [[nodiscard]] std::uint64_t flow_version(FlowId flow) const;
 
   bool operator==(const JitterMap& other) const;
 
@@ -177,13 +174,21 @@ class JitterMap {
   /// [stage] -> per-frame jitter state, for one flow.
   using StageMap = std::map<StageKey, StageJitter>;
 
+  /// One flow's entries plus their content version (see flow_version).
+  struct FlowEntries {
+    StageMap stages;
+    std::uint64_t version = 0;
+  };
+
   /// Read view of one flow's entries (empty when absent).
   [[nodiscard]] const StageMap& flow_map(std::size_t f) const;
-  /// Write access: clones the flow's map iff it is shared (copy-on-write).
+  /// Write access for a write that changes the entries: clones the flow's
+  /// entries iff they are shared (copy-on-write) and gives them a new
+  /// version either way.
   [[nodiscard]] StageMap& mutable_flow_map(std::size_t f);
 
-  /// per_flow_[flow.v] -> shared stage map (null reads as empty).
-  std::vector<std::shared_ptr<StageMap>> per_flow_;
+  /// per_flow_[flow.v] -> shared entries (null reads as empty).
+  std::vector<std::shared_ptr<FlowEntries>> per_flow_;
 };
 
 /// The analysis world.  Flow addition validates the flow and eagerly

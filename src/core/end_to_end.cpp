@@ -29,59 +29,59 @@ gmfnet::Time FlowResult::worst_response() const {
   return worst;
 }
 
+HopResult analyze_stage(const AnalysisContext& ctx, const JitterMap& jitters,
+                        FlowId i, std::size_t stage, std::size_t frame,
+                        const HopOptions& opts) {
+  if (stage == 0) return analyze_first_hop(ctx, jitters, i, frame, opts);
+  const StageKey& key = ctx.stages(i)[stage];
+  if (!key.is_link()) {
+    return analyze_ingress(ctx, jitters, i, frame, key.a, opts);
+  }
+  return analyze_egress(ctx, jitters, i, frame, key.a, opts);
+}
+
+gmfnet::Time stage_jitter_sum(const AnalysisContext& ctx,
+                              const JitterMap& jitters, FlowId i,
+                              std::size_t stage, std::size_t frame,
+                              const HopResult* prev) {
+  if (stage == 0) return ctx.flow(i).frame(frame).jitter;  // line 3
+  return jitters.jitter(i, ctx.stages(i)[stage - 1], frame) + prev->response;
+}
+
+void finalize_frame(const AnalysisContext& ctx, FlowId i, std::size_t frame,
+                    FrameResult& out) {
+  const gmf::FrameSpec& f = ctx.flow(i).frame(frame);
+  gmfnet::Time rsum = f.jitter;
+  bool converged = out.stages.size() == ctx.stages(i).size();
+  for (const StageResponse& s : out.stages) {
+    converged &= s.hop.converged;
+    rsum += s.hop.response;
+  }
+  out.converged = converged;
+  out.response = converged ? rsum : gmfnet::Time::zero();  // line 24
+  out.meets_deadline = converged && rsum <= f.deadline;
+}
+
 FrameResult analyze_frame_end_to_end(const AnalysisContext& ctx,
                                      JitterMap& jitters, FlowId i,
                                      std::size_t frame,
                                      const HopOptions& opts) {
   FrameResult out;
-  const gmf::Flow& fi = ctx.flow(i);
-  const net::Route& route = fi.route();
-
-  // Figure 6 line 3: both sums start at the source generalized jitter.
-  gmfnet::Time rsum = fi.frame(frame).jitter;
-  gmfnet::Time jsum = rsum;
-
-  auto run_stage = [&](const StageKey& stage, const HopResult& hop) {
-    out.stages.push_back(StageResponse{stage, hop});
-    if (!hop.converged) return false;
-    rsum += hop.response;
-    jsum += hop.response;
-    return true;
-  };
-
-  // Lines 7-11: the first link, analysed with the work-conserving model.
-  {
-    const StageKey stage =
-        StageKey::link(route.node_at(0), route.node_at(1));
-    jitters.set_jitter(i, stage, frame, jsum);  // line 8
-    if (!run_stage(stage, analyze_first_hop(ctx, jitters, i, frame, opts))) {
-      return out;
-    }
+  const std::vector<StageKey>& stages = ctx.stages(i);
+  out.stages.reserve(stages.size());
+  // The route's stages in order: the first link (lines 7-11), then an
+  // ingress and an egress-link stage per intermediate switch (lines 4-23).
+  // Before each, the flow's own jitter there is set to JSUM.
+  const HopResult* prev = nullptr;
+  for (std::size_t s = 0; s < stages.size(); ++s) {
+    jitters.set_jitter(i, stages[s], frame,
+                       stage_jitter_sum(ctx, jitters, i, s, frame, prev));
+    out.stages.push_back(
+        StageResponse{stages[s], analyze_stage(ctx, jitters, i, s, frame, opts)});
+    prev = &out.stages.back().hop;
+    if (!prev->converged) break;
   }
-
-  // Lines 4-23: every intermediate switch contributes an ingress stage and
-  // an egress-link stage.
-  for (std::size_t idx = 1; idx + 1 < route.node_count(); ++idx) {
-    const NodeId n = route.node_at(idx);
-
-    const StageKey in_stage = StageKey::ingress(n);
-    jitters.set_jitter(i, in_stage, frame, jsum);  // line 13
-    if (!run_stage(in_stage,
-                   analyze_ingress(ctx, jitters, i, frame, n, opts))) {
-      return out;
-    }
-
-    const StageKey out_stage = StageKey::link(n, route.node_at(idx + 1));
-    jitters.set_jitter(i, out_stage, frame, jsum);  // line 17
-    if (!run_stage(out_stage,
-                   analyze_egress(ctx, jitters, i, frame, n, opts))) {
-      return out;
-    }
-  }
-
-  out.response = rsum;  // line 24
-  out.converged = true;
-  out.meets_deadline = rsum <= fi.frame(frame).deadline;
+  finalize_frame(ctx, i, frame, out);
   return out;
 }
 

@@ -41,6 +41,29 @@ struct FlowResult {
   [[nodiscard]] gmfnet::Time worst_response() const;
 };
 
+/// Runs the per-hop analysis of stage `stage` (an index into
+/// ctx.stages(i)) for one frame of flow i: the work-conserving first hop at
+/// stage 0, else the ingress or egress analysis of the stage's switch.
+[[nodiscard]] HopResult analyze_stage(const AnalysisContext& ctx,
+                                      const JitterMap& jitters, FlowId i,
+                                      std::size_t stage, std::size_t frame,
+                                      const HopOptions& opts = {});
+
+/// JSUM, the jitter flow i's frame carries into stage `stage` (Figure 6
+/// lines 3/8/13/17): the source generalized jitter at stage 0, else the
+/// jitter at the previous stage plus `prev`, that stage's converged result.
+[[nodiscard]] gmfnet::Time stage_jitter_sum(const AnalysisContext& ctx,
+                                            const JitterMap& jitters, FlowId i,
+                                            std::size_t stage,
+                                            std::size_t frame,
+                                            const HopResult* prev);
+
+/// Derives `out`'s verdict from its stage results (Figure 6 line 24: R =
+/// source jitter + the sum of the stage responses).  The frame converges
+/// only when every stage of the route has a converged result.
+void finalize_frame(const AnalysisContext& ctx, FlowId i, std::size_t frame,
+                    FrameResult& out);
+
 /// Runs Figure 6 for one frame.  Reads interference jitters from `jitters`
 /// and *writes* flow i's own per-stage jitters into it (lines 8/13/17).
 [[nodiscard]] FrameResult analyze_frame_end_to_end(const AnalysisContext& ctx,

@@ -3,7 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <functional>
+#include <map>
 #include <memory>
+#include <queue>
 #include <stdexcept>
 #include <string>
 
@@ -11,23 +14,6 @@
 #include "util/thread_pool.hpp"
 
 namespace gmfnet::core {
-
-std::vector<std::vector<FlowId>> link_neighbors(const AnalysisContext& ctx) {
-  const std::size_t n = ctx.flow_count();
-  std::vector<std::vector<FlowId>> out(n);
-  for (std::size_t f = 0; f < n; ++f) {
-    const FlowId id(static_cast<std::int32_t>(f));
-    std::vector<FlowId>& nb = out[f];
-    for (const LinkRef l : ctx.route_links(id)) {
-      for (const FlowId j : ctx.flows_on_link(l)) {
-        if (j != id) nb.push_back(j);
-      }
-    }
-    std::sort(nb.begin(), nb.end());
-    nb.erase(std::unique(nb.begin(), nb.end()), nb.end());
-  }
-  return out;
-}
 
 bool parse_solver_spec(std::string_view spec, SolverOptions& out) {
   if (spec == "plain") {
@@ -65,16 +51,31 @@ SolverOptions solver_options_from_env() {
 
 namespace {
 
-// Sweep-to-sweep change tracking: re-analysing flow f is the identity
-// whenever neither f's own entries nor any read-set neighbor's entries
-// changed since f's previous analysis (the analysis is a deterministic
-// function of exactly those entries).  Each sweep therefore records, per
-// flow, whether its own entries actually changed — replacing the full
-// `jitters == before` JitterMap comparison — and the next sweep skips flows
-// whose inputs are clean, reusing their previous FlowResult verbatim.
-// Results stay bit-identical to always-re-analyse sweeps; only redundant
-// work is dropped (in particular the final, unchanged sweep that merely
-// confirms convergence).
+/// For each flow, the ids of all other flows sharing at least one route
+/// link with it — the exact read-set of its per-sweep analysis (every
+/// interferer of every stage lives on one of the flow's route links).
+std::vector<std::vector<FlowId>> link_neighbors(const AnalysisContext& ctx) {
+  const std::size_t n = ctx.flow_count();
+  std::vector<std::vector<FlowId>> out(n);
+  for (std::size_t f = 0; f < n; ++f) {
+    const FlowId id(static_cast<std::int32_t>(f));
+    std::vector<FlowId>& nb = out[f];
+    for (const LinkRef l : ctx.route_links(id)) {
+      for (const FlowId j : ctx.flows_on_link(l)) {
+        if (j != id) nb.push_back(j);
+      }
+    }
+    std::sort(nb.begin(), nb.end());
+    nb.erase(std::unique(nb.begin(), nb.end()), nb.end());
+  }
+  return out;
+}
+
+// Jacobi change tracking: re-analysing flow f is the identity whenever
+// neither f's own entries nor any read-set neighbor's entries changed since
+// f's previous analysis (the analysis is a deterministic function of exactly
+// those entries), so a sweep skips flows whose inputs are clean and reuses
+// their previous FlowResult verbatim.
 
 /// True when `changed[f]` or any of f's neighbors' flags is set.
 bool inputs_dirty(const std::vector<char>& changed,
@@ -135,11 +136,10 @@ bool sweep_jacobi(const AnalysisContext& ctx, JitterMap& jitters,
 ///
 /// The flattened iterate vector enumerates, for every dirty flow in
 /// ascending id order, every (stage, frame) entry of that flow — exactly
-/// the set of entries analyze_flow_end_to_end rewrites when the flow is
-/// analysed.  Injection therefore never creates an entry the very next
-/// sweep would not itself create, which keeps the converged map's entry
-/// *structure* (JitterMap equality is structural) identical to the plain
-/// iteration's.
+/// the set of entries a sweep writes for the flow.  Injection therefore
+/// never creates an entry the very next sweep would not itself create,
+/// which keeps the converged map's entry *structure* (JitterMap equality is
+/// structural) identical to the plain iteration's.
 class AndersonDriver {
  public:
   AndersonDriver(const AnalysisContext& ctx, const std::vector<FlowId>& dirty,
@@ -444,6 +444,208 @@ bool interference_cyclic(const AnalysisContext& ctx,
   return false;
 }
 
+
+// ----------------------------------------------- link-ordered sweeps --
+
+/// One (flow, stage) node of the link-ordered sweep: every frame of one
+/// pipeline stage of one iterated flow.
+struct SweepNode {
+  FlowId flow;
+  std::size_t stage = 0;  ///< index into ctx.stages(flow)
+  /// The flow's next stage lives in a group visited earlier in the sweep
+  /// (cyclic key graph): a result here reaches that stage's jitter only in
+  /// the next sweep.
+  bool back_edge = false;
+};
+
+/// The nodes of one key.  A stage is keyed by its directed link L: a link
+/// group holds the first-hop/egress stages on L, an ingress group the
+/// ingress stages at L's destination of the flows arriving over L (the
+/// ingress analysis only sees flows on its incoming interface).  Every
+/// node of a group reads exactly the group's own stage jitters of flows on
+/// L, so writing them all first and then analysing gives each node its
+/// final inputs for the sweep.
+struct SweepGroup {
+  StageKey key;
+  std::vector<SweepNode> nodes;
+  bool stale = true;  ///< entries changed since the nodes' last analysis
+};
+
+/// The groups of `iterated` in visiting order.  Keys are ordered
+/// topologically over the route-successor graph (edge l_t -> l_{t+1} for
+/// consecutive links of an iterated route), lowest LinkRef first among the
+/// ready keys; on a cycle the lowest remaining key is forced next.  Each
+/// key contributes its link group, then its ingress group.  On a
+/// feed-forward component every node's upstream stages are therefore
+/// analysed before it in the same sweep.
+std::vector<SweepGroup> link_ordered_groups(
+    const AnalysisContext& ctx, const std::vector<FlowId>& iterated) {
+  std::map<LinkRef, std::size_t> index;
+  for (const FlowId id : iterated) {
+    for (const LinkRef l : ctx.route_links(id)) index.emplace(l, 0);
+  }
+  std::vector<LinkRef> keys;
+  keys.reserve(index.size());
+  for (auto& [l, i] : index) {
+    i = keys.size();
+    keys.push_back(l);
+  }
+  const std::size_t n = keys.size();
+
+  std::vector<std::vector<std::size_t>> route_keys;
+  route_keys.reserve(iterated.size());
+  std::vector<std::vector<std::size_t>> succ(n);
+  std::vector<std::size_t> indegree(n, 0);
+  for (const FlowId id : iterated) {
+    std::vector<std::size_t>& rk = route_keys.emplace_back();
+    for (const LinkRef l : ctx.route_links(id)) rk.push_back(index[l]);
+    for (std::size_t t = 0; t + 1 < rk.size(); ++t) {
+      succ[rk[t]].push_back(rk[t + 1]);
+      ++indegree[rk[t + 1]];
+    }
+  }
+
+  std::vector<std::size_t> pos(n, 0);
+  std::vector<char> placed(n, 0);
+  std::priority_queue<std::size_t, std::vector<std::size_t>,
+                      std::greater<>>
+      ready;
+  for (std::size_t v = 0; v < n; ++v) {
+    if (indegree[v] == 0) ready.push(v);
+  }
+  std::size_t lowest = 0;
+  for (std::size_t p = 0; p < n; ++p) {
+    std::size_t v;
+    if (!ready.empty()) {
+      v = ready.top();
+      ready.pop();
+    } else {
+      while (placed[lowest]) ++lowest;  // cycle: force the lowest key
+      v = lowest;
+    }
+    placed[v] = 1;
+    pos[v] = p;
+    for (const std::size_t w : succ[v]) {
+      if (!placed[w] && --indegree[w] == 0) ready.push(w);
+    }
+  }
+
+  std::vector<SweepGroup> groups(2 * n);
+  for (std::size_t v = 0; v < n; ++v) {
+    groups[2 * pos[v]].key = StageKey::link(keys[v]);
+    groups[2 * pos[v] + 1].key = StageKey::ingress(keys[v].dst);
+  }
+  for (std::size_t f = 0; f < iterated.size(); ++f) {
+    const std::vector<std::size_t>& rk = route_keys[f];
+    for (std::size_t t = 0; t < rk.size(); ++t) {
+      groups[2 * pos[rk[t]]].nodes.push_back({iterated[f], 2 * t, false});
+      if (t + 1 < rk.size()) {
+        groups[2 * pos[rk[t]] + 1].nodes.push_back(
+            {iterated[f], 2 * t + 1, pos[rk[t + 1]] < pos[rk[t]]});
+      }
+    }
+  }
+  std::erase_if(groups, [](const SweepGroup& g) { return g.nodes.empty(); });
+  return groups;
+}
+
+/// The converged hop result of the stage before `stage` in `frame`, or
+/// null when that stage has not been analysed yet or diverged (the frame
+/// cannot proceed to `stage`).
+const HopResult* previous_hop(const FrameResult& frame, std::size_t stage) {
+  if (frame.stages.size() < stage) return nullptr;
+  const HopResult& prev = frame.stages[stage - 1].hop;
+  return prev.converged ? &prev : nullptr;
+}
+
+struct SweepOutcome {
+  /// A jitter entry changed, or a back-edge node got its first result (its
+  /// successor is written next sweep): not a fixed point yet.
+  bool changed = false;
+  bool diverged = false;  ///< some frame's hop analysis diverged
+  std::size_t flows_analysed = 0;  ///< flows with >= 1 node analysed
+};
+
+/// One link-ordered Gauss-Seidel sweep.  At each group, step 1 writes every
+/// node's per-frame JSUM (Figure 6 lines 8/13/17: the jitter at the
+/// previous stage plus that stage's response); step 2 analyses the nodes
+/// when a written entry changed since their last analysis, and any frame
+/// never analysed at this stage.  A skipped node keeps its result in
+/// `flows`.  A frame whose hop diverges stops there.  `counted[f]` holds
+/// the last sweep flow f was counted in.
+SweepOutcome sweep_link_ordered(const AnalysisContext& ctx,
+                                std::vector<SweepGroup>& groups,
+                                JitterMap& jitters,
+                                std::vector<FlowResult>& flows,
+                                const HopOptions& opts,
+                                std::vector<int>& counted, int sweep) {
+  SweepOutcome out;
+  for (SweepGroup& g : groups) {
+    for (const SweepNode& nd : g.nodes) {
+      const FlowResult& fr = flows[static_cast<std::size_t>(nd.flow.v)];
+      for (std::size_t k = 0; k < fr.frames.size(); ++k) {
+        const HopResult* prev = nullptr;
+        if (nd.stage > 0) {
+          prev = previous_hop(fr.frames[k], nd.stage);
+          if (prev == nullptr) continue;
+        }
+        const gmfnet::Time jsum =
+            stage_jitter_sum(ctx, jitters, nd.flow, nd.stage, k, prev);
+        if (jitters.set_jitter(nd.flow, g.key, k, jsum)) {
+          g.stale = true;
+          out.changed = true;
+        }
+      }
+    }
+
+    for (const SweepNode& nd : g.nodes) {
+      const auto f = static_cast<std::size_t>(nd.flow.v);
+      FlowResult& fr = flows[f];
+      bool analysed = false;
+      for (std::size_t k = 0; k < fr.frames.size(); ++k) {
+        FrameResult& fk = fr.frames[k];
+        if (nd.stage > 0 && previous_hop(fk, nd.stage) == nullptr) continue;
+        const bool had = fk.stages.size() > nd.stage;
+        if (had && !g.stale) continue;
+        const HopResult hop =
+            analyze_stage(ctx, jitters, nd.flow, nd.stage, k, opts);
+        analysed = true;
+        if (had) {
+          fk.stages[nd.stage].hop = hop;
+        } else {
+          // A first result on a back edge: the next stage, visited earlier
+          // in the sweep, has not been analysed against it yet.  (A moved
+          // result needs no flag: re-analysis implies a jitter changed.)
+          out.changed |= nd.back_edge;
+          fk.stages.push_back(StageResponse{g.key, hop});
+        }
+        if (!hop.converged) {
+          fk.stages.resize(nd.stage + 1);
+          out.diverged = true;
+        }
+      }
+      if (analysed && counted[f] != sweep) {
+        counted[f] = sweep;
+        ++out.flows_analysed;
+      }
+    }
+    g.stale = false;
+  }
+  return out;
+}
+
+/// Derives every iterated frame's end-to-end verdict from its stages.
+void finalize_frames(const AnalysisContext& ctx,
+                     const std::vector<FlowId>& iterated,
+                     std::vector<FlowResult>& flows) {
+  for (const FlowId id : iterated) {
+    FlowResult& fr = flows[static_cast<std::size_t>(id.v)];
+    for (std::size_t k = 0; k < fr.frames.size(); ++k) {
+      finalize_frame(ctx, id, k, fr.frames[k]);
+    }
+  }
+}
+
 }  // namespace
 
 HolisticResult solve_holistic(const AnalysisContext& ctx,
@@ -466,106 +668,66 @@ HolisticResult solve_holistic(const AnalysisContext& ctx,
     return solve_jacobi(ctx, opts, std::move(out), stats);
   }
 
-  // The dirty id set, ascending — the Gauss-Seidel analysis order.
+  // The iterated (dirty) flows, ascending.
   std::vector<FlowId> dirty_ids;
   for (std::size_t f = 0; f < ctx.flow_count(); ++f) {
     if (whole_set || (f < req.dirty->size() && (*req.dirty)[f])) {
       dirty_ids.push_back(FlowId(static_cast<std::int32_t>(f)));
     }
   }
-
-  // Per-flow change flags over the dirty set (clean flows never change —
-  // they are not analysed).  A dirty flow is re-analysed only when it or a
-  // read-set neighbor changed since its previous analysis; a skipped
-  // re-analysis would have been the identity, so results stay bit-identical
-  // to always-re-analyse sweeps.  Whole-set solves precompute the neighbor
-  // table (every flow is walked every sweep); restricted solves walk the
-  // read-set on the fly over the flow's route links — probes must not pay
-  // an all-flows neighbor table for a small dirty component.
-  std::vector<char> changed(ctx.flow_count(), 0);
+  std::vector<SweepGroup> groups = link_ordered_groups(ctx, dirty_ids);
   for (const FlowId id : dirty_ids) {
-    changed[static_cast<std::size_t>(id.v)] = 1;
+    FlowResult& fr = out.flows[static_cast<std::size_t>(id.v)];
+    fr.frames.resize(ctx.flow(id).frame_count());
+    for (FrameResult& fk : fr.frames) fk.stages.reserve(ctx.stages(id).size());
   }
-  std::vector<std::vector<FlowId>> neighbors;
-  if (whole_set) neighbors = link_neighbors(ctx);
-  const auto flow_inputs_dirty = [&](FlowId id) {
-    const auto f = static_cast<std::size_t>(id.v);
-    if (!neighbors.empty()) return inputs_dirty(changed, neighbors, f);
-    if (changed[f]) return true;
-    for (const LinkRef l : ctx.route_links(id)) {
-      for (const FlowId j : ctx.flows_on_link(l)) {
-        if (changed[static_cast<std::size_t>(j.v)]) return true;
-      }
-    }
-    return false;
-  };
+  std::vector<int> counted(ctx.flow_count(), -1);
 
   std::unique_ptr<AndersonDriver> driver;
   if (opts.solver.mode == SolverMode::kAnderson && !dirty_ids.empty() &&
       (opts.solver.accept_cyclic || !interference_cyclic(ctx, dirty_ids))) {
     driver = std::make_unique<AndersonDriver>(ctx, dirty_ids, opts.solver);
   }
-  const auto mark_all_dirty = [&] {
-    for (const FlowId id : dirty_ids) {
-      changed[static_cast<std::size_t>(id.v)] = 1;
-    }
-  };
+  // Stage results matching the driver's rollback map while speculating.
+  std::vector<FlowResult> rollback_flows;
 
-  // A sweep writes only the analysed (dirty) flows' own entries, so the
-  // convergence snapshot/compare stays proportional to the flows actually
-  // analysed instead of the whole map.  One snapshot map serves every
-  // sweep: adopt_flow overwrites the slot, so carrying the map across
-  // sweeps saves the per-sweep slot-vector allocation on probe hot paths.
-  JitterMap before;
   for (int sweep = 0; sweep < opts.max_sweeps; ++sweep) {
     if (driver) driver->note_pre_sweep(out.jitters);
-    bool diverged = false;
-    for (const FlowId id : dirty_ids) {
-      if (sweep > 0 && !flow_inputs_dirty(id)) {
-        changed[static_cast<std::size_t>(id.v)] = 0;
-        continue;
-      }
-      before.adopt_flow(out.jitters, id, id);
-      FlowResult& fr = out.flows[static_cast<std::size_t>(id.v)];
-      fr = analyze_flow_end_to_end(ctx, out.jitters, id, opts.hop);
-      changed[static_cast<std::size_t>(id.v)] =
-          out.jitters.flow_equals(before, id) ? 0 : 1;
-      if (stats != nullptr) ++stats->flow_analyses;
-      if (!fr.all_converged()) diverged = true;
-    }
+    const SweepOutcome so = sweep_link_ordered(ctx, groups, out.jitters,
+                                               out.flows, opts.hop, counted,
+                                               sweep);
     out.sweeps = sweep + 1;
-    if (stats != nullptr) ++stats->sweeps;
+    if (stats != nullptr) {
+      ++stats->sweeps;
+      stats->flow_analyses += so.flows_analysed;
+    }
 
     if (driver && driver->speculating()) {
       // This sweep was the acceptance check z = G(y) for an injected
       // accelerated iterate.  A divergent or decreasing z rejects y: the
-      // solve rolls back to the certified pre-injection map and re-analyses
-      // every dirty flow from it (which also overwrites any FlowResult the
-      // speculative sweep computed against y).
-      if (driver->judge(out.jitters, diverged)) {
+      // solve restores the certified pre-injection map together with the
+      // stage results computed against it, so no speculative result ever
+      // reaches a JSUM.
+      if (driver->judge(out.jitters, so.diverged)) {
+        rollback_flows.clear();
         if (stats != nullptr) ++stats->accel_accepted;
       } else {
         out.jitters = driver->take_rollback();
-        mark_all_dirty();
+        out.flows = std::move(rollback_flows);
+        rollback_flows.clear();
         if (stats != nullptr) ++stats->accel_rejected;
         continue;
       }
-    } else if (diverged) {
+    } else if (so.diverged) {
       // Any per-hop divergence of the plain iteration means the jitters
-      // would grow without bound: report unschedulable immediately.
+      // would grow without bound: report unschedulable.
+      finalize_frames(ctx, dirty_ids, out.flows);
       out.converged = false;
       out.schedulable = false;
       return out;
     }
 
-    bool unchanged = true;
-    for (const FlowId id : dirty_ids) {
-      if (changed[static_cast<std::size_t>(id.v)]) {
-        unchanged = false;
-        break;
-      }
-    }
-    if (unchanged) {
+    if (!so.changed) {
       out.converged = true;
       break;
     }
@@ -574,12 +736,14 @@ HolisticResult solve_holistic(const AnalysisContext& ctx,
       JitterMap inject;
       if (driver->propose_after_plain(out.jitters, sweep + 1, inject)) {
         // Adopt the speculative iterate; the next sweep re-analyses every
-        // dirty flow against it and judges it.
+        // node against it and judges it.
+        rollback_flows = out.flows;
         out.jitters = std::move(inject);
-        mark_all_dirty();
+        for (SweepGroup& g : groups) g.stale = true;
       }
     }
   }
+  finalize_frames(ctx, dirty_ids, out.flows);
 
   if (!out.converged) {
     // Sweep cap reached without a fixed point: treat as unschedulable (the
@@ -608,17 +772,6 @@ HolisticResult analyze_holistic(const AnalysisContext& ctx,
   SolveRequest req;
   req.start = opts.warm_start;
   return solve_holistic(ctx, req, opts);
-}
-
-HolisticResult analyze_holistic_dirty(const AnalysisContext& ctx,
-                                      const std::vector<bool>& dirty,
-                                      JitterMap start,
-                                      const HolisticOptions& opts,
-                                      IncrementalStats* stats) {
-  SolveRequest req;
-  req.dirty = &dirty;
-  req.start = WarmStartView(start);
-  return solve_holistic(ctx, req, opts, stats);
 }
 
 }  // namespace gmfnet::core

@@ -2,15 +2,40 @@
 // algorithm over all flows, feeding each stage's response time back as the
 // downstream generalized jitter, until the jitter map reaches a fixed point.
 //
+// Gauss-Seidel sweeps are link-ordered.  The unit of work is a (flow,
+// stage) node: every frame of one pipeline stage of one flow.  Each stage is
+// keyed by a directed link — a first-hop or egress stage by the link it
+// transmits on, an ingress stage by its *incoming* link, because
+// analyze_ingress only sees the flows arriving over that interface — so the
+// nodes of a key read exactly the jitters that key's nodes write.  Keys are
+// visited in topological order of the route-successor graph (l_t -> l_{t+1}
+// along every iterated route).  At each key a sweep first writes every
+// node's per-frame JSUM (Figure 6 lines 8/13/17), then analyses only the
+// nodes whose key changed since their last analysis; a skipped node keeps
+// its stage results.  On a feed-forward component (stars, trees) every
+// node is therefore analysed once, with final inputs, and a second sweep
+// that analyses nothing confirms the fixed point.  A cyclic key graph
+// (flows that together go all the way round a ring) is broken at its
+// lowest remaining key, and sweeps repeat in that order until one changes
+// no jitter.  Either way this is the monotone climb from below, which
+// reaches the same least fixed point in any visiting order.  The per-stage
+// rule itself (which hop analysis a stage runs, its JSUM, a frame's
+// verdict) comes from end_to_end.hpp, shared with analyze_frame_end_to_end.
+//
+// `HolisticResult::sweeps` counts these passes; `IncrementalStats::
+// flow_analyses` counts, per sweep, the flows with at least one node
+// analysed.
+//
 // The outer loop is owned by a pluggable solver strategy (SolverOptions):
-//   * kPlain (default): plain sweeps — Gauss-Seidel (flows analysed in
-//     sequence against the live map) or Jacobi (all flows against a frozen
+//   * kPlain (default): plain sweeps — link-ordered Gauss-Seidel, or for
+//     whole-set solves that ask for it Jacobi (whole flows against a frozen
 //     snapshot, embarrassingly parallel over a thread pool; same fixed
-//     point).  Bit-identical to the historical behaviour.
+//     point).
 //   * kAnderson: Anderson(m)/EDIIS(1) acceleration over the jitter-map
 //     residual, safeguarded so the fixed point reached is the same as the
-//     plain iteration's (see SolverOptions for the contract).  Applies to
-//     Gauss-Seidel sweeps; Jacobi whole-set runs stay plain.
+//     plain iteration's (see SolverOptions for the contract).  Its hooks
+//     run at sweep boundaries of Gauss-Seidel solves; Jacobi whole-set runs
+//     stay plain.
 // The convergence bench (E8 + the near-saturation section of
 // bench_holistic_convergence) compares the strategies.
 #pragma once
@@ -46,11 +71,11 @@ enum class SolverMode : std::uint8_t {
 /// componentwise AND the sweep strictly advanced at least one entry (a
 /// sweep that leaves the speculative iterate untouched would be certifying
 /// its own landing — only a plain climb may declare convergence).  On
-/// rejection — including a diverging sweep — the solve rolls back to the
-/// saved pre-injection map, re-analyses every dirty flow, and continues
-/// plainly; after `max_rejects` rejections acceleration is disabled for the
-/// rest of the solve.  An adaptive damping factor backs off 4x per
-/// rejection and regrows 2x per acceptance.
+/// rejection — including a diverging sweep — the solve restores the saved
+/// pre-injection map together with the stage results computed against it,
+/// and continues plainly; after `max_rejects` rejections acceleration is
+/// disabled for the rest of the solve.  An adaptive damping factor backs
+/// off 4x per rejection and regrows 2x per acceptance.
 ///
 /// What the certificate guarantees depends on the structure of the
 /// iterated interference graph (edge j -> i when j can interfere with i on
@@ -166,7 +191,7 @@ struct HolisticResult {
   bool schedulable = false;
   int sweeps = 0;                 ///< sweeps executed (including the last,
                                   ///< unchanged one when converged)
-  std::vector<FlowResult> flows;  ///< per-flow results of the final sweep
+  std::vector<FlowResult> flows;  ///< per-flow results at the fixed point
   JitterMap jitters;              ///< the fixed-point jitter map
 
   /// Worst end-to-end bound of a flow (Time::max() if it diverged).
@@ -175,18 +200,10 @@ struct HolisticResult {
   }
 };
 
-/// For each flow, the ids of all other flows sharing at least one route
-/// link with it — the exact read-set of its per-sweep analysis (every
-/// interferer of every stage lives on one of the flow's route links).  The
-/// sweep skip logic of solve_holistic and the engine's incremental runs
-/// re-analyse a flow only when it or a neighbor changed in the window since
-/// its last analysis.
-[[nodiscard]] std::vector<std::vector<FlowId>> link_neighbors(
-    const AnalysisContext& ctx);
-
 /// Counters of one solve (engine instrumentation).
 struct IncrementalStats {
-  std::size_t flow_analyses = 0;   ///< per-flow per-sweep analyses executed
+  std::size_t flow_analyses = 0;   ///< flows with >= 1 (flow, stage) node
+                                   ///< analysed, summed over sweeps
   std::size_t sweeps = 0;          ///< sweeps executed
   std::size_t accel_accepted = 0;  ///< accelerated iterates kept
   std::size_t accel_rejected = 0;  ///< safeguard rollbacks to a plain sweep
@@ -231,13 +248,5 @@ struct SolveRequest {
 /// seeded from `opts.warm_start`.
 [[nodiscard]] HolisticResult analyze_holistic(const AnalysisContext& ctx,
                                               const HolisticOptions& opts = {});
-
-/// Restricted-solve compatibility wrapper: solve_holistic over `dirty`,
-/// seeded from `start`.  `opts.order` and `opts.warm_start` are ignored
-/// (the run is Gauss-Seidel from `start` by construction).
-[[nodiscard]] HolisticResult analyze_holistic_dirty(
-    const AnalysisContext& ctx, const std::vector<bool>& dirty,
-    JitterMap start, const HolisticOptions& opts,
-    IncrementalStats* stats = nullptr);
 
 }  // namespace gmfnet::core

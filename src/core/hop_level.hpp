@@ -12,10 +12,10 @@
 //   * interferer ids: compared against the cached id list (contiguous
 //     int32 compare);
 //   * demand curves: compared by address + process-unique uid;
-//   * jitter shifts: compared by JitterMap::flow_state_ptr against the
-//     *held* copy-on-write handles (see JitterMap::flow_state) — pointer
-//     equality proves the interferer's entries, and hence its max_jitter,
-//     are unchanged, with zero map lookups.
+//   * jitter shifts: compared by JitterMap::flow_version — an equal
+//     content version proves the interferer's entries, and hence its
+//     max_jitter, are unchanged, with zero map lookups and without keeping
+//     superseded jitter states alive.
 //
 // Only when revalidation fails are the shifts re-read and the envelope
 // re-fingerprinted/rebuilt.  The analysed flow's own demand is evaluated
@@ -59,10 +59,10 @@ struct HopSlotKey {
 };
 
 /// One hop's cached interferer level: the merged envelope, its cursor, and
-/// the evidence (ids, pinned derived-state and jitter handles) that it is
-/// current.  A second single-entry envelope serves the analysed flow's own
-/// curve, so its per-frame jitter writes rebuild only that tiny envelope,
-/// never the merged one.
+/// the evidence (ids, pinned derived-state handles, jitter versions) that
+/// it is current.  A second single-entry envelope serves the analysed
+/// flow's own curve, so its per-frame jitter writes rebuild only that tiny
+/// envelope, never the merged one.
 class LevelSlot {
  public:
   /// Revalidates the slot against (ctx, jitters) for the interferer set
@@ -97,9 +97,9 @@ class LevelSlot {
   /// against the context's current handle proves the interferer's demand
   /// curves are unchanged, in O(1) without touching them.
   std::vector<AnalysisContext::DerivedStateHandle> derived_;
-  /// Pinned jitter states (parallel to ids_): pointer equality proves the
-  /// interferer's entries — hence its max_jitter shift — are unchanged.
-  std::vector<JitterMap::FlowStateHandle> jitter_;
+  /// Jitter versions (parallel to ids_): equality proves the interferer's
+  /// entries — hence its max_jitter shift — are unchanged.
+  std::vector<std::uint64_t> jitter_;
   std::vector<gmf::EnvelopeSpec> specs_;                ///< parallel to ids_
   gmf::LevelEnvelope env_;
   gmf::EvalCursor cursor_;
@@ -126,11 +126,13 @@ class HopScratch {
   };
   std::vector<NaiveSpec> naive;
 
-  /// The (persistent) level slot for `key`.  Slots pin derived/jitter state
+  /// The (persistent) level slot for `key`.  Slots pin the derived state
   /// of the scenarios they last served, so the arena is bounded: when a
-  /// *new* key would exceed the cap, the whole arena is dropped (every slot
-  /// rebuilds on next use) rather than letting a long-lived thread that
-  /// churns through many engines/networks accumulate pins forever.
+  /// *new* key would exceed the cap, every other slot (in key order) is
+  /// evicted and rebuilds on next use, rather than letting a long-lived
+  /// thread that churns through many engines/networks accumulate pins
+  /// forever.  A working set above the cap keeps about half its slots per
+  /// round instead of rebuilding everything at each wraparound.
   LevelSlot& slot(const HopSlotKey& key);
 
  private:

@@ -76,7 +76,7 @@ struct EngineStats {
   std::size_t evaluations = 0;       ///< solver runs executed (shards+probes)
   std::size_t full_runs = 0;         ///< cold runs (no usable warm cache)
   std::size_t incremental_runs = 0;  ///< warm dirty-component runs
-  std::size_t flow_analyses = 0;     ///< per-flow per-sweep analyses run
+  std::size_t flow_analyses = 0;     ///< flows analysed, summed over sweeps
   std::size_t flow_results_reused = 0;  ///< cached FlowResults reused
   std::size_t sweeps = 0;            ///< total sweeps executed
   std::size_t accel_accepted = 0;    ///< Anderson iterates kept (safeguard)

@@ -245,6 +245,37 @@ TEST(JitterMap, ClearFlowAndFlowEquals) {
   EXPECT_EQ(a.jitter(FlowId(1), st, 0), gmfnet::Time::ms(2));
 }
 
+TEST(JitterMap, SetJitterReportsChangesAndVersionsContent) {
+  JitterMap a;
+  const StageKey st = StageKey::ingress(NodeId(4));
+  EXPECT_EQ(a.flow_version(FlowId(0)), 0u);  // no entries
+  // A missing entry is created even for a zero value: it is a change.
+  EXPECT_TRUE(a.set_jitter(FlowId(0), st, 0, gmfnet::Time::zero()));
+  const std::uint64_t v0 = a.flow_version(FlowId(0));
+  EXPECT_NE(v0, 0u);
+  // Re-writing the stored value changes nothing, not even the version.
+  EXPECT_FALSE(a.set_jitter(FlowId(0), st, 0, gmfnet::Time::zero()));
+  EXPECT_EQ(a.flow_version(FlowId(0)), v0);
+
+  // Copies share the state and its version until one of them writes a
+  // different value; the writer gets a fresh version, the copy keeps v0.
+  JitterMap b = a;
+  EXPECT_EQ(b.flow_version(FlowId(0)), v0);
+  EXPECT_FALSE(b.set_jitter(FlowId(0), st, 0, gmfnet::Time::zero()));
+  EXPECT_EQ(b.flow_version(FlowId(0)), v0);
+  EXPECT_TRUE(b.set_jitter(FlowId(0), st, 0, gmfnet::Time::ms(1)));
+  EXPECT_NE(b.flow_version(FlowId(0)), v0);
+  EXPECT_EQ(a.flow_version(FlowId(0)), v0);
+  EXPECT_EQ(a.jitter(FlowId(0), st, 0), gmfnet::Time::zero());
+
+  // An unshared state mutated in place still gets a new version.
+  const std::uint64_t v1 = b.flow_version(FlowId(0));
+  EXPECT_TRUE(b.set_jitter(FlowId(0), st, 1, gmfnet::Time::ms(1)));
+  EXPECT_NE(b.flow_version(FlowId(0)), v1);
+  a.adopt_flow(b, FlowId(0));
+  EXPECT_EQ(a.flow_version(FlowId(0)), b.flow_version(FlowId(0)));
+}
+
 TEST(JitterMap, CrossIdAdoptFlow) {
   JitterMap a;
   const StageKey st = StageKey::ingress(NodeId(4));

@@ -57,9 +57,10 @@ TEST(Engine, AddFlowReanalyzesOnlyItsComponent) {
   const auto& r = eng.evaluate();
   EXPECT_TRUE(r.schedulable);
   ASSERT_EQ(r.flows.size(), 3u);
-  // Two untouched flows reused; the new flow converges in 2 subset sweeps,
-  // so exactly 2 per-flow analyses ran.
-  EXPECT_EQ(eng.stats().flow_analyses - analyses, 2u);
+  // Two untouched flows reused.  The new flow's stages are analysed once,
+  // in route order, with final inputs; the second (confirming) sweep finds
+  // no jitter changed and analyses nothing — exactly 1 per-flow analysis.
+  EXPECT_EQ(eng.stats().flow_analyses - analyses, 1u);
   EXPECT_GE(eng.stats().flow_results_reused, 2u);
 }
 
@@ -71,6 +72,52 @@ TEST(Engine, WarmStartConvergesInTwoSweepsForIndependentAdd) {
   (void)eng.evaluate();
   eng.add_flow(voip_between(star, 4, 5, "c"));
   EXPECT_EQ(eng.evaluate().sweeps, 2);
+}
+
+TEST(Engine, HubProbeAnalysesEachFlowOnce) {
+  // An AV hub: 64 residents share one uplink (host 0 -> switch) near 80%
+  // utilisation — every 4th a 25 fps camera feed (16 kB I-frame + three
+  // 3 kB P-frames) above the VoIP legs.  A candidate call on the same
+  // uplink puts all 65 flows in the probe's dirty component.  The component
+  // is feed-forward (uplink, switch ingress, downlink), so the link-ordered
+  // sweep analyses every flow once with final inputs and a second sweep
+  // confirms the fixed point: exactly 2 sweeps and 65 flow analyses.  (A
+  // flow-major sweep needs 3 sweeps and 194 analyses here.)
+  const auto star = net::make_star_network(8, 100'000'000);
+  const auto hub_flow = [&](int n) {
+    net::Route route({star.hosts[0], star.sw,
+                      star.hosts[static_cast<std::size_t>(1 + n % 7)]});
+    if (n % 4 != 0) {
+      return workload::make_voip_flow("call" + std::to_string(n),
+                                      std::move(route), gmfnet::Time::ms(80),
+                                      /*priority=*/5);
+    }
+    std::vector<gmf::FrameSpec> frames;
+    for (int k = 0; k < 4; ++k) {
+      gmf::FrameSpec fs;
+      fs.min_separation = gmfnet::Time::ms(40);
+      fs.deadline = gmfnet::Time::ms(100);
+      fs.jitter = gmfnet::Time::ms(1);
+      fs.payload_bits = (k == 0 ? 16000 : 3000) * 8;
+      frames.push_back(fs);
+    }
+    return gmf::Flow("cam" + std::to_string(n), std::move(route),
+                     std::move(frames), /*priority=*/6);
+  };
+  AnalysisEngine eng(star.net);
+  for (int n = 0; n < 64; ++n) eng.add_flow(hub_flow(n));
+  ASSERT_TRUE(eng.evaluate().schedulable);
+  const gmf::Flow candidate = hub_flow(65);
+
+  const WhatIfResult lock_free = eng.snapshot()->what_if(candidate);
+  EXPECT_TRUE(lock_free.admissible);
+  EXPECT_EQ(lock_free.sweeps(), 2);
+
+  // Same probe through the engine, whose counters record the solve.
+  const std::size_t analyses = eng.stats().flow_analyses;
+  const WhatIfResult probe = eng.what_if(candidate);
+  EXPECT_EQ(probe.sweeps(), 2);
+  EXPECT_EQ(eng.stats().flow_analyses - analyses, 65u);
 }
 
 TEST(Engine, RemoveFlowShiftsIndicesAndFreesCapacity) {

@@ -31,9 +31,11 @@
 #include <atomic>
 #include <cerrno>
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <fstream>
 #include <memory>
+#include <mutex>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -585,10 +587,28 @@ TEST(RpcServer, ConcurrentWhatIfReadersDontBlockTheWriter) {
   std::atomic<std::int64_t> probes{0};
   std::atomic<int> failures{0};
 
+  // The writer starts only after every reader has completed one batch (or
+  // given up): otherwise all of the writer's round trips can finish before
+  // any reader's first batch returns, and `probes` reads 0.  The wait is
+  // bounded, so a wedged reader fails the test instead of hanging it.
+  std::mutex ready_mu;
+  std::condition_variable ready_cv;
+  int readers_ready = 0;
+
   std::vector<std::thread> readers;
   readers.reserve(kReaders);
   for (int r = 0; r < kReaders; ++r) {
     readers.emplace_back([&] {
+      bool counted = false;
+      const auto count_down = [&] {
+        if (counted) return;
+        counted = true;
+        {
+          const std::lock_guard<std::mutex> lock(ready_mu);
+          ++readers_ready;
+        }
+        ready_cv.notify_all();
+      };
       try {
         Client c = daemon.connect();
         while (!writer_done.load(std::memory_order_acquire)) {
@@ -596,14 +616,22 @@ TEST(RpcServer, ConcurrentWhatIfReadersDontBlockTheWriter) {
               c.what_if_batch(cands);
           if (results.size() != cands.size()) {
             failures.fetch_add(1);
-            return;
+            break;
           }
           probes.fetch_add(static_cast<std::int64_t>(results.size()));
+          count_down();
         }
       } catch (const std::exception&) {
         failures.fetch_add(1);
       }
+      count_down();
     });
+  }
+  {
+    std::unique_lock<std::mutex> lock(ready_mu);
+    EXPECT_TRUE(ready_cv.wait_for(lock, std::chrono::seconds(60),
+                                  [&] { return readers_ready == kReaders; }))
+        << "readers never completed a first what-if batch";
   }
 
   // The writer keeps mutating the resident set while the readers probe.
