@@ -99,35 +99,6 @@ CHECKS = {
             },
         },
     },
-    "holistic_convergence": {
-        "file": "BENCH_holistic_convergence.json",
-        "key": ["section", "separation_us", "m"],
-        "filter": {"section": "near_critical_ring"},
-        "metrics": {
-            # Anderson vs plain Gauss-Seidel sweep counts on the
-            # near-critical interference ring.  The absolute floor binds on
-            # the headline rows — the slow ratchets where plain needs >=
-            # 100 sweeps (separation 200us) and acceleration has real room:
-            # there the accelerated solver must cut sweeps by >= 30%
-            # (ratio 1/0.7 ~= 1.43).  Sweep counts are machine-independent,
-            # so no noise allowance is needed; the milder 205/202us rows
-            # are gated relatively against the baseline only.
-            "sweep_ratio": {
-                "direction": "higher",
-                "min": 1.43,
-                "min_if": {"plain_sweeps": 100},
-            },
-            # Acceleration must not cost wall clock where it wins sweeps.
-            # Gated on the same slow rows (seconds-long solves, stable
-            # timings) with a 10% scheduler-noise allowance.
-            "wall_ratio": {
-                "direction": "higher",
-                "min": 1.0,
-                "min_slack": 0.1,
-                "min_if": {"plain_sweeps": 100},
-            },
-        },
-    },
     # rpc_whatif is intentionally absent: loopback qps measures the socket
     # stack and scheduler, not this codebase; the bench fails itself on any
     # remote-vs-in-process verdict mismatch instead.

@@ -26,23 +26,15 @@
 // flow_analyses` counts, per sweep, the flows with at least one node
 // analysed.
 //
-// The outer loop is owned by a pluggable solver strategy (SolverOptions):
-//   * kPlain (default): plain sweeps — link-ordered Gauss-Seidel, or for
-//     whole-set solves that ask for it Jacobi (whole flows against a frozen
-//     snapshot, embarrassingly parallel over a thread pool; same fixed
-//     point).
-//   * kAnderson: Anderson(m)/EDIIS(1) acceleration over the jitter-map
-//     residual, safeguarded so the fixed point reached is the same as the
-//     plain iteration's (see SolverOptions for the contract).  Its hooks
-//     run at sweep boundaries of Gauss-Seidel solves; Jacobi whole-set runs
-//     stay plain.
-// The convergence bench (E8 + the near-saturation section of
-// bench_holistic_convergence) compares the strategies.
+// A whole-set solve may instead ask for Jacobi sweeps (SweepOrder::kJacobi):
+// whole flows analysed against a frozen snapshot, embarrassingly parallel
+// over a thread pool.  It reaches the same fixed point and serves as the
+// parallel path and the test oracle of the link-ordered sweep.  There is no
+// acceleration: a feed-forward component already settles in two sweeps.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <string_view>
 #include <vector>
 
 #include "core/context.hpp"
@@ -51,94 +43,6 @@
 namespace gmfnet::core {
 
 enum class SweepOrder { kGaussSeidel, kJacobi };
-
-/// Which strategy owns the outer fixed-point loop.
-enum class SolverMode : std::uint8_t {
-  kPlain = 0,     ///< plain monotone sweeps (the bit-identical default)
-  kAnderson = 1,  ///< safeguarded Anderson(m) over the jitter-map residual
-};
-
-/// Iteration-strategy knobs of the holistic solve.  `mode` selects the
-/// strategy; the remaining fields tune kAnderson and are ignored by kPlain.
-///
-/// Safeguard contract (kAnderson): the iteration maintains the Kleene
-/// climb-from-below invariant.  An accelerated iterate y is formed from the
-/// plain iterate g by extrapolating along the Anderson direction, clamped
-/// per entry to the smaller of cap plain steps and a conservative Aitken
-/// remaining-distance estimate (entries the last sweep left unchanged are
-/// never perturbed), and *speculatively* injected.  The next plain sweep
-/// z = G(y) is the acceptance check: y is kept only when z >= y
-/// componentwise AND the sweep strictly advanced at least one entry (a
-/// sweep that leaves the speculative iterate untouched would be certifying
-/// its own landing — only a plain climb may declare convergence).  On
-/// rejection — including a diverging sweep — the solve restores the saved
-/// pre-injection map together with the stage results computed against it,
-/// and continues plainly; after `max_rejects` rejections acceleration is
-/// disabled for the rest of the solve.  An adaptive damping factor backs
-/// off 4x per rejection and regrows 2x per acceptance.
-///
-/// What the certificate guarantees depends on the structure of the
-/// iterated interference graph (edge j -> i when j can interfere with i on
-/// a shared link AND j's jitter there is itself produced by the iteration):
-///
-///   * Acyclic graph — in particular whenever iterated flows sharing links
-///     have distinct priorities: the sweep operator has a UNIQUE fixed
-///     point, and the acceptance check proves y lies at or below it by
-///     induction over the dependency order.  The accelerated solve is
-///     therefore bit-identical to plain Gauss-Seidel: same verdicts, same
-///     response times, same jitter maps.  This is the only regime in which
-///     acceleration engages by default; the graph is checked per solve.
-///
-///   * Cyclic graph (equal-priority flows sharing links both ways): the
-///     staircase operator can have several fixed points near saturation,
-///     and a speculative overshoot can be self-confirming, so no local
-///     certificate can prove least-ness.  By default the driver detects
-///     the cycle and stays plain (identity preserved trivially).  Setting
-///     `accept_cyclic` opts into acceleration anyway: every result is still
-///     a certified fixed point of the plain sweep operator and hence a
-///     sound, conservative upper bound on the least fixed point (responses
-///     never under-estimated, verdicts never optimistic), but near-critical
-///     cycles may converge a few interference quanta above the least fixed
-///     point.  The convergence bench exercises this mode explicitly.
-///
-/// Convergence is only ever declared on a plain sweep that changed
-/// nothing, so the returned map is a genuine fixed point either way.
-/// tests/test_solver_equivalence.cpp asserts result identity against
-/// kPlain across randomized scenarios (acyclic by construction), the
-/// forced-rejection path, and the cyclic opt-in's conservatism.
-struct SolverOptions {
-  SolverMode mode = SolverMode::kPlain;
-  int m = 1;              ///< Anderson history depth (residual differences)
-  int warmup_sweeps = 3;  ///< plain sweeps before the first proposal (the
-                          ///< ratio clamp needs >= 4 recorded iterates, so
-                          ///< proposals start at sweep 4 regardless)
-  int plain_between = 1;  ///< plain sweeps between successive proposals
-  double cap = 8.0;       ///< per-entry extrapolation cap, in units of the
-                          ///< entry's last plain step (g - x)
-  double gain = 1.0;      ///< extrapolation scaling; > 1 overshoots on
-                          ///< purpose (test hook for the safeguard path)
-  int max_rejects = 6;    ///< safeguard rejections before acceleration is
-                          ///< disabled for the remainder of the solve
-  /// Accelerate even when the iterated interference graph is cyclic (see
-  /// the contract above): results stay certified fixed points and sound
-  /// upper bounds, but exact least-fixed-point identity is no longer
-  /// guaranteed near criticality.  Off by default.
-  bool accept_cyclic = false;
-
-  bool operator==(const SolverOptions&) const = default;
-};
-
-/// Parses a --solver style spec into `out`: "plain", "anderson", or
-/// "anderson:M" with M in [1, 8] (e.g. "anderson:2").  Returns false (and
-/// leaves `out` untouched) on anything else.
-bool parse_solver_spec(std::string_view spec, SolverOptions& out);
-
-/// SolverOptions from the GMFNET_SOLVER environment variable (same spec
-/// grammar), or the default when unset/empty.  Malformed values throw
-/// std::runtime_error — CI forcing acceleration on must not silently run
-/// plain.  Test suites build their options through this so the ASan/TSan
-/// jobs can re-run them with acceleration forced on.
-[[nodiscard]] SolverOptions solver_options_from_env();
 
 /// Typed non-owning warm-start handle: seed the iteration from a previously
 /// converged map instead of JitterMap::initial(ctx).
@@ -177,9 +81,6 @@ struct HolisticOptions {
   /// Warm start for whole-set solves (see WarmStartView for the lifetime
   /// and soundness contracts).  Disengaged: start from the initial map.
   WarmStartView warm_start;
-  /// Iteration strategy (fingerprinted by checkpoints: restored fixed
-  /// points must have been produced under the same mode).
-  SolverOptions solver;
 };
 
 struct HolisticResult {
@@ -202,17 +103,15 @@ struct HolisticResult {
 
 /// Counters of one solve (engine instrumentation).
 struct IncrementalStats {
-  std::size_t flow_analyses = 0;   ///< flows with >= 1 (flow, stage) node
-                                   ///< analysed, summed over sweeps
-  std::size_t sweeps = 0;          ///< sweeps executed
-  std::size_t accel_accepted = 0;  ///< accelerated iterates kept
-  std::size_t accel_rejected = 0;  ///< safeguard rollbacks to a plain sweep
+  std::size_t flow_analyses = 0;  ///< flows with >= 1 (flow, stage) node
+                                  ///< analysed, summed over sweeps
+  std::size_t sweeps = 0;         ///< sweeps executed
 };
 
 /// One solve, described as a request.  This is the single solver entry
 /// point: whole-set analyses and the engine's restricted shard/probe solves
-/// are the same request with different dirty sets, so iteration strategies
-/// are added in one place (solve_holistic) and every caller gets them.
+/// are the same request with different dirty sets, so every caller runs the
+/// same sweep loop (solve_holistic).
 struct SolveRequest {
   /// Flows to (re-)analyse, indexed by flow id; null means every flow of
   /// the context (a whole-set solve).  When non-null, clean (false) flows
@@ -235,10 +134,8 @@ struct SolveRequest {
 /// default-constructed and `schedulable` false: the caller owns adopting
 /// its cached FlowResults for clean flows and finalizing the verdict
 /// (skipped when `converged` is false).  `opts.warm_start` is ignored in
-/// favour of `req.start`.
-///
-/// Anderson acceleration (opts.solver) applies to every Gauss-Seidel solve;
-/// accepted/rejected proposals are counted in `stats` when provided.
+/// favour of `req.start`.  Sweeps and flow analyses are counted in `stats`
+/// when provided.
 [[nodiscard]] HolisticResult solve_holistic(const AnalysisContext& ctx,
                                             const SolveRequest& req,
                                             const HolisticOptions& opts,

@@ -34,10 +34,6 @@ EngineStats AnalysisEngine::stats() const {
   out.flow_results_reused =
       stats_.flow_results_reused.v.load(std::memory_order_relaxed);
   out.sweeps = stats_.sweeps.v.load(std::memory_order_relaxed);
-  out.accel_accepted =
-      stats_.accel_accepted.v.load(std::memory_order_relaxed);
-  out.accel_rejected =
-      stats_.accel_rejected.v.load(std::memory_order_relaxed);
   return out;
 }
 
@@ -48,8 +44,6 @@ void AnalysisEngine::reset_stats() {
   stats_.flow_analyses.v.store(0, std::memory_order_relaxed);
   stats_.flow_results_reused.v.store(0, std::memory_order_relaxed);
   stats_.sweeps.v.store(0, std::memory_order_relaxed);
-  stats_.accel_accepted.v.store(0, std::memory_order_relaxed);
-  stats_.accel_rejected.v.store(0, std::memory_order_relaxed);
 }
 
 void AnalysisEngine::record_run(const RunStats& rs) {
@@ -65,10 +59,6 @@ void AnalysisEngine::record_run(const RunStats& rs) {
   stats_.flow_results_reused.v.fetch_add(rs.flow_results_reused,
                                          std::memory_order_relaxed);
   stats_.sweeps.v.fetch_add(rs.sweeps, std::memory_order_relaxed);
-  stats_.accel_accepted.v.fetch_add(rs.accel_accepted,
-                                    std::memory_order_relaxed);
-  stats_.accel_rejected.v.fetch_add(rs.accel_rejected,
-                                    std::memory_order_relaxed);
 }
 
 std::vector<std::uint32_t> AnalysisEngine::touched_shards(

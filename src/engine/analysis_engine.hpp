@@ -79,8 +79,11 @@ struct EngineStats {
   std::size_t flow_analyses = 0;     ///< flows analysed, summed over sweeps
   std::size_t flow_results_reused = 0;  ///< cached FlowResults reused
   std::size_t sweeps = 0;            ///< total sweeps executed
-  std::size_t accel_accepted = 0;    ///< Anderson iterates kept (safeguard)
-  std::size_t accel_rejected = 0;    ///< Anderson iterates rolled back
+  /// Always 0.  Frozen wire fields of the removed Anderson solver strategy:
+  /// kept so the STATS layout is unchanged until StatsResponse moves to a
+  /// tagged key/value section.
+  std::size_t accel_accepted = 0;
+  std::size_t accel_rejected = 0;    ///< always 0 (see accel_accepted)
 };
 
 class AnalysisEngine {
@@ -119,11 +122,6 @@ class AnalysisEngine {
   [[nodiscard]] EngineStats stats() const;
   /// Zeroes every counter (writer thread only).
   void reset_stats();
-
-  /// The engine's effective solve options (warm_start disengaged, order
-  /// normalized away by the per-shard Gauss-Seidel contract above).  The
-  /// daemon reports `options().solver.mode` in StatsResponse.
-  [[nodiscard]] const core::HolisticOptions& options() const { return opts_; }
 
   /// Current number of locality domains (shards).
   [[nodiscard]] std::size_t shard_count() const { return shards_.size(); }
@@ -207,8 +205,7 @@ class AnalysisEngine {
   ///
   /// `opts` must agree with the saving engine's options on every field the
   /// cached fixed points depend on (hop.horizon, hop.charge_self_circ,
-  /// max_sweeps, solver.mode — all fingerprinted in the stream); a mismatch
-  /// is rejected,
+  /// max_sweeps — all fingerprinted in the stream); a mismatch is rejected,
   /// since the persisted state would silently misanswer under different
   /// analysis semantics.  Throws io::CheckpointError on truncated,
   /// corrupted, forward-incompatible or semantically invalid streams.
@@ -276,8 +273,6 @@ class AnalysisEngine {
     PaddedCounter flow_analyses;
     PaddedCounter flow_results_reused;
     PaddedCounter sweeps;
-    PaddedCounter accel_accepted;
-    PaddedCounter accel_rejected;
   };
 
   /// Shard indices (ascending, deduped) owning the given route links; all

@@ -136,8 +136,6 @@ RunStats Shard::run(const core::HolisticOptions& opts) {
   core::HolisticResult result = core::solve_holistic(*ctx, req, opts, &is);
   rs.flow_analyses = is.flow_analyses;
   rs.sweeps = is.sweeps;
-  rs.accel_accepted = is.accel_accepted;
-  rs.accel_rejected = is.accel_rejected;
 
   // Clean flows keep their converged results verbatim.
   for (std::size_t f = 0; f < n; ++f) {

@@ -35,8 +35,6 @@ struct RunStats {
   std::size_t flow_analyses = 0;
   std::size_t sweeps = 0;
   std::size_t flow_results_reused = 0;
-  std::size_t accel_accepted = 0;  ///< Anderson iterates kept this run
-  std::size_t accel_rejected = 0;  ///< Anderson safeguard rollbacks this run
 };
 
 /// Where one global flow id lives: which shard, and at which shard-local id.

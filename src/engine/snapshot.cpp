@@ -232,11 +232,8 @@ EngineSnapshot::Probe EngineSnapshot::run_probe(const gmf::Flow& candidate,
     core::HolisticOptions cold = opts_;
     cold.order = core::SweepOrder::kGaussSeidel;
     cold.warm_start = {};
-    core::IncrementalStats cold_is;
-    p.local = core::solve_holistic(full, core::SolveRequest{}, cold, &cold_is);
+    p.local = core::solve_holistic(full, core::SolveRequest{}, cold);
     p.rs.sweeps = static_cast<std::size_t>(p.local.sweeps);
-    p.rs.accel_accepted = cold_is.accel_accepted;
-    p.rs.accel_rejected = cold_is.accel_rejected;
     p.dirty.assign(full.flow_count(), true);
     p.ctx = std::move(full);
     return p;
@@ -317,8 +314,6 @@ EngineSnapshot::Probe EngineSnapshot::run_probe(const gmf::Flow& candidate,
     p.local = core::solve_holistic(ctx, req, opts_, &is);
     p.rs.flow_analyses = is.flow_analyses;
     p.rs.sweeps = is.sweeps;
-    p.rs.accel_accepted = is.accel_accepted;
-    p.rs.accel_rejected = is.accel_rejected;
     for (std::size_t pos = 0; pos < residents; ++pos) {
       if (!p.dirty[pos]) ++p.rs.flow_results_reused;
     }

@@ -11,6 +11,7 @@
 #include <memory>
 #include <sstream>
 #include <ostream>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -77,15 +78,10 @@ void AnalysisEngine::save(std::ostream& os) {
   engine_sec.time(opts_.hop.horizon);
   engine_sec.u8(opts_.hop.charge_self_circ ? 1 : 0);
   engine_sec.i32(opts_.max_sweeps);
-  // Solver mode (version 2): the accelerated mode is only identity-exact on
-  // acyclic interference (and conservative otherwise — see
-  // core::SolverOptions), so a restore must run under the mode that
-  // produced the checkpoint — silently switching strategies underneath
-  // persisted state would make "restored world answers bit-identically"
-  // unauditable.  The cyclic opt-in changes reachable fixed points, so it
-  // is part of the fingerprint byte.
-  engine_sec.u8(static_cast<std::uint8_t>(opts_.solver.mode) |
-                (opts_.solver.accept_cyclic ? 0x80 : 0));
+  // Solver byte (version 2): always 0, the plain sweep.  Streams written
+  // under the removed accelerated strategy carry nonzero values and are
+  // rejected on restore.
+  engine_sec.u8(0);
 
   io::ByteWriter network_sec;
   io::codec::encode_network(network_sec, network());
@@ -176,7 +172,7 @@ AnalysisEngine::RestoredState AnalysisEngine::parse_checkpoint(
     const gmfnet::Time horizon = engine_sec.time();
     const bool charge_self_circ = engine_sec.u8() != 0;
     const std::int32_t max_sweeps = engine_sec.i32();
-    const std::uint8_t solver_mode = engine_sec.u8();
+    const std::uint8_t solver_byte = engine_sec.u8();
     if (horizon != opts.hop.horizon ||
         charge_self_circ != opts.hop.charge_self_circ ||
         max_sweeps != opts.max_sweeps) {
@@ -186,14 +182,11 @@ AnalysisEngine::RestoredState AnalysisEngine::parse_checkpoint(
           "max_sweeps — restore with the options the checkpoint was saved "
           "with");
     }
-    const std::uint8_t want_mode =
-        static_cast<std::uint8_t>(opts.solver.mode) |
-        (opts.solver.accept_cyclic ? 0x80 : 0);
-    if (solver_mode != want_mode) {
+    if (solver_byte != 0) {
       throw CheckpointError(
-          "solver mode mismatch: the checkpoint's fixed points were solved "
-          "under a different iteration strategy (--solver) — restore with "
-          "the solver the checkpoint was saved with");
+          "solver byte " + std::to_string(solver_byte) +
+          ": the checkpoint was saved under the removed Anderson solver "
+          "strategy — re-solve the world from its scenario");
     }
     if (!engine_sec.done()) {
       throw CheckpointError("engine section has trailing bytes");

@@ -51,9 +51,10 @@ namespace ckpt {
 
 /// Container constants, shared with tests that forge malformed streams.
 inline constexpr char kMagic[8] = {'G', 'M', 'F', 'N', 'C', 'K', 'P', 'T'};
-/// Version 2 appended the solver mode to the engine section's
-/// analysis-option fingerprint (version 1 streams are rejected: their fixed
-/// points carry no record of the strategy that produced them).
+/// Version 2 appended a solver byte to the engine section's analysis-option
+/// fingerprint (version 1 streams are rejected).  Save always writes 0 and
+/// restore accepts only 0: nonzero bytes come from a removed iteration
+/// strategy whose fixed points are not reproduced by the plain sweep.
 inline constexpr std::uint32_t kVersion = 2;
 inline constexpr std::size_t kVersionOffset = 8;
 inline constexpr std::size_t kPayloadLenOffset = 12;

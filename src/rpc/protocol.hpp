@@ -34,7 +34,7 @@
 //                                           O(world) per-flow payload }
 //   STATS            {}                  -> { EngineStats, flows, shards,
 //                                            role, epoch, commit_seq, uptime,
-//                                            server counters, solver mode }
+//                                            server counters, solver byte }
 //   SAVE_CHECKPOINT  {}                  -> { checkpoint blob (PR 4 stream) }
 //   RESTORE          { checkpoint blob } -> { restored flow count }
 //   SHUTDOWN         {}                  -> {}
@@ -237,9 +237,10 @@ struct StatsResponse {
   std::uint64_t coalesced_commits = 0;   ///< mutations folded into group
                                          ///< commits beyond the group heads
   std::uint64_t pipelined_hwm = 0;  ///< max frames in flight on one conn
-  // Appended after the PR 9 fields: which iteration strategy the engine's
-  // fixed-point solves run under (core::SolverMode values; the accel_*
-  // counters in `stats` are only nonzero under kAnderson).
+  // Appended after the reactor counters.  Always 0: a frozen wire field of
+  // the removed Anderson solver strategy (like `stats.accel_*`), kept so the
+  // STATS layout is unchanged until StatsResponse moves to a tagged
+  // key/value section.
   std::uint8_t solver_mode = 0;
 };
 struct SaveCheckpointResponse {

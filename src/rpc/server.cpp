@@ -648,8 +648,7 @@ StatsResponse Server::build_stats() {
   resp.frames_served = frames_served_.load(std::memory_order_relaxed);
   resp.coalesced_commits = coalesced_.load(std::memory_order_relaxed);
   resp.pipelined_hwm = pipelined_hwm_.load(std::memory_order_relaxed);
-  resp.solver_mode =
-      static_cast<std::uint8_t>(eng->options().solver.mode);
+  resp.solver_mode = 0;
   return resp;
 }
 

@@ -18,13 +18,7 @@
 // contract, not a correctness precondition.
 #pragma once
 
-#include <cmath>
-#include <cstddef>
 #include <cstdint>
-#include <deque>
-#include <functional>
-#include <utility>
-#include <vector>
 
 #include "util/time.hpp"
 
@@ -73,123 +67,5 @@ FixedPointResult iterate_fixed_point(Time seed, const F& f,
   r.converged = false;
   return r;
 }
-
-/// Anderson(m) mixer over flattened iterate vectors: records observed
-/// (x_j, g_j = G(x_j)) pairs of a fixed-point iteration and proposes the
-/// standard Anderson-accelerated iterate
-///
-///     y = g_k - sum_i gamma_i * (g_{j+1} - g_j)
-///
-/// where gamma minimizes || f_k - sum_i gamma_i * (f_{j+1} - f_j) ||_2 over
-/// the residuals f_j = g_j - x_j of the last h = min(m, pairs-1) steps
-/// (normal equations, Gaussian elimination with partial pivoting).  For
-/// m = 1 this reduces to the EDIIS(1)/AA(1) closed form and is exact on
-/// scalar affine iterations (one proposal jumps to the fixed point).
-///
-/// The mixer is policy-free: it never decides whether y is *safe* to adopt.
-/// Callers owning a monotone iteration must clamp and safeguard the
-/// proposal themselves (see core::SolverOptions), because an extrapolated
-/// iterate can overshoot the least fixed point.
-class AndersonMixer {
- public:
-  explicit AndersonMixer(int m) : m_(m < 1 ? 1 : m) {}
-
-  /// Drops all recorded pairs (used after a safeguard rollback: history
-  /// from the abandoned speculative branch would poison later proposals).
-  void reset() { pairs_.clear(); }
-
-  [[nodiscard]] std::size_t history() const { return pairs_.size(); }
-
-  /// Records one observed application of the underlying map.  `x` and `g`
-  /// must have the same length across all pushes since the last reset.
-  void push(std::vector<double> x, std::vector<double> g) {
-    pairs_.emplace_back(std::move(x), std::move(g));
-    while (pairs_.size() > static_cast<std::size_t>(m_) + 1) {
-      pairs_.pop_front();
-    }
-  }
-
-  /// The accelerated iterate from the recorded history, or an empty vector
-  /// when fewer than two pairs are recorded or the least-squares system is
-  /// numerically degenerate (no useful descent direction — e.g. exactly
-  /// (anti)parallel residual differences, or a converged iteration).
-  [[nodiscard]] std::vector<double> propose() const {
-    if (pairs_.size() < 2) return {};
-    const std::size_t h = pairs_.size() - 1;   // difference columns
-    const std::size_t n = pairs_.back().first.size();
-    const std::size_t k = pairs_.size() - 1;   // newest pair index
-
-    // Residuals f_j = g_j - x_j for the retained window.
-    std::vector<std::vector<double>> f(pairs_.size());
-    for (std::size_t j = 0; j < pairs_.size(); ++j) {
-      f[j].resize(n);
-      for (std::size_t i = 0; i < n; ++i) {
-        f[j][i] = pairs_[j].second[i] - pairs_[j].first[i];
-      }
-    }
-
-    // Normal equations A gamma = b over the difference columns
-    // d_l = f_{l+1} - f_l.
-    std::vector<std::vector<double>> a(h, std::vector<double>(h, 0.0));
-    std::vector<double> b(h, 0.0);
-    const auto dot_d = [&](std::size_t l, std::size_t r, double& out) {
-      out = 0.0;
-      for (std::size_t i = 0; i < n; ++i) {
-        out += (f[l + 1][i] - f[l][i]) * (f[r + 1][i] - f[r][i]);
-      }
-    };
-    for (std::size_t l = 0; l < h; ++l) {
-      for (std::size_t r = l; r < h; ++r) {
-        dot_d(l, r, a[l][r]);
-        a[r][l] = a[l][r];
-      }
-      for (std::size_t i = 0; i < n; ++i) {
-        b[l] += f[k][i] * (f[l + 1][i] - f[l][i]);
-      }
-    }
-
-    // Gaussian elimination with partial pivoting; a pivot collapsing
-    // against the matrix scale means the system carries no information.
-    double scale = 0.0;
-    for (std::size_t l = 0; l < h; ++l) scale = std::max(scale, a[l][l]);
-    if (!(scale > 0.0)) return {};
-    std::vector<double> gamma(h, 0.0);
-    for (std::size_t col = 0; col < h; ++col) {
-      std::size_t piv = col;
-      for (std::size_t row = col + 1; row < h; ++row) {
-        if (std::fabs(a[row][col]) > std::fabs(a[piv][col])) piv = row;
-      }
-      if (std::fabs(a[piv][col]) < 1e-12 * scale) return {};
-      std::swap(a[piv], a[col]);
-      std::swap(b[piv], b[col]);
-      for (std::size_t row = col + 1; row < h; ++row) {
-        const double fac = a[row][col] / a[col][col];
-        for (std::size_t cc = col; cc < h; ++cc) a[row][cc] -= fac * a[col][cc];
-        b[row] -= fac * b[col];
-      }
-    }
-    for (std::size_t col = h; col-- > 0;) {
-      double acc = b[col];
-      for (std::size_t cc = col + 1; cc < h; ++cc) acc -= a[col][cc] * gamma[cc];
-      gamma[col] = acc / a[col][col];
-    }
-
-    // y = g_k - sum_l gamma_l * (g_{l+1} - g_l).
-    std::vector<double> y = pairs_.back().second;
-    for (std::size_t l = 0; l < h; ++l) {
-      const double gl = gamma[l];
-      if (gl == 0.0) continue;
-      for (std::size_t i = 0; i < n; ++i) {
-        y[i] -= gl * (pairs_[l + 1].second[i] - pairs_[l].second[i]);
-      }
-    }
-    return y;
-  }
-
- private:
-  int m_;
-  /// Observed (x_j, g_j) pairs, oldest first; at most m_ + 1 retained.
-  std::deque<std::pair<std::vector<double>, std::vector<double>>> pairs_;
-};
 
 }  // namespace gmfnet

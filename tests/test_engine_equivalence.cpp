@@ -24,19 +24,10 @@
 namespace gmfnet::engine {
 namespace {
 
-/// Base options honoring the GMFNET_SOLVER CI toggle: the sanitizer jobs
-/// re-run this suite with Anderson forced on, and incremental == cold must
-/// keep holding bit for bit (acyclic workloads; see core::SolverOptions).
-core::HolisticOptions env_opts() {
-  core::HolisticOptions o;
-  o.solver = core::solver_options_from_env();
-  return o;
-}
-
 core::HolisticResult from_scratch(const net::Network& net,
                                   const std::vector<gmf::Flow>& flows) {
   const core::AnalysisContext ctx(net, flows);
-  return core::analyze_holistic(ctx, env_opts());
+  return core::analyze_holistic(ctx);
 }
 
 /// The pre-envelope reference: same from-scratch run with the per-hop
@@ -46,7 +37,7 @@ core::HolisticResult from_scratch(const net::Network& net,
 core::HolisticResult from_scratch_naive(const net::Network& net,
                                         const std::vector<gmf::Flow>& flows) {
   const core::AnalysisContext ctx(net, flows);
-  core::HolisticOptions opts = env_opts();
+  core::HolisticOptions opts;
   opts.hop.use_envelope = false;
   return core::analyze_holistic(ctx, opts);
 }
@@ -118,7 +109,7 @@ TEST_P(EngineEquivalence, IncrementalMatchesFromScratch) {
   ASSERT_TRUE(ts.has_value());
   core::assign_priorities(ts->flows, core::PriorityScheme::kDeadlineMonotonic);
 
-  AnalysisEngine eng(net, env_opts());
+  AnalysisEngine eng(net);
   std::vector<gmf::Flow> mirror;  // ground truth for the cold rebuild
 
   // Incremental adds, compared to a cold rebuild at every step.

@@ -19,23 +19,13 @@ namespace {
 
 constexpr ethernet::LinkSpeedBps kSpeed = 10'000'000;
 
-/// Base options honoring the GMFNET_SOLVER CI toggle: the sanitizer jobs
-/// re-run this suite with Anderson forced on, and every result must be
-/// bit-identical by the solver contract (the workloads here have acyclic
-/// interference, so the accelerated fixed point is provably the same).
-HolisticOptions env_opts() {
-  HolisticOptions o;
-  o.solver = solver_options_from_env();
-  return o;
-}
-
 TEST(Holistic, LoneFlowConvergesInTwoSweeps) {
   const auto star = net::make_star_network(4, kSpeed);
   std::vector<gmf::Flow> flows = {gmf::make_sporadic_flow(
       "a", net::Route({star.hosts[0], star.sw, star.hosts[1]}),
       gmfnet::Time::ms(20), gmfnet::Time::ms(20), 1000 * 8)};
   const AnalysisContext ctx(star.net, flows);
-  const HolisticResult r = analyze_holistic(ctx, env_opts());
+  const HolisticResult r = analyze_holistic(ctx);
   EXPECT_TRUE(r.converged);
   EXPECT_TRUE(r.schedulable);
   // Sweep 1 installs the stage jitters, sweep 2 observes no change.
@@ -47,7 +37,7 @@ TEST(Holistic, LoneFlowConvergesInTwoSweeps) {
 TEST(Holistic, Figure2ScenarioSchedulable) {
   const auto s = workload::make_figure2_scenario(kSpeed, true);
   const AnalysisContext ctx(s.network, s.flows);
-  const HolisticResult r = analyze_holistic(ctx, env_opts());
+  const HolisticResult r = analyze_holistic(ctx);
   EXPECT_TRUE(r.converged);
   EXPECT_TRUE(r.schedulable);
   for (std::size_t f = 0; f < ctx.flow_count(); ++f) {
@@ -58,9 +48,9 @@ TEST(Holistic, Figure2ScenarioSchedulable) {
 TEST(Holistic, GaussSeidelAndJacobiAgreeOnFixedPoint) {
   const auto s = workload::make_figure2_scenario(kSpeed, true);
   const AnalysisContext ctx(s.network, s.flows);
-  HolisticOptions gs = env_opts();
+  HolisticOptions gs;
   gs.order = SweepOrder::kGaussSeidel;
-  HolisticOptions jc = env_opts();
+  HolisticOptions jc;
   jc.order = SweepOrder::kJacobi;
   jc.threads = 4;
   const HolisticResult rg = analyze_holistic(ctx, gs);
@@ -99,7 +89,7 @@ TEST(Holistic, BoundsAreMonotoneInLoad) {
 TEST(Holistic, JitterPropagatesDownstream) {
   const auto s = workload::make_figure2_scenario(kSpeed, false);
   const AnalysisContext ctx(s.network, s.flows);
-  const HolisticResult r = analyze_holistic(ctx, env_opts());
+  const HolisticResult r = analyze_holistic(ctx);
   ASSERT_TRUE(r.converged);
   const auto& stages = ctx.stages(FlowId(0));
   // Jitter strictly accumulates along the pipeline for every frame.
@@ -119,7 +109,7 @@ TEST(Holistic, UnschedulableOverloadReported) {
       "over", net::Route({star.hosts[0], star.sw, star.hosts[1]}),
       gmfnet::Time::ms(2), gmfnet::Time::ms(2), 15000 * 8)};
   const AnalysisContext ctx(star.net, flows);
-  const HolisticResult r = analyze_holistic(ctx, env_opts());
+  const HolisticResult r = analyze_holistic(ctx);
   EXPECT_FALSE(r.converged);
   EXPECT_FALSE(r.schedulable);
 }
@@ -131,7 +121,7 @@ TEST(Holistic, DeadlineMissWithoutDivergence) {
       "tight", net::Route({star.hosts[0], star.sw, star.hosts[1]}),
       gmfnet::Time::ms(20), gmfnet::Time::ms(1), 1000 * 8)};
   const AnalysisContext ctx(star.net, flows);
-  const HolisticResult r = analyze_holistic(ctx, env_opts());
+  const HolisticResult r = analyze_holistic(ctx);
   EXPECT_TRUE(r.converged);       // analysis converges fine...
   EXPECT_FALSE(r.schedulable);    // ...but the deadline is missed
 }
@@ -139,7 +129,7 @@ TEST(Holistic, DeadlineMissWithoutDivergence) {
 TEST(Holistic, WorstResponseAccessor) {
   const auto s = workload::make_figure2_scenario(kSpeed, false);
   const AnalysisContext ctx(s.network, s.flows);
-  const HolisticResult r = analyze_holistic(ctx, env_opts());
+  const HolisticResult r = analyze_holistic(ctx);
   ASSERT_TRUE(r.converged);
   EXPECT_EQ(r.worst_response(FlowId(0)), r.flows[0].worst_response());
   EXPECT_GT(r.worst_response(FlowId(0)), gmfnet::Time::zero());
@@ -158,7 +148,7 @@ TEST(Holistic, ManyIndependentFlowsStillTwoSweeps) {
         gmfnet::Time::ms(20), gmfnet::Time::ms(20), 1000 * 8));
   }
   const AnalysisContext ctx(star.net, flows);
-  const HolisticResult r = analyze_holistic(ctx, env_opts());
+  const HolisticResult r = analyze_holistic(ctx);
   EXPECT_TRUE(r.converged);
   EXPECT_TRUE(r.schedulable);
   EXPECT_EQ(r.sweeps, 2);
@@ -206,20 +196,20 @@ void expect_same_results(const HolisticResult& a, const HolisticResult& b,
   }
 }
 
-/// Link-ordered Gauss-Seidel (under the CI solver toggle) vs plain Jacobi;
-/// returns whether the solve converged (only converged results carry
-/// comparable per-stage state).
-bool expect_order_independent(const AnalysisContext& ctx,
-                              const std::string& where, int max_sweeps = 64) {
-  HolisticOptions gs = env_opts();
+/// Link-ordered Gauss-Seidel vs Jacobi; returns the Gauss-Seidel result
+/// (only converged results carry comparable per-stage state).
+HolisticResult expect_order_independent(const AnalysisContext& ctx,
+                                        const std::string& where,
+                                        int max_sweeps = 64) {
+  HolisticOptions gs;
   gs.max_sweeps = max_sweeps;
   HolisticOptions jc;
   jc.order = SweepOrder::kJacobi;
   jc.threads = 2;
   jc.max_sweeps = max_sweeps;
-  const HolisticResult rg = analyze_holistic(ctx, gs);
+  HolisticResult rg = analyze_holistic(ctx, gs);
   expect_same_results(rg, analyze_holistic(ctx, jc), where);
-  return rg.converged;
+  return rg;
 }
 
 std::vector<gmf::Flow> random_flows(const net::Network& net,
@@ -252,8 +242,12 @@ TEST(HolisticOrder, RandomizedStarsMatchJacobi) {
                                              100'000'000);
     const AnalysisContext ctx(
         star.net, random_flows(star.net, star.hosts, seed, seed % 4 == 3));
-    converged +=
-        expect_order_independent(ctx, "star seed " + std::to_string(seed));
+    const std::string where = "star seed " + std::to_string(seed);
+    const HolisticResult r = expect_order_independent(ctx, where);
+    if (!r.converged) continue;
+    ++converged;
+    // Feed-forward: one productive sweep, one confirming sweep.
+    EXPECT_EQ(r.sweeps, 2) << where;
   }
   EXPECT_GE(converged, 16) << "too few fixed points were compared";
 }
@@ -266,10 +260,15 @@ TEST(HolisticOrder, RandomizedTreesMatchJacobi) {
       for (const bool equal : {false, true}) {
         const AnalysisContext ctx(
             tree.net, random_flows(tree.net, tree.hosts, seed, equal));
-        converged += expect_order_independent(
-            ctx, "depth " + std::to_string(depth) + " seed " +
-                     std::to_string(seed) +
-                     (equal ? " equal priorities" : " deadline-monotonic"));
+        const std::string where =
+            "depth " + std::to_string(depth) + " seed " +
+            std::to_string(seed) +
+            (equal ? " equal priorities" : " deadline-monotonic");
+        const HolisticResult r = expect_order_independent(ctx, where);
+        if (!r.converged) continue;
+        ++converged;
+        // Feed-forward: one productive sweep, one confirming sweep.
+        EXPECT_EQ(r.sweeps, 2) << where;
       }
     }
   }
@@ -309,9 +308,10 @@ TEST(HolisticOrder, CyclicRingMatchesJacobi) {
         gmf::Flow("A", net::Route({hA, X, Y, M, Z, W, hA2}), {fs}, 3),
         gmf::Flow("B", net::Route({hB, Z, W, N, X, Y, hB2}), {fs}, 3)};
     const AnalysisContext ctx(netw, flows);
-    const HolisticResult r = analyze_holistic(ctx, env_opts());
+    const HolisticResult r = analyze_holistic(ctx);
     EXPECT_TRUE(r.converged) << sep_us;
     EXPECT_GT(r.sweeps, 2) << "a cyclic key graph needs repeated passes";
+    EXPECT_EQ(r.sweeps, sep_us == 400 ? 4 : 38) << sep_us;
     expect_order_independent(ctx, "ring " + std::to_string(sep_us) + "us",
                              512);
 
@@ -322,7 +322,7 @@ TEST(HolisticOrder, CyclicRingMatchesJacobi) {
     SolveRequest warm;
     warm.dirty = &all;
     warm.start = WarmStartView(r.jitters);
-    HolisticResult again = solve_holistic(ctx, warm, env_opts());
+    HolisticResult again = solve_holistic(ctx, warm, HolisticOptions{});
     // Restricted solves leave the verdict to the caller.
     again.schedulable = again.converged;
     for (const FlowResult& fr : again.flows) {
@@ -342,7 +342,7 @@ TEST(HolisticOrder, TreeProbeMatchesFromScratch) {
   const gmf::Flow candidate = flows.back();
   flows.pop_back();
 
-  HolisticOptions opts = env_opts();
+  const HolisticOptions opts;
   engine::AnalysisEngine eng(tree.net, opts);
   for (const gmf::Flow& f : flows) eng.add_flow(f);
   ASSERT_TRUE(eng.evaluate().converged) << "the probe must warm-start";

@@ -89,8 +89,7 @@ std::vector<std::string> representative_response_frames() {
   sr.epoch = 3;
   sr.commit_seq = 99;
   sr.uptime_ms = 123'456;
-  sr.solver_mode =
-      static_cast<std::uint8_t>(core::SolverMode::kAnderson);
+  sr.solver_mode = 1;
   DeltaResponse admit_delta;
   admit_delta.kind = DeltaKind::kAdmit;
   admit_delta.epoch = 2;
@@ -173,20 +172,19 @@ TEST(RpcProtocol, ResponsesRoundTripBitIdentically) {
 }
 
 TEST(RpcProtocol, StatsResponseCarriesSolverModeAndAccelCounters) {
-  // The operator-facing solver telemetry (gmfnet_ctl stats): which
-  // iteration strategy the daemon's solves run under, and how often the
-  // Anderson safeguard accepted/rolled back.
+  // Frozen wire fields of a removed solver strategy: servers always send 0,
+  // but the STATS layout keeps them, so the codec must still round-trip
+  // every value.
   engine::EngineStats stats;
   stats.sweeps = 33;
   stats.accel_accepted = 6;
   stats.accel_rejected = 2;
   StatsResponse sr;
   sr.stats = stats;
-  sr.solver_mode = static_cast<std::uint8_t>(core::SolverMode::kAnderson);
+  sr.solver_mode = 1;
   const Response decoded = decode_response(encode_response(sr));
   const auto& got = std::get<StatsResponse>(decoded);
-  EXPECT_EQ(got.solver_mode,
-            static_cast<std::uint8_t>(core::SolverMode::kAnderson));
+  EXPECT_EQ(got.solver_mode, 1u);
   EXPECT_EQ(got.stats.sweeps, 33u);
   EXPECT_EQ(got.stats.accel_accepted, 6u);
   EXPECT_EQ(got.stats.accel_rejected, 2u);

@@ -126,13 +126,6 @@ int cmd_stats(rpc::Client& client) {
   std::printf("flow_analyses       %zu\n", s.stats.flow_analyses);
   std::printf("flow_results_reused %zu\n", s.stats.flow_results_reused);
   std::printf("sweeps              %zu\n", s.stats.sweeps);
-  std::printf("solver              %s\n",
-              s.solver_mode ==
-                      static_cast<std::uint8_t>(core::SolverMode::kAnderson)
-                  ? "anderson"
-                  : "plain");
-  std::printf("accel_accepted      %zu\n", s.stats.accel_accepted);
-  std::printf("accel_rejected      %zu\n", s.stats.accel_rejected);
   std::printf("role                %s\n",
               s.role == rpc::Role::kPrimary ? "primary" : "replica");
   std::printf("epoch               %llu\n",

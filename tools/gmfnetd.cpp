@@ -9,7 +9,7 @@
 // checkpoint, exit 0.
 //
 //   gmfnetd (--unix PATH | --tcp PORT) (--scenario FILE | --restore FILE)
-//           [--host ADDR] [--readers N] [--solver SPEC]
+//           [--host ADDR] [--readers N]
 //           [--checkpoint-path P] [--checkpoint-every N]
 //           [--io-timeout MS] [--idle-timeout MS] [--max-conns N]
 //           [--drain-timeout MS]
@@ -38,12 +38,6 @@
 //                         atomic checkpoint writer maintains — so a crash
 //                         mid-save never strands the daemon
 //   --readers N           what-if reader pool size (default: hardware)
-//   --solver SPEC         fixed-point iteration strategy: "plain" (default)
-//                         or "anderson"/"anderson:M" (safeguarded
-//                         Anderson(M) acceleration, M in [1,8]; identical
-//                         verdicts, fewer sweeps near saturation).  A
-//                         --restore checkpoint must have been saved under
-//                         the same solver mode (fingerprinted)
 //   --checkpoint-path P   write crash-safe checkpoints to P (final one on
 //                         drain/shutdown; P.prev keeps the previous
 //                         generation)
@@ -91,7 +85,7 @@ int usage(const char* argv0) {
       stderr,
       "usage: %s (--unix PATH | --tcp PORT) (--scenario FILE | --restore "
       "FILE)\n"
-      "          [--host ADDR] [--readers N] [--solver SPEC]\n"
+      "          [--host ADDR] [--readers N]\n"
       "          [--checkpoint-path P] [--checkpoint-every N]\n"
       "          [--io-timeout MS] [--idle-timeout MS] [--max-conns N]\n"
       "          [--drain-timeout MS]\n"
@@ -117,7 +111,7 @@ bool parse_number(const std::string& s, long long lo, long long hi,
 /// corrupt, or missing (e.g. the process died between the atomic writer's
 /// two renames).  Returns nullptr when no valid checkpoint exists.
 std::shared_ptr<gmfnet::engine::AnalysisEngine> restore_with_fallback(
-    const std::string& path, const gmfnet::core::HolisticOptions& opts) {
+    const std::string& path) {
   namespace io = gmfnet::io;
   const std::string candidates[] = {path,
                                     io::AtomicFileWriter::previous_path(path)};
@@ -129,7 +123,7 @@ std::shared_ptr<gmfnet::engine::AnalysisEngine> restore_with_fallback(
     }
     try {
       auto eng = std::shared_ptr<gmfnet::engine::AnalysisEngine>(
-          gmfnet::engine::AnalysisEngine::restore_unique(in, opts));
+          gmfnet::engine::AnalysisEngine::restore_unique(in));
       std::printf(
           "gmfnetd: warm-booted %zu resident flows in %zu domains from %s "
           "(no solver runs)\n",
@@ -164,7 +158,6 @@ int main(int argc, char** argv) {
   long long drain_timeout = 5'000;
   std::string replica_of;
   long long journal_cap = 1024;
-  core::HolisticOptions engine_opts;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -181,14 +174,6 @@ int main(int argc, char** argv) {
       restore_path = argv[++i];
     } else if (arg == "--readers" && has_value) {
       if (!parse_number(argv[++i], 0, 4096, readers)) return usage(argv[0]);
-    } else if (arg == "--solver" && has_value) {
-      if (!core::parse_solver_spec(argv[++i], engine_opts.solver)) {
-        std::fprintf(stderr,
-                     "gmfnetd: bad --solver spec '%s' (want plain | anderson "
-                     "| anderson:M with M in [1,8])\n",
-                     argv[i]);
-        return usage(argv[0]);
-      }
     } else if (arg == "--checkpoint-path" && has_value) {
       checkpoint_path = argv[++i];
     } else if (arg == "--checkpoint-every" && has_value) {
@@ -237,15 +222,14 @@ int main(int argc, char** argv) {
     std::shared_ptr<engine::AnalysisEngine> eng;
     if (!scenario_path.empty()) {
       workload::Scenario sc = io::load_scenario(scenario_path);
-      eng = std::make_shared<engine::AnalysisEngine>(std::move(sc.network),
-                                                     engine_opts);
+      eng = std::make_shared<engine::AnalysisEngine>(std::move(sc.network));
       for (gmf::Flow& f : sc.flows) eng->add_flow(std::move(f));
       (void)eng->evaluate();
       std::printf("gmfnetd: booted %zu resident flows in %zu domains from %s\n",
                   eng->flow_count(), eng->shard_count(),
                   scenario_path.c_str());
     } else if (!restore_path.empty()) {
-      eng = restore_with_fallback(restore_path, engine_opts);
+      eng = restore_with_fallback(restore_path);
       if (!eng) {
         std::fprintf(stderr, "gmfnetd: no restorable checkpoint at %s\n",
                      restore_path.c_str());
@@ -254,8 +238,7 @@ int main(int argc, char** argv) {
     } else {
       // Replica cold boot: an empty engine that the first SYNC_FULL from
       // the primary will replace wholesale.
-      eng = std::make_shared<engine::AnalysisEngine>(net::Network{},
-                                                     engine_opts);
+      eng = std::make_shared<engine::AnalysisEngine>(net::Network{});
       std::printf("gmfnetd: cold replica boot — awaiting full sync from %s\n",
                   replica_of.c_str());
     }
@@ -275,7 +258,6 @@ int main(int argc, char** argv) {
     cfg.checkpoint_every = static_cast<std::size_t>(checkpoint_every);
     cfg.replica_of = replica_of;
     cfg.journal_capacity = static_cast<std::size_t>(journal_cap);
-    cfg.engine_opts = engine_opts;
     rpc::Server server(std::move(eng), std::move(cfg));
     if (replica) {
       std::printf("gmfnetd: replica of %s (epoch %llu)\n", replica_of.c_str(),
