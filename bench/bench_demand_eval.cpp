@@ -7,7 +7,9 @@
 // ingress and one egress link with the analysed flow — the per-hop loop
 // then pays k demand lookups per fixed-point iteration on every stage.
 // Both paths run the identical analysis (bit-identical results, asserted);
-// only the demand evaluation strategy differs.
+// only the demand evaluation strategy differs.  The gated section uses k
+// distinct video flows (k interferer classes); an ungated section repeats
+// it with k identical VoIP legs, which the link tables count as one class.
 //
 //   $ ./bench_demand_eval [reps]
 //
@@ -29,6 +31,7 @@
 #include "util/bench_json.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
+#include "workload/scenario.hpp"
 
 using namespace gmfnet;
 
@@ -66,6 +69,87 @@ gmf::Flow video_flow(const std::string& name, net::Route route, Rng& rng) {
         (f == 0 ? 15'000 : rng.uniform_i64(2'000, 5'000)) * 8;
   }
   return gmf::Flow(name, std::move(route), std::move(frames), /*priority=*/3);
+}
+
+/// One hop-analysis measurement: median per-flow analysis time of the naive
+/// and the envelope path, and whether their results agreed.
+struct HopRow {
+  bool converged = false;
+  bool identical = true;
+  double naive_us = 0.0;
+  double envelope_us = 0.0;
+  [[nodiscard]] double speedup() const { return naive_us / envelope_us; }
+};
+
+/// k interferers sharing one first-hop link, one switch ingress and one
+/// egress link with the analysed flow (flow 0), each of about `rate_bps`.
+/// The link speed puts the shared link at ~60% utilization for every k —
+/// the near-capacity regime admission control exists for, with
+/// realistically long busy-period chains.  Both paths re-analyse flow 0
+/// against the converged jitters: the steady state every sweep after the
+/// first, and every engine what-if probe, actually runs.
+template <typename MakeFlow>
+HopRow hop_row(int k, double rate_bps, int reps, MakeFlow&& make) {
+  const auto speed =
+      static_cast<ethernet::LinkSpeedBps>((k + 1) * rate_bps / 0.60);
+  const auto star = net::make_star_network(2, speed);
+  core::AnalysisContext ctx(star.net);
+  for (int f = 0; f < k + 1; ++f) {
+    ctx.add_flow(make("v" + std::to_string(f),
+                      net::Route({star.hosts[0], star.sw, star.hosts[1]})));
+  }
+
+  HopRow row;
+  core::HolisticOptions hopts;
+  const core::HolisticResult base = core::analyze_holistic(ctx, hopts);
+  row.converged = base.converged;
+  if (!base.converged) return row;
+
+  const core::FlowId probe_flow(0);
+  core::HopOptions naive_opts;
+  naive_opts.use_envelope = false;
+  core::HopOptions env_opts;  // default: envelope on
+
+  core::FlowResult naive_result, env_result;
+  std::vector<double> naive_us, env_us;
+  naive_us.reserve(static_cast<std::size_t>(reps));
+  env_us.reserve(static_cast<std::size_t>(reps));
+  for (int r = 0; r < reps; ++r) {
+    core::JitterMap jm = base.jitters;
+    naive_us.push_back(wall_us([&] {
+      naive_result =
+          core::analyze_flow_end_to_end(ctx, jm, probe_flow, naive_opts);
+    }));
+    core::JitterMap jm2 = base.jitters;
+    env_us.push_back(wall_us([&] {
+      env_result =
+          core::analyze_flow_end_to_end(ctx, jm2, probe_flow, env_opts);
+    }));
+    row.identical &=
+        naive_result.worst_response() == env_result.worst_response();
+    for (std::size_t fr = 0; fr < naive_result.frames.size(); ++fr) {
+      row.identical &=
+          naive_result.frames[fr].response == env_result.frames[fr].response;
+    }
+  }
+  row.naive_us = median(std::move(naive_us));
+  row.envelope_us = median(std::move(env_us));
+  return row;
+}
+
+void add_hop_row(Table& t, BenchJsonWriter& json, const std::string& section,
+                 int k, const HopRow& row) {
+  t.add_row({std::to_string(k), Table::fixed(row.naive_us, 1),
+             Table::fixed(row.envelope_us, 1),
+             Table::fixed(row.speedup(), 2) + "x",
+             row.identical ? "yes" : "NO"});
+  json.begin_row();
+  json.add("section", section);
+  json.add("interferers", k);
+  json.add("naive_us", row.naive_us);
+  json.add("envelope_us", row.envelope_us);
+  json.add("speedup", row.speedup());
+  json.add("identical", row.identical);
 }
 
 /// Reference pre-dedupe DemandCurve build: enumerate all n^2 windows, sort
@@ -135,83 +219,59 @@ int main(int argc, char** argv) {
   bool ok = true;
 
   // ---- hop analysis: naive vs envelope ------------------------------------
+  // Distinct video flows: every interferer is its own class, so this gates
+  // the envelope + cursor itself.
   Table t("Per-flow hop analysis (first hop + ingress + egress, median us)");
   t.set_columns({"interferers", "naive us", "envelope us", "speedup",
                  "identical"});
-
   double speedup_at_32 = 0.0;
   for (const int k : {8, 16, 32, 64}) {
-    // ~2.85 Mbit/s per flow; pick the link speed so the shared link runs at
-    // ~60% utilization for every interferer count — the near-capacity
-    // regime admission control exists for, with realistically long
-    // busy-period chains.
-    const auto speed = static_cast<ethernet::LinkSpeedBps>(
-        (k + 1) * 2.85e6 / 0.60);
-    const auto star = net::make_star_network(2, speed);
-    core::AnalysisContext ctx(star.net);
     Rng rng(0xbe7c + static_cast<std::uint64_t>(k));
-    for (int f = 0; f < k + 1; ++f) {
-      ctx.add_flow(video_flow("v" + std::to_string(f),
-                              net::Route({star.hosts[0], star.sw,
-                                          star.hosts[1]}),
-                              rng));
-    }
-
-    // Steady state of the holistic iteration: converged jitters, so both
-    // paths re-analyse against settled inputs (the shape every sweep after
-    // the first, and every engine what-if probe, actually runs).
-    core::HolisticOptions hopts;
-    const core::HolisticResult base = core::analyze_holistic(ctx, hopts);
-    if (!base.converged) {
+    const auto video = [&](const std::string& name, net::Route route) {
+      return video_flow(name, std::move(route), rng);
+    };
+    const HopRow row = hop_row(k, /*rate_bps=*/2.85e6, reps, video);
+    if (!row.converged) {
       std::printf("FAIL: base scenario did not converge at k=%d\n", k);
       return 1;
     }
-
-    const core::FlowId probe_flow(0);
-    core::HopOptions naive_opts;
-    naive_opts.use_envelope = false;
-    core::HopOptions env_opts;  // default: envelope on
-
-    bool identical = true;
-    core::FlowResult naive_result, env_result;
-    std::vector<double> naive_us, env_us;
-    naive_us.reserve(static_cast<std::size_t>(reps));
-    env_us.reserve(static_cast<std::size_t>(reps));
-    for (int r = 0; r < reps; ++r) {
-      core::JitterMap jm = base.jitters;
-      naive_us.push_back(wall_us([&] {
-        naive_result =
-            core::analyze_flow_end_to_end(ctx, jm, probe_flow, naive_opts);
-      }));
-      core::JitterMap jm2 = base.jitters;
-      env_us.push_back(wall_us([&] {
-        env_result =
-            core::analyze_flow_end_to_end(ctx, jm2, probe_flow, env_opts);
-      }));
-      identical &= naive_result.worst_response() == env_result.worst_response();
-      for (std::size_t fr = 0; fr < naive_result.frames.size(); ++fr) {
-        identical &= naive_result.frames[fr].response ==
-                     env_result.frames[fr].response;
-      }
-    }
-    const double nm = median(std::move(naive_us));
-    const double em = median(std::move(env_us));
-    const double speedup = nm / em;
-    if (k == 32) speedup_at_32 = speedup;
-    if (k >= 32 && speedup < 3.0) ok = false;
-    if (!identical) ok = false;
-
-    t.add_row({std::to_string(k), Table::fixed(nm, 1), Table::fixed(em, 1),
-               Table::fixed(speedup, 2) + "x", identical ? "yes" : "NO"});
-    json.begin_row();
-    json.add("section", std::string("hop_analysis"));
-    json.add("interferers", k);
-    json.add("naive_us", nm);
-    json.add("envelope_us", em);
-    json.add("speedup", speedup);
-    json.add("identical", identical);
+    if (k == 32) speedup_at_32 = row.speedup();
+    if (k >= 32 && row.speedup() < 3.0) ok = false;
+    if (!row.identical) ok = false;
+    add_hop_row(t, json, "hop_analysis", k, row);
   }
   t.print();
+  std::printf("\n");
+
+  // ---- hop analysis over one interferer class (ungated) --------------------
+  // k identical VoIP legs: the link tables collapse them into one class of
+  // multiplicity k, so envelope_us should stay flat in k while the naive
+  // path grows linearly.
+  Table tu("Per-flow hop analysis, k identical VoIP interferers (median us)");
+  tu.set_columns({"interferers", "naive us", "envelope us", "speedup",
+                  "identical"});
+  const auto voip = [](const std::string& name, net::Route route) {
+    return workload::make_voip_flow(name, std::move(route),
+                                    gmfnet::Time::ms(50), 3);
+  };
+  const auto rate_star = net::make_star_network(2, kSpeed);
+  const double voip_bps =
+      gmf::FlowLinkParams(voip("rate", net::Route({rate_star.hosts[0],
+                                                    rate_star.sw,
+                                                    rate_star.hosts[1]})),
+                          kSpeed)
+          .utilization() *
+      static_cast<double>(kSpeed);
+  for (const int k : {8, 16, 32, 64}) {
+    const HopRow row = hop_row(k, voip_bps, reps, voip);
+    if (!row.converged) {
+      std::printf("FAIL: uniform scenario did not converge at k=%d\n", k);
+      return 1;
+    }
+    if (!row.identical) ok = false;
+    add_hop_row(tu, json, "hop_analysis_uniform", k, row);
+  }
+  tu.print();
   std::printf("\n");
 
   // ---- DemandCurve construction: dedupe-before-sort -----------------------

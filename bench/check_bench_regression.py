@@ -75,11 +75,13 @@ CHECKS = {
     "warm_boot": {
         "file": "BENCH_warm_boot.json",
         "key": ["section", "residents"],
-        # The campus rows are informational (context rebuild dominates both
-        # restart paths there); only the solve-heavy four_domain_av section
-        # is a stable machine-portable ratio worth gating.
+        # The campus rows are informational; only the solve-heavy
+        # four_domain_av section is gated.  The gated ratio is restore
+        # against the no-solve rebuild of the same world (`vs_rebuild`), not
+        # against the cold boot (`speedup`): a cheaper cold solve shrinks
+        # the cold/restore ratio while restore itself is unchanged.
         "filter": {"section": "four_domain_av"},
-        "metrics": {"speedup": "higher"},
+        "metrics": {"vs_rebuild": "higher"},
     },
     "concurrent_whatif": {
         "file": "BENCH_concurrent_whatif.json",

@@ -9,19 +9,15 @@
 
 namespace gmfnet::core {
 
-namespace {
-
-/// A fresh process-unique content version (never 0).
-std::uint64_t next_flow_version() {
+std::uint64_t next_content_uid() {
   static std::atomic<std::uint64_t> next{1};
   return next.fetch_add(1, std::memory_order_relaxed);
 }
 
-}  // namespace
-
 JitterMap JitterMap::initial(const AnalysisContext& ctx) {
   JitterMap m;
   m.per_flow_.resize(ctx.flow_count());
+  m.stamp_.renew();
   for (std::size_t f = 0; f < ctx.flow_count(); ++f) {
     const FlowId id(static_cast<std::int32_t>(f));
     const gmf::Flow& flow = ctx.flow(id);
@@ -34,7 +30,7 @@ JitterMap JitterMap::initial(const AnalysisContext& ctx) {
     }
     m.per_flow_[f] = std::make_shared<FlowEntries>();
     m.per_flow_[f]->stages[stages.front()] = std::move(src_jitter);
-    m.per_flow_[f]->version = next_flow_version();
+    m.per_flow_[f]->version = next_content_uid();
   }
   return m;
 }
@@ -54,7 +50,8 @@ JitterMap::StageMap& JitterMap::mutable_flow_map(std::size_t f) {
     // Shared with a snapshot/copy: clone before the write.
     slot = std::make_shared<FlowEntries>(*slot);
   }
-  slot->version = next_flow_version();
+  slot->version = next_content_uid();
+  stamp_.renew();
   return slot->stages;
 }
 
@@ -79,7 +76,7 @@ bool JitterMap::set_jitter(FlowId flow, const StageKey& stage,
   const auto f = static_cast<std::size_t>(flow.v);
   {
     // An equal write is a no-op: no copy-on-write clone and no new
-    // version, so hop caches keyed on flow_version stay valid.  A missing
+    // version, so link tables keyed on flow_version stay valid.  A missing
     // entry is always created, even for a zero value — absent and zero
     // entries differ structurally.
     const StageMap& m = flow_map(f);
@@ -117,18 +114,23 @@ void JitterMap::adopt_flow(const JitterMap& other, FlowId from, FlowId to) {
   // Adoption shares the source's map; a later write to either side clones.
   per_flow_[dst] =
       src < other.per_flow_.size() ? other.per_flow_[src] : nullptr;
+  stamp_.renew();
 }
 
 void JitterMap::erase_flow(FlowId flow) {
   const auto f = static_cast<std::size_t>(flow.v);
   if (f < per_flow_.size()) {
     per_flow_.erase(per_flow_.begin() + static_cast<std::ptrdiff_t>(f));
+    stamp_.renew();
   }
 }
 
 void JitterMap::clear_flow(FlowId flow) {
   const auto f = static_cast<std::size_t>(flow.v);
-  if (f < per_flow_.size()) per_flow_[f] = nullptr;
+  if (f < per_flow_.size()) {
+    per_flow_[f] = nullptr;
+    stamp_.renew();
+  }
 }
 
 std::uint64_t JitterMap::flow_version(FlowId flow) const {
@@ -170,7 +172,10 @@ JitterMap::StageEntries JitterMap::stage_entries(FlowId flow) const {
   return out;
 }
 
-void JitterMap::resize_slots(std::size_t n) { per_flow_.resize(n); }
+void JitterMap::resize_slots(std::size_t n) {
+  per_flow_.resize(n);
+  stamp_.renew();
+}
 
 void JitterMap::set_stage_frames(FlowId flow, const StageKey& stage,
                                  std::vector<gmfnet::Time> frames) {
@@ -221,6 +226,7 @@ FlowId AnalysisContext::append_flow_deferred(gmf::Flow flow) {
   for (const gmf::FlowLinkParams& p : d->params) d->demand.emplace_back(p);
 
   derived_.push_back(std::move(d));
+  stamp_.renew();
 
   // Route-based incremental update: only this flow's links are touched.
   for (const LinkRef l : derived_.back()->links) links_[l].flows.push_back(id);
@@ -266,6 +272,7 @@ FlowId AnalysisContext::adopt_flow(const AnalysisContext& from, FlowId src) {
   // Share the immutable derived state verbatim; only this context's
   // per-link aggregates are recomputed, exactly as add_flow would.
   derived_.push_back(from.derived_[s]);
+  stamp_.renew();
   for (const LinkRef l : derived_.back()->links) {
     LinkState& state = links_[l];
     state.flows.push_back(id);
@@ -282,6 +289,7 @@ FlowId AnalysisContext::adopt_flow_deferred(const AnalysisContext& from,
   }
   const FlowId id(static_cast<std::int32_t>(derived_.size()));
   derived_.push_back(from.derived_[s]);
+  stamp_.renew();
   for (const LinkRef l : derived_.back()->links) links_[l].flows.push_back(id);
   return id;
 }
@@ -305,6 +313,7 @@ void AnalysisContext::remove_flow(std::size_t index) {
   const std::vector<LinkRef> touched = derived_[index]->links;
 
   derived_.erase(derived_.begin() + static_cast<std::ptrdiff_t>(index));
+  stamp_.renew();
 
   // Flow ids above the removed one shift down by one, on every link.
   for (auto it = links_.begin(); it != links_.end();) {

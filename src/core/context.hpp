@@ -69,6 +69,36 @@ struct StageKey {
 
 class AnalysisContext;
 
+/// A fresh process-unique id (never 0).  Shared by every content version
+/// and stamp below, so no two ever collide.
+[[nodiscard]] std::uint64_t next_content_uid();
+
+/// Whole-value content stamp of a JitterMap or AnalysisContext: copies
+/// share it (their content is equal) and every mutation renews it, so equal
+/// stamps prove equal content, with nothing kept alive to rule out address
+/// reuse.  0 is reserved for the empty value: default construction and a
+/// moved-from value (whose containers are empty) read 0.  The hop-level
+/// link tables (core/hop_level.hpp) use this to revalidate in O(1) while
+/// nothing changed.
+class ContentStamp {
+ public:
+  ContentStamp() = default;
+  ContentStamp(const ContentStamp&) = default;
+  ContentStamp& operator=(const ContentStamp&) = default;
+  ContentStamp(ContentStamp&& other) noexcept
+      : v_(std::exchange(other.v_, 0)) {}
+  ContentStamp& operator=(ContentStamp&& other) noexcept {
+    v_ = std::exchange(other.v_, 0);
+    return *this;
+  }
+
+  void renew() { v_ = next_content_uid(); }
+  [[nodiscard]] std::uint64_t value() const { return v_; }
+
+ private:
+  std::uint64_t v_ = 0;
+};
+
 /// Per-flow, per-stage, per-frame generalized jitter — the quantity the
 /// holistic analysis iterates on.  Missing entries read as zero (the
 /// holistic initial assumption for non-source stages).
@@ -125,10 +155,14 @@ class JitterMap {
   /// every map holding the same copy-on-write state and replaced by every
   /// write that changes the entries (0 = no entries).  Equal versions
   /// therefore prove equal entries, with no state kept alive to rule out
-  /// address reuse.  The hop-level envelope cache (core/hop_level.hpp) uses
-  /// this to revalidate a built envelope in O(1) per interferer, with zero
+  /// address reuse.  The hop-level link tables (core/hop_level.hpp) use
+  /// this to revalidate a gathered table in O(1) per interferer, with zero
   /// map lookups.
   [[nodiscard]] std::uint64_t flow_version(FlowId flow) const;
+
+  /// Content stamp of the whole map (see ContentStamp): equal stamps prove
+  /// every flow's entries equal.
+  [[nodiscard]] std::uint64_t stamp() const { return stamp_.value(); }
 
   bool operator==(const JitterMap& other) const;
 
@@ -189,6 +223,7 @@ class JitterMap {
 
   /// per_flow_[flow.v] -> shared entries (null reads as empty).
   std::vector<std::shared_ptr<FlowEntries>> per_flow_;
+  ContentStamp stamp_;
 };
 
 /// The analysis world.  Flow addition validates the flow and eagerly
@@ -292,20 +327,10 @@ class AnalysisContext {
   /// Egress load of eq (34)/(35) for flow i: hep flows plus i itself.
   [[nodiscard]] double egress_level_utilization(FlowId i, LinkRef link) const;
 
-  /// Opaque shared handle to flow `i`'s immutable derived state (params,
-  /// demand curves, stages).  The state is shared across context copies and
-  /// never mutated, so two equal handles denote the *same* flow with the
-  /// same curves; holding the handle keeps the state alive, making raw
-  /// derived_state_ptr comparisons against a held handle ABA-safe.  The
-  /// hop-level envelope cache uses this to revalidate interferer curves in
-  /// O(1) per flow.
-  using DerivedStateHandle = std::shared_ptr<const void>;
-  [[nodiscard]] DerivedStateHandle derived_state(FlowId i) const {
-    return derived_[static_cast<std::size_t>(i.v)];
-  }
-  [[nodiscard]] const void* derived_state_ptr(FlowId i) const {
-    return derived_[static_cast<std::size_t>(i.v)].get();
-  }
+  /// Content stamp (see ContentStamp): renewed by every add/adopt/remove,
+  /// so equal stamps prove the same flows, with the same shared derived
+  /// state (hence the same DemandCurve objects), on every link.
+  [[nodiscard]] std::uint64_t stamp() const { return stamp_.value(); }
 
   /// The ordered pipeline stages of flow `i` per Figure 6: first link, then
   /// (ingress, egress-link) per intermediate switch.
@@ -351,6 +376,7 @@ class AnalysisContext {
   std::shared_ptr<const std::vector<gmfnet::Time>> circ_;
   std::vector<std::shared_ptr<const FlowDerived>> derived_;
   std::map<LinkRef, LinkState> links_;
+  ContentStamp stamp_;
 };
 
 }  // namespace gmfnet::core

@@ -49,16 +49,10 @@ HopResult analyze_egress(const AnalysisContext& ctx, const JitterMap& jitters,
   if (opts.use_envelope &&
       ctx.flows_on_link(link).size() > kEnvelopeMinInterferers) {
     // hep flows (eq 2) interfere with both transmission time and task
-    // services; gathered allocation-free into the per-thread buffer.  The
-    // analysed flow itself participates in the busy period (correction #3)
-    // but is evaluated directly, outside the cached envelope.
-    auto& ids = scratch.ids;
-    ids.clear();
-    ctx.for_each_hep(i, link, [&](FlowId j) { ids.push_back(j); });
-    LevelSlot& slot = scratch.slot(
-        HopSlotKey{HopKind::kEgress, link.src.v, link.dst.v, i.v});
-    slot.ensure(ctx, jitters, ids, stage, link);
-    slot.ensure_self(ctx.demand(i, link), jitters.max_jitter(i, stage));
+    // services; counted per class of the link's shared table.  The analysed
+    // flow itself participates in the busy period (correction #3) but is
+    // evaluated directly, outside the merged envelope.
+    LevelSlot& slot = scratch.level(ctx, jitters, HopKind::kEgress, link, i);
 
     // Level-i busy period, eqs (28)-(29): lower-priority blocking MFT plus,
     // per level-i flow, transmission demand MX and task-service demand

@@ -34,20 +34,12 @@ HopResult analyze_first_hop(const AnalysisContext& ctx,
 
   if (opts.use_envelope &&
       ctx.flows_on_link(link).size() > kEnvelopeMinInterferers) {
-    // Interfering flows = every other flow on the link; the merged envelope
-    // of their jitter-shifted MX curves is cached per hop and revalidated
-    // in O(k) (see hop_level.hpp).  The analysed flow's own demand is
-    // evaluated directly so its per-frame jitter writes don't invalidate
-    // the cache.
-    auto& ids = scratch.ids;
-    ids.clear();
-    for (const FlowId j : ctx.flows_on_link(link)) {
-      if (j != i) ids.push_back(j);
-    }
+    // Interfering flows = every other flow on the link, as classes of the
+    // link's shared table with this flow's own class decremented (see
+    // hop_level.hpp).  The analysed flow's own demand is evaluated directly
+    // so its per-frame jitter writes don't invalidate the table.
     LevelSlot& slot =
-        scratch.slot(HopSlotKey{HopKind::kFirstHop, src.v, nxt.v, i.v});
-    slot.ensure(ctx, jitters, ids, stage, link);
-    slot.ensure_self(ctx.demand(i, link), jitters.max_jitter(i, stage));
+        scratch.level(ctx, jitters, HopKind::kFirstHop, link, i);
 
     // Busy period, eqs (14)-(15).  Seeded with C_i^k (DESIGN.md correction
     // #2: eq (14)'s zero seed is itself a fixed point when all jitters are

@@ -1,54 +1,137 @@
 #include "core/hop_level.hpp"
 
+#include <algorithm>
+#include <cassert>
+
 namespace gmfnet::core {
 
-void LevelSlot::ensure(const AnalysisContext& ctx, const JitterMap& jitters,
-                       const std::vector<FlowId>& ids, const StageKey& stage,
-                       LinkRef link) {
-  // Revalidation: same interferers, same derived state (= same curves),
-  // same jitter version (= same shifts) — two compares per interferer (see
-  // the class comment for why they are sound), no map lookups, no curve
-  // dereferences.
-  if (ids_ == ids) {
-    bool valid = true;
-    for (std::size_t m = 0; m < ids.size(); ++m) {
-      if (ctx.derived_state_ptr(ids[m]) != derived_[m].get() ||
-          jitters.flow_version(ids[m]) != jitter_[m]) {
-        valid = false;
-        break;
-      }
-    }
-    if (valid) return;
+bool LinkLevel::ensure(const AnalysisContext& ctx, const JitterMap& jitters,
+                       LinkRef link, const StageKey& stage, FlowId self) {
+  if (ctx.stamp() != ctx_stamp_ || ctx_stamp_ == 0) {
+    gather(ctx, jitters, link, stage);
+    return true;
   }
+  if (jitters.stamp() == jitter_stamp_ && jitter_stamp_ != 0) return false;
 
-  // Re-gather: read each interferer's shift once, pin its derived state,
-  // record its jitter version, and re-fingerprint the envelope (which
-  // itself skips the rebuild when the curves and shifts come out
-  // unchanged, e.g. after an id-order-preserving context copy).
-  ids_ = ids;
-  derived_.resize(ids.size());
-  jitter_.resize(ids.size());
-  specs_.resize(ids.size());
-  for (std::size_t m = 0; m < ids.size(); ++m) {
-    derived_[m] = ctx.derived_state(ids[m]);
-    jitter_[m] = jitters.flow_version(ids[m]);
-    specs_[m].curve = &ctx.demand(ids[m], link);
-    specs_[m].shift = jitters.max_jitter(ids[m], stage);
+  // The jitter stamp moved: re-check each member's jitter version.
+  bool self_current = true;
+  for (std::size_t m = 0; m < members_.size(); ++m) {
+    if (jitters.flow_version(members_[m]) == versions_[m]) continue;
+    if (members_[m] != self) {
+      gather(ctx, jitters, link, stage);
+      return true;
+    }
+    self_current = false;  // the analysed flow's own write: excluded
   }
-  env_.ensure(specs_.data(), specs_.size());
+  // Trust the jitter stamp only when every member, self included, is
+  // current; otherwise the next analysis of another flow re-checks.
+  jitter_stamp_ = self_current ? jitters.stamp() : 0;
+  return false;
 }
 
-LevelSlot& HopScratch::slot(const HopSlotKey& key) {
-  if (slots_.size() >= kMaxSlots && slots_.find(key) == slots_.end()) {
-    // Evict every other slot instead of clearing: a scenario whose hop
-    // working set exceeds the cap keeps ~half its hot entries per round
-    // instead of falling off a rebuild-everything cliff each wraparound.
-    for (auto it = slots_.begin(); it != slots_.end();) {
-      it = slots_.erase(it);
-      if (it != slots_.end()) ++it;
+void LinkLevel::gather(const AnalysisContext& ctx, const JitterMap& jitters,
+                       LinkRef link, const StageKey& stage) {
+  members_ = ctx.flows_on_link(link);
+  const std::size_t n = members_.size();
+  curves_.resize(n);
+  versions_.resize(n);
+  priorities_.resize(n);
+  class_of_.resize(n);
+  classes_.clear();
+  for (std::size_t m = 0; m < n; ++m) {
+    const FlowId j = members_[m];
+    const gmf::DemandCurve& curve = ctx.demand(j, link);
+    const gmfnet::Time shift = jitters.max_jitter(j, stage);
+    curves_[m] = &curve;
+    versions_[m] = jitters.flow_version(j);
+    priorities_[m] = ctx.flow(j).priority();
+
+    // Classes are few on real hops (one per codec / camera model / shift),
+    // so a linear scan with cheap scalar compares first is enough.
+    std::size_t c = 0;
+    while (c < classes_.size() &&
+           !(classes_[c].shift == shift &&
+             curves_[classes_[c].rep]->same_shape(curve))) {
+      ++c;
+    }
+    if (c == classes_.size()) {
+      classes_.push_back(Class{static_cast<std::uint32_t>(m), shift, 0});
+    }
+    ++classes_[c].mult;
+    class_of_[m] = static_cast<std::uint32_t>(c);
+  }
+  ctx_stamp_ = ctx.stamp();
+  jitter_stamp_ = jitters.stamp();
+  build_ = next_content_uid();
+}
+
+void LinkLevel::interferers(FlowId self, bool hep_only,
+                            std::vector<gmf::EnvelopeSpec>& out) {
+  const auto it = std::find(members_.begin(), members_.end(), self);
+  assert(it != members_.end() && "analysed flow not on link");
+  const auto ms = static_cast<std::size_t>(it - members_.begin());
+
+  counts_.assign(classes_.size(), 0);
+  if (hep_only) {
+    // hep(i), eq (2): other members of priority >= the analysed flow's.
+    const std::int64_t pi = priorities_[ms];
+    for (std::size_t m = 0; m < members_.size(); ++m) {
+      if (m != ms && priorities_[m] >= pi) ++counts_[class_of_[m]];
+    }
+  } else {
+    for (std::size_t c = 0; c < classes_.size(); ++c) {
+      counts_[c] = classes_[c].mult;
+    }
+    --counts_[class_of_[ms]];
+  }
+
+  out.clear();
+  for (std::size_t c = 0; c < classes_.size(); ++c) {
+    if (counts_[c] == 0) continue;
+    out.push_back(gmf::EnvelopeSpec{curves_[classes_[c].rep], classes_[c].shift,
+                                    counts_[c]});
+  }
+}
+
+namespace {
+
+/// The entry for `key`, evicting every other entry first when a new key
+/// would exceed `cap` (see HopScratch::kMaxEntries).
+template <typename Map>
+typename Map::mapped_type& bounded_entry(Map& map,
+                                         const typename Map::key_type& key,
+                                         std::size_t cap) {
+  if (map.size() >= cap && map.find(key) == map.end()) {
+    for (auto it = map.begin(); it != map.end();) {
+      it = map.erase(it);
+      if (it != map.end()) ++it;
     }
   }
-  return slots_[key];
+  return map[key];
+}
+
+}  // namespace
+
+LevelSlot& HopScratch::level(const AnalysisContext& ctx,
+                             const JitterMap& jitters, HopKind kind,
+                             LinkRef link, FlowId i) {
+  const StageKey stage = kind == HopKind::kIngress ? StageKey::ingress(link.dst)
+                                                   : StageKey::link(link);
+  LinkLevel& table =
+      bounded_entry(tables_, TableKey{stage.kind, link}, kMaxEntries);
+  if (table.ensure(ctx, jitters, link, stage, i)) ++gathers_;
+
+  LevelSlot& slot =
+      bounded_entry(slots_, SlotKey{kind, link, i.v}, kMaxEntries);
+  if (slot.table_build_ != table.build()) {
+    table.interferers(i, kind == HopKind::kEgress, specs_);
+    slot.env_.ensure(specs_.data(), specs_.size());
+    slot.table_build_ = table.build();
+  }
+  const gmf::EnvelopeSpec self{&ctx.demand(i, link),
+                               jitters.max_jitter(i, stage)};
+  slot.self_env_.ensure(&self, 1);
+  return slot;
 }
 
 HopScratch& HopScratch::local() {

@@ -1,30 +1,55 @@
-// Per-hop interferer-level caching for the three per-hop analyses.
+// Per-link interferer classes for the three per-hop analyses.
 //
-// A hop analysis of flow i repeatedly needs the same set of interferers
-// with the same jitter shifts: across its fixed-point iterations, across
-// the per-frame loop of Figure 6, across holistic sweeps whose inputs have
-// settled, and across engine what-if probes sharing resident state.  The
-// expensive parts — k JitterMap lookups to read extra_j and the build of
-// the merged gmf::LevelEnvelope — are therefore cached per
-// (analysis kind, hop, analysed flow) in a per-thread arena and
-// *revalidated* instead of recomputed:
+// A hop analysis sums MX_j/NX_j(t + extra_j) over the interferers at one
+// hop.  Every flow analysed there sees the same flows with the same shifts
+// — all of them minus itself at a first hop or an ingress FIFO, the hep
+// subset at an egress port — and real traffic is made of a few classes:
+// every VoIP leg of one codec and every camera of one model has the same
+// request-bound curve and, at a shared hop, the same jitter shift.  Two
+// structures exploit that:
 //
-//   * interferer ids: compared against the cached id list (contiguous
-//     int32 compare);
-//   * demand curves: compared by address + process-unique uid;
-//   * jitter shifts: compared by JitterMap::flow_version — an equal
-//     content version proves the interferer's entries, and hence its
-//     max_jitter, are unchanged, with zero map lookups and without keeping
-//     superseded jitter states alive.
+//   * LinkLevel: one table per (level kind, directed link) — the flows on
+//     the link in link order, each with its curve, priority and shift, and
+//     the *classes* those members form: equal curve content (TSUM, CSUM,
+//     NSUM and a step-for-step compare of the staircase, never a hash
+//     alone) and equal shift.  One table serves every flow analysed at the
+//     hop, so the O(k) gather — k JitterMap lookups plus k curve lookups —
+//     is paid once per change of the hop's inputs, not once per analysed
+//     flow.  In a link-ordered sweep (core/holistic.cpp) a group's analyses
+//     write no jitter, so the table is gathered at most once per group.
+//   * LevelSlot: per (hop kind, link, analysed flow), a gmf::LevelEnvelope
+//     of the analysed flow's interferer classes with multiplicities, plus
+//     the cursors of its fixed-point chains.  A first hop or ingress takes
+//     every class with the analysed flow's own class decremented by one; an
+//     egress counts hep(i) per class in one integer pass over the table's
+//     class ids.  The int64 sums are exact, so an entry of multiplicity m is
+//     bit-identical to m entries (gmf/envelope.hpp).
 //
-// Only when revalidation fails are the shifts re-read and the envelope
-// re-fingerprinted/rebuilt.  The analysed flow's own demand is evaluated
-// directly against its DemandCurve (it is not part of the envelope), so
-// the per-frame writes to its own jitters never invalidate the cache.
+// Revalidation evidence, cheapest first:
+//
+//   * stamps: equal AnalysisContext::stamp() and JitterMap::stamp() prove
+//     nothing the table read changed — two compares, no per-member work.
+//     This is the steady state inside a sweep group.
+//   * per member: when only the jitter stamp moved, the table re-checks
+//     each member's JitterMap::flow_version and re-gathers only on a
+//     mismatch.  A moved context stamp (a flow added or removed) always
+//     re-gathers.  Neither check keeps any state alive: stamps and versions
+//     are process-unique and never reused, and an equal context stamp means
+//     the caller's context shares the very DemandCurve objects the table
+//     points at, so the table pins no derived state.
+//
+// The analysed flow's own jitter writes (Figure 6 lines 8/13/17, made
+// between its stages by the flow-major analyze_flow_end_to_end path) must
+// not invalidate the shared table, so the version check skips the analysed
+// flow.  That is exact: its recorded class loses one member, and every
+// other member of that class still has the recorded curve content and
+// shift — even when the analysed flow is the class's representative, whose
+// curve the class only uses by content.  Its own demand is evaluated from
+// its current shift through the slot's single-entry self envelope.
 //
 // Everything here is per-thread (HopScratch::local()): no locks, no
 // allocation on the steady-state path, safe under Jacobi sweeps and the
-// engine's batched what-if pools.
+// engine's batched what-if pools, where each worker has its own tables.
 #pragma once
 
 #include <cstdint>
@@ -36,7 +61,7 @@
 
 namespace gmfnet::core {
 
-/// Which per-hop analysis a cached level belongs to.
+/// Which per-hop analysis a slot belongs to.
 enum class HopKind : std::uint8_t { kFirstHop = 0, kIngress = 1, kEgress = 2 };
 
 /// Below this many interferers the per-hop analyses use the direct
@@ -46,45 +71,62 @@ enum class HopKind : std::uint8_t { kFirstHop = 0, kIngress = 1, kEgress = 2 };
 /// choice (measured crossover in bench_demand_eval).
 constexpr std::size_t kEnvelopeMinInterferers = 4;
 
-/// Cache key: which analysis, at which hop, for which analysed flow.  The
-/// flow id is part of the key because the interferer set depends on it
-/// (hep filtering) and so does the iteration pattern the cursor tracks.
-struct HopSlotKey {
-  HopKind kind = HopKind::kFirstHop;
-  std::int32_t a = -1;     ///< link source or ingress node
-  std::int32_t b = -1;     ///< link destination (-1 for ingress)
-  std::int32_t flow = -1;  ///< analysed flow id
+/// The interferer classes of one hop: every flow on a directed link, with
+/// its shift at one stage kind (the link stage for first hops and egress
+/// ports, the ingress stage at the link's destination for ingress FIFOs).
+class LinkLevel {
+ public:
+  /// Makes the table describe the flows on `link` with their shifts at
+  /// `stage` (see the file comment for the evidence checked).  `self` is
+  /// the analysed flow, whose own jitter version is not checked.  Returns
+  /// true when it (re-)gathered.
+  bool ensure(const AnalysisContext& ctx, const JitterMap& jitters,
+              LinkRef link, const StageKey& stage, FlowId self);
 
-  auto operator<=>(const HopSlotKey&) const = default;
+  /// The envelope entries of `self`'s interferers: every other member, or
+  /// with `hep_only` the members of priority >= self's (eq 2), counted per
+  /// class.  Classes with no such member are left out.
+  void interferers(FlowId self, bool hep_only,
+                   std::vector<gmf::EnvelopeSpec>& out);
+
+  [[nodiscard]] std::size_t class_count() const { return classes_.size(); }
+  /// Process-unique id of the current gather: a slot built from the same
+  /// build holds the same classes.
+  [[nodiscard]] std::uint64_t build() const { return build_; }
+
+ private:
+  struct Class {
+    std::uint32_t rep;  ///< first member of the class (its curve)
+    gmfnet::Time shift;
+    std::int64_t mult;  ///< members
+  };
+
+  void gather(const AnalysisContext& ctx, const JitterMap& jitters,
+              LinkRef link, const StageKey& stage);
+
+  // Per member, in link order.
+  std::vector<FlowId> members_;
+  std::vector<const gmf::DemandCurve*> curves_;
+  std::vector<std::uint64_t> versions_;
+  std::vector<std::int64_t> priorities_;
+  std::vector<std::uint32_t> class_of_;
+
+  std::vector<Class> classes_;
+  std::vector<std::int64_t> counts_;  ///< interferers() scratch, per class
+  std::uint64_t ctx_stamp_ = 0;       ///< 0: nothing validated yet
+  std::uint64_t jitter_stamp_ = 0;
+  std::uint64_t build_ = 0;
 };
 
-/// One hop's cached interferer level: the merged envelope, its cursor, and
-/// the evidence (ids, pinned derived-state handles, jitter versions) that
-/// it is current.  A second single-entry envelope serves the analysed
-/// flow's own curve, so its per-frame jitter writes rebuild only that tiny
-/// envelope, never the merged one.
+/// One analysed flow's view of a hop: the merged envelope of its interferer
+/// classes and the analysed flow's own single-entry envelope, each with its
+/// cursor.
 class LevelSlot {
  public:
-  /// Revalidates the slot against (ctx, jitters) for the interferer set
-  /// `ids` (analysed flow excluded, iteration order fixed): on any mismatch
-  /// re-reads the shifts and rebuilds the envelope.  `link` is the link the
-  /// interferers' demand curves are projected on; `stage` keys their jitter
-  /// reads.
-  void ensure(const AnalysisContext& ctx, const JitterMap& jitters,
-              const std::vector<FlowId>& ids, const StageKey& stage,
-              LinkRef link);
-
-  /// Revalidates the self envelope for (curve, shift); the fingerprint
-  /// inside LevelEnvelope::ensure makes this two compares when unchanged.
-  void ensure_self(const gmf::DemandCurve& curve, gmfnet::Time shift) {
-    const gmf::EnvelopeSpec spec{&curve, shift};
-    self_env_.ensure(&spec, 1);
-  }
-
   [[nodiscard]] const gmf::LevelEnvelope& envelope() const { return env_; }
   /// Shared cursor for the busy-period and w(q) chains: each chain start
   /// below the previous chain's fixed point costs one binary-search
-  /// re-anchor per interferer, then the chain advances forward.
+  /// re-anchor per entry, then the chain advances forward.
   [[nodiscard]] gmf::EvalCursor& cursor() { return cursor_; }
   [[nodiscard]] const gmf::LevelEnvelope& self_envelope() const {
     return self_env_;
@@ -92,30 +134,32 @@ class LevelSlot {
   [[nodiscard]] gmf::EvalCursor& self_cursor() { return self_cursor_; }
 
  private:
-  std::vector<FlowId> ids_;
-  /// Pinned immutable derived states (parallel to ids_): pointer equality
-  /// against the context's current handle proves the interferer's demand
-  /// curves are unchanged, in O(1) without touching them.
-  std::vector<AnalysisContext::DerivedStateHandle> derived_;
-  /// Jitter versions (parallel to ids_): equality proves the interferer's
-  /// entries — hence its max_jitter shift — are unchanged.
-  std::vector<std::uint64_t> jitter_;
-  std::vector<gmf::EnvelopeSpec> specs_;                ///< parallel to ids_
+  friend class HopScratch;
+
+  std::uint64_t table_build_ = 0;  ///< LinkLevel::build() env_ was made from
   gmf::LevelEnvelope env_;
   gmf::EvalCursor cursor_;
   gmf::LevelEnvelope self_env_;
   gmf::EvalCursor self_cursor_;
 };
 
-/// Per-thread scratch arena for the per-hop analyses: reusable gather
-/// buffers (no per-hop heap allocation) and the persistent level slots.
+/// Per-thread arena for the per-hop analyses: the link tables, the
+/// per-flow slots and a reusable gather buffer for the naive path.
 class HopScratch {
  public:
   /// The calling thread's arena.
   static HopScratch& local();
 
-  /// Interferer-id gather buffer for the current hop; clear before use.
-  std::vector<FlowId> ids;
+  /// Flow `i`'s slot for the `kind` analysis on `link` (the incoming link
+  /// for an ingress), current against (ctx, jitters): the link's table
+  /// revalidated or re-gathered, the slot's interferer envelope rebuilt
+  /// only when the table was re-gathered since, its self envelope only when
+  /// the analysed flow's own shift changed.
+  LevelSlot& level(const AnalysisContext& ctx, const JitterMap& jitters,
+                   HopKind kind, LinkRef link, FlowId i);
+
+  /// Link-table gathers on this thread so far (tests pin when they happen).
+  [[nodiscard]] std::uint64_t gathers() const { return gathers_; }
 
   /// Gather buffer for the naive (reference) path: (curve, shift, is_self)
   /// per level member, self included.
@@ -126,21 +170,31 @@ class HopScratch {
   };
   std::vector<NaiveSpec> naive;
 
-  /// The (persistent) level slot for `key`.  Slots pin the derived state
-  /// of the scenarios they last served, so the arena is bounded: when a
-  /// *new* key would exceed the cap, every other slot (in key order) is
-  /// evicted and rebuilds on next use, rather than letting a long-lived
-  /// thread that churns through many engines/networks accumulate pins
-  /// forever.  A working set above the cap keeps about half its slots per
-  /// round instead of rebuilding everything at each wraparound.
-  LevelSlot& slot(const HopSlotKey& key);
-
  private:
-  /// Generous for any one scenario (kinds x hops x flows actually analysed
-  /// concurrently on a thread), small against process memory.
-  static constexpr std::size_t kMaxSlots = 4096;
+  struct TableKey {
+    StageKey::Kind kind;
+    LinkRef link;
+    auto operator<=>(const TableKey&) const = default;
+  };
+  struct SlotKey {
+    HopKind kind;
+    LinkRef link;
+    std::int32_t flow;
+    auto operator<=>(const SlotKey&) const = default;
+  };
 
-  std::map<HopSlotKey, LevelSlot> slots_;
+  /// Generous for any one scenario (kinds x hops x flows actually analysed
+  /// concurrently on a thread), small against process memory.  When a new
+  /// key would exceed the cap, every other entry (in key order) is evicted
+  /// and rebuilds on next use, so a long-lived thread that churns through
+  /// many engines/networks stays bounded, and a working set above the cap
+  /// keeps about half its entries per round.
+  static constexpr std::size_t kMaxEntries = 4096;
+
+  std::map<TableKey, LinkLevel> tables_;
+  std::map<SlotKey, LevelSlot> slots_;
+  std::vector<gmf::EnvelopeSpec> specs_;  ///< interferers() buffer
+  std::uint64_t gathers_ = 0;
 };
 
 }  // namespace gmfnet::core

@@ -44,17 +44,10 @@ HopResult analyze_ingress(const AnalysisContext& ctx, const JitterMap& jitters,
   if (opts.use_envelope &&
       ctx.flows_on_link(in_link).size() > kEnvelopeMinInterferers) {
     // Interference: every other flow received over the same incoming
-    // interface, with jitter GJ_j,in(N) (Figure 6 line 13); merged NX
-    // envelope cached per hop, self evaluated directly.
-    auto& ids = scratch.ids;
-    ids.clear();
-    for (const FlowId j : ctx.flows_on_link(in_link)) {
-      if (j != i) ids.push_back(j);
-    }
+    // interface, with jitter GJ_j,in(N) (Figure 6 line 13); the merged NX
+    // envelope of the interface's classes, self evaluated directly.
     LevelSlot& slot =
-        scratch.slot(HopSlotKey{HopKind::kIngress, n.v, -1, i.v});
-    slot.ensure(ctx, jitters, ids, stage, in_link);
-    slot.ensure_self(ctx.demand(i, in_link), jitters.max_jitter(i, stage));
+        scratch.level(ctx, jitters, HopKind::kIngress, in_link, i);
 
     // Busy period, eqs (21)-(22): every received Ethernet frame costs one
     // CIRC-spaced service.  Seeded with the packet's own drain time.

@@ -15,7 +15,7 @@ AnalysisEngine::AnalysisEngine(net::Network network, core::HolisticOptions opts,
       opts_(opts),
       shard_by_domain_(shard_by_domain) {
   opts_.warm_start = {};  // the engine owns warm starting
-  assemble_and_publish();           // publish the (empty) world
+  publish();              // publish the (empty) world
 }
 
 const gmf::Flow& AnalysisEngine::flow(std::size_t index) const {
@@ -322,7 +322,7 @@ net::FlowId AnalysisEngine::add_flow(gmf::Flow flow) {
   s.ctx = std::make_shared<const core::AnalysisContext>(std::move(work));
   s.to_global.push_back(global);
   locs_.push_back(FlowLoc{target, static_cast<std::uint32_t>(local.v)});
-  global_ = nullptr;
+  publish_stale_ = true;
   lean_stale_ = true;
   return global;
 }
@@ -387,7 +387,7 @@ bool AnalysisEngine::remove_flow(std::size_t index) {
       }
     }
   }
-  global_ = nullptr;
+  publish_stale_ = true;
   lean_stale_ = true;
   return true;
 }
@@ -407,29 +407,7 @@ void AnalysisEngine::ensure_pool() {
   }
 }
 
-void AnalysisEngine::assemble_and_publish() {
-  core::HolisticResult g;
-  g.converged = true;
-  g.sweeps = 0;
-  g.flows.resize(locs_.size());
-  bool sched = true;
-  for (const Shard& s : shards_) {
-    // Every shard holds a result here: evaluate() solves all dirty shards
-    // before assembling, and a run always installs one (even diverged).
-    g.converged &= s.cache->converged;
-    sched &= s.cache->schedulable;
-    g.sweeps = std::max(g.sweeps, s.cache->sweeps);
-    for (std::size_t l = 0; l < s.to_global.size(); ++l) {
-      const auto gid = static_cast<std::size_t>(s.to_global[l].v);
-      g.flows[gid] = s.cache->flows[l];
-      g.jitters.adopt_flow(s.cache->jitters,
-                           net::FlowId(static_cast<std::int32_t>(l)),
-                           net::FlowId(static_cast<std::int32_t>(gid)));
-    }
-  }
-  g.schedulable = g.converged && sched;
-  global_ = std::make_shared<const core::HolisticResult>(std::move(g));
-
+std::shared_ptr<EngineSnapshot> AnalysisEngine::build_snapshot() const {
   auto snap = std::shared_ptr<EngineSnapshot>(new EngineSnapshot());
   snap->empty_ctx_ = empty_ctx_;
   snap->opts_ = opts_;
@@ -441,9 +419,17 @@ void AnalysisEngine::assemble_and_publish() {
   }
   snap->locs_ = locs_;
   snap->link_shard_ = link_shard_;
-  snap->global_ = global_;
+  return snap;
+}
+
+void AnalysisEngine::publish() {
   std::atomic_store(&published_,
-                    std::shared_ptr<const EngineSnapshot>(std::move(snap)));
+                    std::shared_ptr<const EngineSnapshot>(build_snapshot()));
+  publish_stale_ = false;
+  // A batch ends at its publication: drop the lean view and the shard
+  // states it pins.
+  lean_snap_.reset();
+  lean_stale_ = true;
 }
 
 bool AnalysisEngine::solve_dirty() {
@@ -483,20 +469,18 @@ bool AnalysisEngine::solve_dirty() {
 }
 
 const core::HolisticResult& AnalysisEngine::evaluate() {
-  const bool ran = solve_dirty();
-  if (!ran && global_ != nullptr) return *global_;
-  assemble_and_publish();
-  return *global_;
+  // published_ keeps the snapshot, and so the result, alive until the next
+  // publication.
+  return snapshot()->result();
 }
 
 std::shared_ptr<const EngineSnapshot> AnalysisEngine::snapshot() {
-  (void)evaluate();
+  if (solve_dirty() || publish_stale_) publish();
   return published();
 }
 
 WhatIfResult AnalysisEngine::what_if(const gmf::Flow& candidate) {
-  (void)evaluate();
-  const std::shared_ptr<const EngineSnapshot> snap = published();
+  const std::shared_ptr<const EngineSnapshot> snap = snapshot();
   EngineSnapshot::Probe probe =
       snap->run_probe(candidate, writer_scratch_, /*retain_ctx=*/false);
   // Untouched shards' flows enter the full result verbatim: count them as
@@ -508,8 +492,7 @@ WhatIfResult AnalysisEngine::what_if(const gmf::Flow& candidate) {
 
 std::optional<core::HolisticResult> AnalysisEngine::try_admit(
     gmf::Flow candidate) {
-  (void)evaluate();
-  const std::shared_ptr<const EngineSnapshot> snap = published();
+  const std::shared_ptr<const EngineSnapshot> snap = snapshot();
   // retain_ctx: an accepted probe is committed wholesale, so its context
   // (candidate included) and complete local result must leave the scratch.
   EngineSnapshot::Probe probe =
@@ -521,10 +504,11 @@ std::optional<core::HolisticResult> AnalysisEngine::try_admit(
   // Commit: adopt the probe's context and converged state wholesale; the
   // next arrival warm-starts from here.
   commit_probe(std::move(probe));
-  return *global_;
+  return published()->result();
 }
 
-void AnalysisEngine::commit_probe(EngineSnapshot::Probe probe, bool publish) {
+void AnalysisEngine::commit_probe(EngineSnapshot::Probe probe,
+                                  bool publish_now) {
   assert(probe.base_converged);
   Shard merged;
   merged.to_global = std::move(probe.to_global);
@@ -543,12 +527,12 @@ void AnalysisEngine::commit_probe(EngineSnapshot::Probe probe, bool publish) {
   shards_.push_back(std::move(merged));
   index_shard(static_cast<std::uint32_t>(shards_.size() - 1));
   lean_stale_ = true;
-  if (publish) {
-    assemble_and_publish();
+  if (publish_now) {
+    publish();
   } else {
-    // Lean batch commit: the shard surgery is done but the global result
-    // and published snapshot stay stale until end_batch() assembles once.
-    global_ = nullptr;
+    // Lean batch commit: the shard surgery is done but the published
+    // snapshot stays stale until the batch publishes once.
+    publish_stale_ = true;
   }
 }
 
@@ -558,28 +542,21 @@ void AnalysisEngine::begin_batch() {
 }
 
 void AnalysisEngine::refresh_lean_snapshot() {
-  auto snap = std::shared_ptr<EngineSnapshot>(new EngineSnapshot());
-  snap->empty_ctx_ = empty_ctx_;
-  snap->opts_ = opts_;
-  snap->sharded_ = shard_by_domain_;
-  snap->shards_.reserve(shards_.size());
-  for (const Shard& s : shards_) {
-    snap->shards_.push_back(
-        EngineSnapshot::ShardView{s.ctx, s.cache, s.to_global});
-  }
-  snap->locs_ = locs_;
-  snap->link_shard_ = link_shard_;
-  // global_ stays null: lean snapshots only back run_probe /
-  // probe_admissible, which never read it — skipping the O(resident)
-  // assembly is the whole point of the batch.
-  lean_snap_ = std::move(snap);
+  lean_snap_ = build_snapshot();
   lean_stale_ = false;
 }
 
 bool AnalysisEngine::try_admit_lean(gmf::Flow candidate) {
   (void)solve_dirty();
-  if (lean_stale_ || !lean_snap_) refresh_lean_snapshot();
-  const std::shared_ptr<const EngineSnapshot> snap = lean_snap_;
+  // Until the batch's first commit the publication is current and serves;
+  // after it, a writer-private view of the unpublished shard state does.
+  std::shared_ptr<const EngineSnapshot> snap;
+  if (!publish_stale_) {
+    snap = published();
+  } else {
+    if (lean_stale_ || !lean_snap_) refresh_lean_snapshot();
+    snap = lean_snap_;
+  }
   // retain_ctx: an accepted probe is committed wholesale, as in try_admit.
   EngineSnapshot::Probe probe =
       snap->run_probe(candidate, writer_scratch_, /*retain_ctx=*/true);
@@ -591,23 +568,20 @@ bool AnalysisEngine::try_admit_lean(gmf::Flow candidate) {
 }
 
 const core::HolisticResult& AnalysisEngine::end_batch() {
-  lean_snap_.reset();
-  lean_stale_ = true;
-  // Any lean commit nulled global_, so this assembles + publishes exactly
+  // Any lean commit marked the publication stale, so this publishes exactly
   // once; a batch that committed nothing keeps the current publication.
   return evaluate();
 }
 
 std::vector<WhatIfResult> AnalysisEngine::evaluate_batch(
     const std::vector<gmf::Flow>& candidates) {
-  (void)evaluate();
+  const std::shared_ptr<const EngineSnapshot> snap = snapshot();
   std::vector<WhatIfResult> out(candidates.size());
   if (candidates.empty()) return out;
 
   // Surface validation errors to the caller before any analysis runs.
   for (const gmf::Flow& c : candidates) c.validate(network());
 
-  const std::shared_ptr<const EngineSnapshot> snap = published();
   ensure_pool();
   // Each slot owns one ProbeScratch (batch_scratch_ has pool size + 1
   // entries; slot size() is the single-worker inline path), so repeated

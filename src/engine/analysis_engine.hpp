@@ -18,7 +18,8 @@
 //
 //  * RCU-style published snapshots.  After every committed mutation the
 //    engine publishes an immutable EngineSnapshot (engine/snapshot.hpp) by
-//    a single atomic shared_ptr swap.  Reader threads load the snapshot
+//    a single atomic shared_ptr swap; the snapshot assembles the whole-set
+//    result only when someone reads it.  Reader threads load the snapshot
 //    (`published()`) and run `EngineSnapshot::what_if` probes against it
 //    with zero engine locking — all snapshot state is immutable or
 //    copy-on-write — so N operator threads issue concurrent what-ifs while
@@ -134,11 +135,8 @@ class AnalysisEngine {
 
   // -- analysis -------------------------------------------------------------
 
-  /// Holistic result for the resident set.  Incremental: only dirty shards
-  /// are re-solved (fanned over a thread pool when several are dirty),
-  /// warm-started from their cached fixed points; the fresh snapshot is
-  /// published.  The returned reference stays valid until the next engine
-  /// call.
+  /// Holistic result for the resident set: snapshot()->result().  The
+  /// returned reference stays valid until the next engine call.
   const core::HolisticResult& evaluate();
 
   /// What-if: result of resident set + `candidate`, without committing
@@ -154,14 +152,13 @@ class AnalysisEngine {
 
   // -- coalesced mutation batches -------------------------------------------
   //
-  // A batch amortizes the dominant per-mutation cost — the O(resident)
-  // global-result assembly + snapshot publication — over K queued
-  // mutations: begin_batch(); K × try_admit_lean()/remove_flow();
-  // end_batch() performs ONE assembly and ONE publication.  Verdicts are
+  // A batch amortizes the per-mutation snapshot publication over K queued
+  // mutations: begin_batch(); K × try_admit_lean()/remove_flow(); then
+  // snapshot() (or end_batch()) performs ONE publication.  Verdicts are
   // bit-identical to the sequential try_admit path: a lean probe runs
   // against the exact same shard contexts and converged caches, it merely
-  // skips materializing the whole-set result between commits.  Readers keep
-  // seeing the last published snapshot until end_batch().
+  // skips publishing between commits.  Readers keep seeing the last
+  // published snapshot until the batch publishes.
 
   /// Opens a coalesced batch.  Only affects which internal snapshot lean
   /// admissions probe against; readers are never blocked.
@@ -169,13 +166,15 @@ class AnalysisEngine {
 
   /// Gated admission without publishing: identical verdict to try_admit on
   /// the same state, but a success only commits the probe's shard surgery —
-  /// the global result and published snapshot stay stale until end_batch().
+  /// the published snapshot stays stale until the batch publishes.
   /// Returns true when the candidate was admitted.  Throws std::logic_error
   /// on malformed candidates.
   bool try_admit_lean(gmf::Flow candidate);
 
   /// Closes the batch: solves anything still dirty (e.g. lazy removals),
-  /// assembles the global result and publishes exactly one fresh snapshot.
+  /// publishes exactly one fresh snapshot and returns its whole-set result
+  /// (evaluate()).  Callers that only need the publication call snapshot()
+  /// instead and skip the result's assembly.
   const core::HolisticResult& end_batch();
 
   /// Independent what-if probes for every candidate against the *same*
@@ -221,8 +220,11 @@ class AnalysisEngine {
 
   // -- snapshots ------------------------------------------------------------
 
-  /// Evaluates (if stale) and returns the freshly published snapshot
-  /// (writer thread only — it may solve dirty shards).
+  /// Commits: solves every dirty shard (fanned over a thread pool when
+  /// several are dirty), warm-started from their cached fixed points,
+  /// publishes a fresh snapshot when anything changed, and returns the
+  /// published snapshot (writer thread only).  Does not assemble the
+  /// whole-set result; the snapshot does that on its first result() call.
   std::shared_ptr<const EngineSnapshot> snapshot();
 
   /// The last published snapshot: safe to call from any thread, never
@@ -302,24 +304,25 @@ class AnalysisEngine {
 
   /// Solves every dirty shard (fanned over the pool when several are
   /// dirty), folding run stats; returns true when any shard ran.  Factored
-  /// out of evaluate() so lean batch admissions can converge the world
-  /// without assembling/publishing it.
+  /// out of snapshot() so lean batch admissions can converge the world
+  /// without publishing it.
   bool solve_dirty();
 
-  /// Assembles the global result from the shard caches and publishes a
-  /// fresh snapshot.
-  void assemble_and_publish();
+  /// A snapshot of the current shard state (shares every shard's context
+  /// and result; O(shards + flows), no result assembly).
+  [[nodiscard]] std::shared_ptr<EngineSnapshot> build_snapshot() const;
+
+  /// Publishes a fresh snapshot of the current shard state.
+  void publish();
 
   /// Rebuilds the writer-private lean snapshot from the current shard
-  /// state.  Identical to the snapshot half of assemble_and_publish()
-  /// except the global result is left null (lean probes never read it) and
-  /// nothing is published.
+  /// state (built like a publication, but never published).
   void refresh_lean_snapshot();
 
   /// Installs a successful probe as a committed merged shard (candidate
-  /// included); publishes unless `publish` is false (lean batch commits
-  /// defer the assembly + publication to end_batch()).
-  void commit_probe(EngineSnapshot::Probe probe, bool publish = true);
+  /// included); publishes unless `publish_now` is false (lean batch commits
+  /// defer the publication to the end of the batch).
+  void commit_probe(EngineSnapshot::Probe probe, bool publish_now = true);
 
   /// Folds one run's counters into the stats (relaxed atomics).
   void record_run(const RunStats& rs);
@@ -335,8 +338,9 @@ class AnalysisEngine {
   std::vector<Shard> shards_;
   std::vector<FlowLoc> locs_;  ///< global flow id -> (shard, local)
   std::map<net::LinkRef, std::uint32_t> link_shard_;
-  /// Assembled whole-set result of the last evaluation (null = stale).
-  std::shared_ptr<const core::HolisticResult> global_;
+  /// True when a mutation or lean commit happened since the last
+  /// publication.
+  bool publish_stale_ = true;
   /// Writer-private snapshot backing lean batch probes; never published.
   /// Rebuilt lazily whenever the shard structure changed underneath it.
   std::shared_ptr<const EngineSnapshot> lean_snap_;

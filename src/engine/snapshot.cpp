@@ -19,6 +19,39 @@ std::vector<gmf::Flow> EngineSnapshot::flows() const {
   return out;
 }
 
+const core::FlowResult& EngineSnapshot::flow_result(std::size_t index) const {
+  const FlowLoc& loc = locs_.at(index);
+  return shards_[loc.shard].result->flows[loc.local];
+}
+
+const core::HolisticResult& EngineSnapshot::result() const {
+  std::call_once(global_once_, [this] {
+    core::HolisticResult g;
+    g.converged = true;
+    g.sweeps = 0;
+    g.flows.resize(locs_.size());
+    bool sched = true;
+    for (const ShardView& s : shards_) {
+      // Every published shard holds a result: the engine solves all dirty
+      // shards before publishing, and a run always installs one (even
+      // diverged).
+      g.converged &= s.result->converged;
+      sched &= s.result->schedulable;
+      g.sweeps = std::max(g.sweeps, s.result->sweeps);
+      for (std::size_t l = 0; l < s.to_global.size(); ++l) {
+        const auto gid = static_cast<std::size_t>(s.to_global[l].v);
+        g.flows[gid] = s.result->flows[l];
+        g.jitters.adopt_flow(s.result->jitters,
+                             net::FlowId(static_cast<std::int32_t>(l)),
+                             net::FlowId(static_cast<std::int32_t>(gid)));
+      }
+    }
+    g.schedulable = g.converged && sched;
+    global_ = std::move(g);
+  });
+  return *global_;
+}
+
 // --------------------------------------------------------- WhatIfResult --
 
 const core::FlowResult& WhatIfResult::flow_result(net::FlowId global) const {
@@ -37,7 +70,7 @@ const core::FlowResult& WhatIfResult::flow_result(net::FlowId global) const {
     // dirty component carries probe-fresh results.
     if (dirty_[f]) return local_.flows[f];
   }
-  return base_->flows.at(static_cast<std::size_t>(global.v));
+  return base_->flow_result(static_cast<std::size_t>(global.v));
 }
 
 const core::HolisticResult& WhatIfResult::result() const {
@@ -55,12 +88,13 @@ const core::HolisticResult& WhatIfResult::result() const {
   core::HolisticResult r;
   r.converged = converged_;
   r.sweeps = sweeps_;
-  // Untouched flows are adopted wholesale from the published global result:
-  // one flows-vector copy plus one copy-on-write pointer per flow — paid
-  // only here, never on the probe hot path.
-  r.flows = base_->flows;
+  // Untouched flows are adopted wholesale from the snapshot's whole-set
+  // result: one flows-vector copy plus one copy-on-write pointer per flow —
+  // paid only here, never on the probe hot path.
+  const core::HolisticResult& base = base_->result();
+  r.flows = base.flows;
   r.flows.resize(total_flows_);
-  r.jitters = base_->jitters;
+  r.jitters = base.jitters;
   for (std::size_t f = 0; f < to_global_.size(); ++f) {
     if (!dirty_[f]) continue;
     const auto g = static_cast<std::size_t>(to_global_[f].v);
@@ -387,7 +421,7 @@ WhatIfResult EngineSnapshot::finish_probe(Probe&& p) const {
   }
   WhatIfResult out;
   out.admissible = admissible;
-  out.base_ = global_;
+  out.base_ = shared_from_this();
   out.converged_ = p.local.converged;
   out.sweeps_ = p.local.sweeps;
   out.local_ = std::move(p.local);

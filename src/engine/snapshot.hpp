@@ -1,6 +1,9 @@
 // EngineSnapshot: an immutable, published view of the engine's committed
-// world — every shard's context and converged fixed point, the global flow
-// index, and the assembled whole-set result.
+// world — every shard's context and converged fixed point and the global
+// flow index.  The whole-set result is assembled from the shard results on
+// its first read (once, thread-safe), never at publication: a commit whose
+// readers only want verdicts — lean batch admissions, removals, what-if
+// probes — never pays the O(resident) deep copy.
 //
 // RCU-style concurrency: the writer thread publishes a new snapshot (one
 // atomic shared_ptr swap) after every committed mutation; reader threads
@@ -150,7 +153,7 @@ class ProbeScratchPool {
 /// Copy-free by construction: instead of materializing the full-set
 /// HolisticResult per probe (a deep copy of every resident's FlowResult
 /// plus the jitter map), the probe returns the verdict, its component-local
-/// solve, and a COW handle to the published global result.  Cheap accessors
+/// solve, and a handle to the probed snapshot.  Cheap accessors
 /// (worst_response, converged, sweeps) answer directly from those pieces;
 /// result() assembles — and caches — the full HolisticResult only when a
 /// caller actually wants all of it.
@@ -207,9 +210,9 @@ class WhatIfResult {
  private:
   friend class EngineSnapshot;
 
-  /// Published global result the untouched flows are shared from (null for
+  /// Probed snapshot the untouched flows are read from (null for
   /// default-constructed and from_full values).
-  std::shared_ptr<const core::HolisticResult> base_;
+  std::shared_ptr<const EngineSnapshot> base_;
   /// The probe's component-local solve (probe-local flow ids).
   core::HolisticResult local_;
   /// Probe-local id -> global id, ascending (candidate last).
@@ -226,14 +229,17 @@ class WhatIfResult {
   bool verdict_only_ = false;
 };
 
-class EngineSnapshot {
+class EngineSnapshot : public std::enable_shared_from_this<EngineSnapshot> {
  public:
   [[nodiscard]] std::size_t flow_count() const { return locs_.size(); }
   [[nodiscard]] const gmf::Flow& flow(std::size_t index) const;
   /// The resident flows in global order (copies; for verification code).
   [[nodiscard]] std::vector<gmf::Flow> flows() const;
-  /// Assembled whole-set result as of publication.
-  [[nodiscard]] const core::HolisticResult& result() const { return *global_; }
+  /// Whole-set result as of publication, assembled from the shard results
+  /// on the first call (thread-safe, once) and cached.
+  [[nodiscard]] const core::HolisticResult& result() const;
+  /// One resident's committed result by global id, without assembling.
+  [[nodiscard]] const core::FlowResult& flow_result(std::size_t index) const;
   [[nodiscard]] std::size_t shard_count() const { return shards_.size(); }
   /// Which shard (by position) the flow at `index` lives in.  Throws
   /// std::out_of_range on a bad index.
@@ -325,7 +331,9 @@ class EngineSnapshot {
   std::vector<FlowLoc> locs_;
   /// Directed link -> owning shard (links with at least one resident flow).
   std::map<net::LinkRef, std::uint32_t> link_shard_;
-  std::shared_ptr<const core::HolisticResult> global_;
+  /// result()'s lazily assembled whole-set view.
+  mutable std::once_flag global_once_;
+  mutable std::optional<core::HolisticResult> global_;
 };
 
 }  // namespace gmfnet::engine

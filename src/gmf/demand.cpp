@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cassert>
+#include <cstring>
 #include <unordered_map>
 
 namespace gmfnet::gmf {
@@ -110,6 +111,17 @@ std::int64_t DemandCurve::nx(gmfnet::Time t) const {
   const auto q = t.floor_div(tsum_);
   const gmfnet::Time rem = t.mod(tsum_);
   return q * nsum_ + nxs(rem);
+}
+
+bool DemandCurve::same_shape(const DemandCurve& other) const {
+  if (uid_ == other.uid_) return true;
+  // Step is three int64 fields with no padding, so one memcmp compares the
+  // staircases exactly.
+  static_assert(sizeof(Step) == 3 * sizeof(std::int64_t));
+  return tsum_ == other.tsum_ && csum_ == other.csum_ &&
+         nsum_ == other.nsum_ && steps_.size() == other.steps_.size() &&
+         std::memcmp(steps_.data(), other.steps_.data(),
+                     steps_.size() * sizeof(Step)) == 0;
 }
 
 }  // namespace gmfnet::gmf

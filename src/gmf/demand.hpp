@@ -66,6 +66,12 @@ class DemandCurve {
   /// LevelEnvelope flattens these into its merged per-hop view.
   [[nodiscard]] const std::vector<Step>& steps() const { return steps_; }
 
+  /// Content equality: the same periodic tail (TSUM, CSUM, NSUM) and the
+  /// same staircase, step for step — so MX/NX agree at every t.  The
+  /// hop-level link tables class interferers by this (never by a hash
+  /// alone).
+  [[nodiscard]] bool same_shape(const DemandCurve& other) const;
+
   /// Process-unique id, assigned at construction.  Envelope caches key on
   /// this instead of the object address, so a curve freed and another
   /// allocated at the same address can never be mistaken for it (ABA).

@@ -4,12 +4,14 @@ namespace gmfnet::gmf {
 
 bool LevelEnvelope::ensure(const EnvelopeSpec* specs, std::size_t n) {
   // Fingerprint: same curves (by process-unique uid), same shifts, same
-  // order.  Matching means every merged value is already correct.
+  // multiplicities, same order.  Matching means every merged value is
+  // already correct.
   if (entries_.size() == n) {
     bool same = true;
     for (std::size_t i = 0; i < n; ++i) {
       if (tails_[i].curve_uid != specs[i].curve->uid() ||
-          entries_[i].shift != specs[i].shift.ps()) {
+          entries_[i].shift != specs[i].shift.ps() ||
+          entries_[i].mult != specs[i].mult) {
         same = false;
         break;
       }
@@ -33,6 +35,8 @@ bool LevelEnvelope::ensure(const EnvelopeSpec* specs, std::size_t n) {
     Entry e;
     e.shift = specs[i].shift.ps();
     e.tsum = c.tsum().ps();
+    e.mult = specs[i].mult;
+    assert(e.mult >= 1);
     e.begin = static_cast<std::uint32_t>(steps_.size());
     steps_.insert(steps_.end(), c.steps().begin(), c.steps().end());
     e.end = static_cast<std::uint32_t>(steps_.size());

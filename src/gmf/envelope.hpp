@@ -1,32 +1,41 @@
 // LevelEnvelope: the merged interferer-demand view of one hop analysis.
 //
 // Within one per-hop analysis (eqs 14-18 / 21-27 / 28-35) the jitter offsets
-// extra_j are constants, so the k interferer request-bound curves the busy
+// extra_j are constants, so the interferer request-bound curves the busy
 // and queueing recurrences keep re-evaluating — MX_j(t + extra_j) and
 // NX_j(t + extra_j) — form a fixed set of jitter-shifted staircases.  The
 // envelope pre-merges them once into flat contiguous arrays (packed
-// (span, cumulative max_cost, max_count) steps, one range per interferer,
-// plus each interferer's periodic (TSUM, CSUM, NSUM) tail) so that a
-// fixed-point iteration evaluates the whole level's interference in one
-// cache-friendly pass instead of k separate binary searches over k
-// scattered vectors.
-// The analysed flow itself is deliberately *not* an envelope entry: its
-// jitter changes from frame to frame (Figure 6 lines 8/13/17), and keeping
-// it out means those writes never invalidate a built envelope.
+// (span, cumulative max_cost, max_count) steps, one range per entry, plus
+// each entry's periodic (TSUM, CSUM, NSUM) tail) so that a fixed-point
+// iteration evaluates the whole level's interference in one cache-friendly
+// pass instead of k separate binary searches over k scattered vectors.
+//
+// Entries are interferer *classes*, not interferers: an entry carries a
+// multiplicity m, the number of interferers with that exact curve content
+// and shift (every VoIP leg of one codec at one hop, every camera of one
+// model).  eval adds m * (cycle + step) for it.  The int64 picosecond sum is
+// exact, so this is bit-identical to listing the m members one by one —
+// and a 64-interferer uplink of two traffic classes costs two entries per
+// iteration, not 64.  core/hop_level.hpp forms the classes.
+//
+// The analysed flow itself is deliberately *not* an entry: its jitter
+// changes from frame to frame (Figure 6 lines 8/13/17), and keeping it out
+// means those writes never invalidate a built envelope.
 //
 // The second half of the win is the EvalCursor: iterate_fixed_point produces
 // a monotonically non-decreasing sequence of iterates (see
 // util/fixed_point.hpp), so instead of a binary search plus two 64-bit
-// divisions per interferer per query, the cursor remembers each
-// interferer's (cycle base, step) position from the previous query and
-// advances it forward — O(1) amortized, division-free.  A query that jumps
-// backwards (a new w(q) chain re-seeding below the previous chain's fixed
-// point) or wraps into a new GMF cycle falls back to one division + binary
-// search, so correctness never depends on monotonicity.
+// divisions per entry per query, the cursor remembers each entry's (cycle
+// base, step) position from the previous query and advances it forward —
+// O(1) amortized, division-free.  A query that jumps backwards (a new w(q)
+// chain re-seeding below the previous chain's fixed point) or wraps into a
+// new GMF cycle falls back to one division + binary search, so correctness
+// never depends on monotonicity.
 //
 // Results are bit-identical to summing DemandCurve::mx/nx per interferer:
 // both paths select the same staircase step and int64 picosecond sums are
-// exact and order-independent (tests/test_envelope.cpp pins this).
+// exact and order-independent (tests/test_envelope.cpp pins this, with and
+// without multiplicities).
 #pragma once
 
 #include <algorithm>
@@ -40,11 +49,13 @@
 
 namespace gmfnet::gmf {
 
-/// One interferer of a hop analysis: its request-bound curve and its
-/// constant jitter shift extra_j for this hop.
+/// One interferer class of a hop analysis: the request-bound curve and the
+/// constant jitter shift extra_j its members share at this hop, and how
+/// many members there are.
 struct EnvelopeSpec {
   const DemandCurve* curve = nullptr;
-  gmfnet::Time shift;  ///< extra_j: evaluated at MX/NX(t + shift)
+  gmfnet::Time shift;     ///< extra_j: evaluated at MX/NX(t + shift)
+  std::int64_t mult = 1;  ///< members (>= 1): the entry counts mult times
 };
 
 /// Total interferer demand at one instant.
@@ -78,12 +89,12 @@ class EvalCursor {
 class LevelEnvelope {
  public:
   /// Makes the envelope hold exactly `specs[0..n)`: reuses the current build
-  /// when the (curve uid, shift) fingerprint matches (returns true),
+  /// when the (curve uid, shift, mult) fingerprint matches (returns true),
   /// otherwise rebuilds the merged arrays (returns false).
   bool ensure(const EnvelopeSpec* specs, std::size_t n);
 
   /// Total interferer demand at `t`; bit-identical to summing
-  /// curve->mx(t+shift) and curve->nx(t+shift) over the entries.  `cur`
+  /// curve->mx(t+shift) and curve->nx(t+shift) mult times per entry.  `cur`
   /// carries the forward positions between calls; non-monotone queries are
   /// handled (division + binary-search fallback), monotone ones are O(1)
   /// amortized and division-free.  Defined inline below so each call site
@@ -93,10 +104,11 @@ class LevelEnvelope {
   [[nodiscard]] std::size_t entry_count() const { return entries_.size(); }
 
  private:
-  /// Per-entry hot state, touched every iteration: 24 bytes, nothing else.
+  /// Per-entry hot state, touched every iteration: 32 bytes, nothing else.
   struct Entry {
     gmfnet::Time::rep shift;
     gmfnet::Time::rep tsum;
+    std::int64_t mult;    ///< class members
     std::uint32_t begin;  ///< step range [begin, end) in steps_
     std::uint32_t end;
   };
@@ -179,8 +191,8 @@ inline EnvelopeSums LevelEnvelope::eval(gmfnet::Time t,
            steps[p.idx].span <= shifted - p.cycle_start);
 
     const DemandCurve::Step& s = steps[p.idx];
-    sums.cost += p.cycle_cost + s.max_cost;
-    sums.count += p.cycle_count + s.max_count;
+    sums.cost += e.mult * (p.cycle_cost + s.max_cost);
+    sums.count += e.mult * (p.cycle_count + s.max_count);
   }
   return sums;
 }

@@ -65,7 +65,7 @@ using io::CheckpointError;
 void AnalysisEngine::save(std::ostream& os) {
   // Checkpoint the converged world: every shard gets a cache and the
   // restored engine can publish without solving.
-  (void)evaluate();
+  (void)snapshot();
 
   io::ByteWriter engine_sec;
   engine_sec.u8(shard_by_domain_ ? 1 : 0);
@@ -346,8 +346,8 @@ AnalysisEngine::AnalysisEngine(RestoredState&& st, core::HolisticOptions opts)
   }
 
   // Publish the restored world.  Every shard holds a persisted cache, so
-  // this assembles and publishes without a single solver run — warm boot.
-  assemble_and_publish();
+  // this publishes without a single solver run — warm boot.
+  publish();
 }
 
 }  // namespace gmfnet::engine

@@ -992,7 +992,7 @@ void Server::exec_group(std::vector<PendingOp>&& ops) {
         const bool removed =
             eng->remove_flow(static_cast<std::size_t>(m.index));
         if (removed) {
-          (void)eng->evaluate();
+          (void)eng->snapshot();
           DeltaResponse delta;
           delta.kind = DeltaKind::kRemove;
           delta.index = m.index;
@@ -1060,10 +1060,12 @@ void Server::exec_group(std::vector<PendingOp>&& ops) {
           r.error = e.what();
         }
       }
-      const core::HolisticResult* final_result = nullptr;
+      // One publication for the group.  Only an admitted solo ADMIT reply
+      // carries the whole-set result, so only then is it assembled.
+      std::shared_ptr<const engine::EngineSnapshot> final_snap;
       std::string end_error;
       try {
-        final_result = &eng->end_batch();
+        final_snap = eng->snapshot();
       } catch (const std::exception& e) {
         end_error = e.what();
       }
@@ -1084,10 +1086,10 @@ void Server::exec_group(std::vector<PendingOp>&& ops) {
           switch (r.kind) {
             case OpResult::Kind::kAdmit: {
               AdmitResponse admit;
-              if (r.ok && final_result != nullptr) {
+              if (r.ok && final_snap != nullptr) {
                 // Coalescing semantics: every admitted flow in the group
                 // receives the end-of-group committed result.
-                admit.result = *final_result;
+                admit.result = final_snap->result();
               }
               resp = std::move(admit);
               break;
@@ -1382,13 +1384,13 @@ ApplyResult Server::replica_apply(const DeltaResponse& delta) {
       // primary's post-admission world bit for bit (the equivalence
       // guarantee the engine test suite holds it to).
       (void)eng->add_flow(delta.flow);
-      (void)eng->evaluate();
+      (void)eng->snapshot();
       break;
     case DeltaKind::kRemove:
       if (!eng->remove_flow(static_cast<std::size_t>(delta.index))) {
         return ApplyResult::kGap;  // divergence — resync
       }
-      (void)eng->evaluate();
+      (void)eng->snapshot();
       break;
     case DeltaKind::kRestore: {
       std::istringstream is(delta.checkpoint);
@@ -1411,7 +1413,7 @@ ApplyResult Server::replica_apply(const DeltaResponse& delta) {
           return ApplyResult::kGap;  // malformed group — resync
         }
       }
-      (void)eng->evaluate();
+      (void)eng->snapshot();
       break;
   }
   if (engine()->flow_count() != delta.flows_after) {

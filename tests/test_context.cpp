@@ -276,6 +276,59 @@ TEST(JitterMap, SetJitterReportsChangesAndVersionsContent) {
   EXPECT_EQ(a.flow_version(FlowId(0)), b.flow_version(FlowId(0)));
 }
 
+TEST(JitterMap, StampSharedByCopiesRenewedByWrites) {
+  const StageKey st = StageKey::ingress(NodeId(4));
+  JitterMap a;
+  EXPECT_EQ(a.stamp(), 0u);  // empty
+  a.set_jitter(FlowId(0), st, 0, gmfnet::Time::ms(1));
+  const std::uint64_t s0 = a.stamp();
+  EXPECT_NE(s0, 0u);
+  EXPECT_FALSE(a.set_jitter(FlowId(0), st, 0, gmfnet::Time::ms(1)));
+  EXPECT_EQ(a.stamp(), s0);  // no change, no new stamp
+
+  JitterMap b = a;
+  EXPECT_EQ(b.stamp(), s0);
+  b.set_jitter(FlowId(1), st, 0, gmfnet::Time::ms(2));
+  EXPECT_NE(b.stamp(), s0);
+  EXPECT_EQ(a.stamp(), s0);
+  const std::uint64_t s1 = b.stamp();
+  b.adopt_flow(a, FlowId(0));
+  EXPECT_NE(b.stamp(), s1);
+  const std::uint64_t s2 = b.stamp();
+  b.clear_flow(FlowId(1));
+  EXPECT_NE(b.stamp(), s2);
+  const std::uint64_t s3 = b.stamp();
+  b.erase_flow(FlowId(0));
+  EXPECT_NE(b.stamp(), s3);
+
+  // A moved-from map is empty, and reads the empty stamp.
+  JitterMap c = std::move(a);
+  EXPECT_EQ(c.stamp(), s0);
+  EXPECT_EQ(a.stamp(), 0u);  // NOLINT(bugprone-use-after-move)
+}
+
+TEST(Context, StampSharedByCopiesRenewedByMutations) {
+  auto s = scenario();
+  AnalysisContext ctx(s.network);
+  const std::uint64_t empty = ctx.stamp();
+  ctx.add_flow(s.flows[0]);
+  EXPECT_NE(ctx.stamp(), empty);
+  const AnalysisContext copy = ctx;
+  EXPECT_EQ(copy.stamp(), ctx.stamp());
+
+  AnalysisContext grown = ctx;
+  grown.add_flow(s.flows[1]);
+  EXPECT_NE(grown.stamp(), ctx.stamp());
+  const std::uint64_t before = grown.stamp();
+  grown.remove_flow(1);
+  EXPECT_NE(grown.stamp(), before);  // content equal again, stamp fresh
+  AnalysisContext adopted = AnalysisContext::empty_clone(ctx);
+  const std::uint64_t fresh = adopted.stamp();
+  adopted.adopt_flow(ctx, FlowId(0));
+  EXPECT_NE(adopted.stamp(), fresh);
+  EXPECT_NE(adopted.stamp(), ctx.stamp());
+}
+
 TEST(JitterMap, CrossIdAdoptFlow) {
   JitterMap a;
   const StageKey st = StageKey::ingress(NodeId(4));

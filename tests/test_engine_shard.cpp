@@ -27,6 +27,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <memory>
 #include <numeric>
 #include <string>
 #include <thread>
@@ -361,6 +362,38 @@ TEST(EngineShard, SnapshotStressReadersVsWriter) {
 
   EXPECT_EQ(probes_bad.load(), 0);
   EXPECT_GT(probes_ok.load(), 0);
+}
+
+TEST(EngineShard, LazyWholeSetResultIsAssembledOnceAcrossReaders) {
+  // A publication does not assemble the whole-set result; the first
+  // result() call does, once, however many readers race to it.
+  const Campus campus = make_campus(3, 4);
+  AnalysisEngine eng(campus.net);
+  for (int n = 0; n < 9; ++n) {
+    const int cell = n % 3;
+    const std::size_t a = static_cast<std::size_t>(cell) * 4 +
+                          static_cast<std::size_t>(n % 2) * 2;
+    eng.add_flow(workload::make_voip_flow(
+        "c" + std::to_string(n),
+        net::Route({campus.hosts[a],
+                    campus.switches[static_cast<std::size_t>(cell)],
+                    campus.hosts[a + 1]}),
+        gmfnet::Time::ms(20), /*priority=*/5));
+  }
+  const std::shared_ptr<const EngineSnapshot> snap = eng.snapshot();
+
+  const int kReaders = 4;
+  std::vector<const core::HolisticResult*> seen(kReaders, nullptr);
+  std::vector<std::thread> readers;
+  readers.reserve(kReaders);
+  for (int r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&, r] { seen[r] = &snap->result(); });
+  }
+  for (std::thread& t : readers) t.join();
+  for (int r = 1; r < kReaders; ++r) EXPECT_EQ(seen[r], seen[0]);
+  expect_bit_identical(*seen[0], from_scratch(campus.net, snap->flows()),
+                       "lazy whole-set result");
+  EXPECT_EQ(&eng.evaluate(), seen[0]);  // nothing changed: same publication
 }
 
 TEST(EngineShard, StatsConsistencyAndReset) {

@@ -3,7 +3,8 @@
 // to summing DemandCurve::mx/nx per interferer — at random t, at staircase
 // boundaries (span-0 steps, exact step edges, periodic wrap points), at
 // negative t, and under both monotone (cursor fast path) and adversarially
-// non-monotone (binary-search fallback) query orders.
+// non-monotone (binary-search fallback) query orders.  An entry of
+// multiplicity m must sum exactly like its m members listed one by one.
 #include "gmf/envelope.hpp"
 
 #include <gtest/gtest.h>
@@ -69,8 +70,10 @@ Level random_level(Rng& rng, std::size_t k) {
 EnvelopeSums naive_sums(const Level& lvl, gmfnet::Time t) {
   EnvelopeSums s;
   for (const EnvelopeSpec& j : lvl.specs) {
-    s.cost += j.curve->mx(t + j.shift).ps();
-    s.count += j.curve->nx(t + j.shift);
+    for (std::int64_t m = 0; m < j.mult; ++m) {
+      s.cost += j.curve->mx(t + j.shift).ps();
+      s.count += j.curve->nx(t + j.shift);
+    }
   }
   return s;
 }
@@ -100,6 +103,40 @@ std::vector<gmfnet::Time> boundary_probes(const Level& lvl) {
     }
   }
   return probes;
+}
+
+/// A level of interferer classes: 1..4 templates, each repeated 1..16
+/// times.  Every member is a distinct flow with its own DemandCurve object
+/// (equal content, distinct uid), and the members of one template share a
+/// shift — the shape of every leg of one codec at a shared hop.  `members`
+/// lists them one by one; `classes` holds one entry per template, its first
+/// member's curve with the template's multiplicity.
+struct ClassedLevel {
+  Level members;
+  std::vector<EnvelopeSpec> classes;
+};
+
+ClassedLevel random_classed_level(Rng& rng) {
+  ClassedLevel out;
+  const auto templates = rng.uniform_i64(1, 4);
+  for (std::int64_t t = 0; t < templates; ++t) {
+    const Flow f =
+        random_flow(rng, "t" + std::to_string(t), rng.chance(0.5));
+    const gmfnet::Time shift(rng.uniform_i64(0, 50'000'000'000));
+    const std::int64_t mult = rng.uniform_i64(1, 16);
+    for (std::int64_t m = 0; m < mult; ++m) {
+      out.members.curves.push_back(
+          std::make_unique<DemandCurve>(FlowLinkParams(f, kSpeed)));
+      out.members.specs.push_back(
+          EnvelopeSpec{out.members.curves.back().get(), shift});
+    }
+    const DemandCurve* rep =
+        out.members.curves[out.members.curves.size() -
+                           static_cast<std::size_t>(mult)]
+            .get();
+    out.classes.push_back(EnvelopeSpec{rep, shift, mult});
+  }
+  return out;
 }
 
 class EnvelopeProperty : public ::testing::TestWithParam<std::uint64_t> {};
@@ -161,6 +198,59 @@ TEST_P(EnvelopeProperty, BoundaryProbesMatchNaive) {
   for (const gmfnet::Time t : probes) {
     expect_equal(env.eval(t, cur), naive_sums(lvl, t), t);
   }
+}
+
+TEST_P(EnvelopeProperty, MultiplicityMatchesMembersAndNaive) {
+  Rng rng(0x3417 + GetParam() * 0x2545F491ull);
+  const ClassedLevel lvl = random_classed_level(rng);
+
+  LevelEnvelope by_class;
+  LevelEnvelope by_member;
+  by_class.ensure(lvl.classes.data(), lvl.classes.size());
+  by_member.ensure(lvl.members.specs.data(), lvl.members.specs.size());
+  EXPECT_EQ(by_class.entry_count(), lvl.classes.size());
+  EvalCursor class_cur;
+  EvalCursor member_cur;
+
+  // Monotone chains (cursor fast path), then adversarial jumps including
+  // negative t (fallback path): an entry of multiplicity m must sum exactly
+  // like its m members, and both like the per-curve naive sums.
+  gmfnet::Time t = gmfnet::Time::zero();
+  for (int probe = 0; probe < 300; ++probe) {
+    const EnvelopeSums want = naive_sums(lvl.members, t);
+    expect_equal(by_class.eval(t, class_cur), want, t);
+    expect_equal(by_member.eval(t, member_cur), want, t);
+    t += gmfnet::Time(rng.uniform_i64(0, 20'000'000'000));
+  }
+  for (int probe = 0; probe < 300; ++probe) {
+    const gmfnet::Time q(rng.uniform_i64(-10'000'000'000, 200'000'000'000));
+    const EnvelopeSums want = naive_sums(lvl.members, q);
+    expect_equal(by_class.eval(q, class_cur), want, q);
+    expect_equal(by_member.eval(q, member_cur), want, q);
+  }
+  for (const gmfnet::Time b : boundary_probes(lvl.members)) {
+    expect_equal(by_class.eval(b, class_cur), naive_sums(lvl.members, b), b);
+  }
+}
+
+TEST(Envelope, MultiplicityIsPartOfTheFingerprint) {
+  Rng rng(99);
+  Level lvl = random_level(rng, 3);
+  LevelEnvelope env;
+  EXPECT_FALSE(env.ensure(lvl.specs.data(), lvl.specs.size()));
+  EXPECT_TRUE(env.ensure(lvl.specs.data(), lvl.specs.size()));
+  EvalCursor cur;
+  const gmfnet::Time t = gmfnet::Time::ms(11);
+  const EnvelopeSums once = env.eval(t, cur);
+
+  // Same curves and shifts, one class grown by two members: the build must
+  // miss and the sum must grow by exactly two of that curve's terms.
+  lvl.specs[1].mult = 3;
+  EXPECT_FALSE(env.ensure(lvl.specs.data(), lvl.specs.size()));
+  const EnvelopeSums grown = env.eval(t, cur);
+  const gmfnet::Time at = t + lvl.specs[1].shift;
+  EXPECT_EQ(grown.cost, once.cost + 2 * lvl.specs[1].curve->mx(at).ps());
+  EXPECT_EQ(grown.count, once.count + 2 * lvl.specs[1].curve->nx(at));
 }
 
 TEST(Envelope, RebuildOnChangedShiftResetsCursor) {

@@ -224,7 +224,7 @@ int main(int argc, char** argv) {
       workload::Scenario sc = io::load_scenario(scenario_path);
       eng = std::make_shared<engine::AnalysisEngine>(std::move(sc.network));
       for (gmf::Flow& f : sc.flows) eng->add_flow(std::move(f));
-      (void)eng->evaluate();
+      (void)eng->snapshot();
       std::printf("gmfnetd: booted %zu resident flows in %zu domains from %s\n",
                   eng->flow_count(), eng->shard_count(),
                   scenario_path.c_str());
