@@ -35,6 +35,15 @@ JitterMap JitterMap::initial(const AnalysisContext& ctx) {
   return m;
 }
 
+void JitterMap::reset_to_source(const AnalysisContext& ctx, FlowId flow) {
+  clear_flow(flow);
+  const gmf::Flow& f = ctx.flow(flow);
+  const StageKey& source = ctx.stages(flow).front();
+  for (std::size_t k = 0; k < f.frame_count(); ++k) {
+    set_jitter(flow, source, k, f.frame(k).jitter);
+  }
+}
+
 const JitterMap::StageMap& JitterMap::flow_map(std::size_t f) const {
   static const StageMap kEmpty;
   if (f >= per_flow_.size() || !per_flow_[f]) return kEmpty;

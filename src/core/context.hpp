@@ -146,6 +146,11 @@ class JitterMap {
   /// Clears `flow`'s entries (they read as zero again) without shifting ids.
   void clear_flow(FlowId flow);
 
+  /// Resets `flow` to its holistic initial state (see initial()): the
+  /// source stage carries the source-specified jitters, downstream stages
+  /// are absent.
+  void reset_to_source(const AnalysisContext& ctx, FlowId flow);
+
   /// True when this map's and `other`'s entries for `flow` are identical.
   /// Lets the incremental engine detect convergence by comparing only the
   /// flows a sweep may have changed, instead of the whole map.

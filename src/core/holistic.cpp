@@ -148,8 +148,18 @@ struct SweepNode {
 /// final inputs for the sweep.
 struct SweepGroup {
   StageKey key;
+  LinkRef link;  ///< L
   std::vector<SweepNode> nodes;
-  bool stale = true;  ///< entries changed since the nodes' last analysis
+  /// Inputs changed since the nodes' last analysis: a written entry, or
+  /// (before the first sweep of a seeded solve) L's flow set.
+  bool stale = true;
+};
+
+/// The visiting order of one solve.
+struct SweepPlan {
+  std::vector<SweepGroup> groups;
+  /// The key graph has a cycle (some node sits on a back edge).
+  bool cyclic = false;
 };
 
 /// The groups of `iterated` in visiting order.  Keys are ordered
@@ -159,8 +169,9 @@ struct SweepGroup {
 /// key contributes its link group, then its ingress group.  On a
 /// feed-forward component every node's upstream stages are therefore
 /// analysed before it in the same sweep.
-std::vector<SweepGroup> link_ordered_groups(
-    const AnalysisContext& ctx, const std::vector<FlowId>& iterated) {
+SweepPlan link_ordered_groups(const AnalysisContext& ctx,
+                              const std::vector<FlowId>& iterated) {
+  SweepPlan plan;
   std::map<LinkRef, std::size_t> index;
   for (const FlowId id : iterated) {
     for (const LinkRef l : ctx.route_links(id)) index.emplace(l, 0);
@@ -203,6 +214,7 @@ std::vector<SweepGroup> link_ordered_groups(
     } else {
       while (placed[lowest]) ++lowest;  // cycle: force the lowest key
       v = lowest;
+      plan.cyclic = true;
     }
     placed[v] = 1;
     pos[v] = p;
@@ -211,10 +223,12 @@ std::vector<SweepGroup> link_ordered_groups(
     }
   }
 
-  std::vector<SweepGroup> groups(2 * n);
+  std::vector<SweepGroup>& groups = plan.groups;
+  groups.resize(2 * n);
   for (std::size_t v = 0; v < n; ++v) {
     groups[2 * pos[v]].key = StageKey::link(keys[v]);
     groups[2 * pos[v] + 1].key = StageKey::ingress(keys[v].dst);
+    groups[2 * pos[v]].link = groups[2 * pos[v] + 1].link = keys[v];
   }
   for (std::size_t f = 0; f < iterated.size(); ++f) {
     const std::vector<std::size_t>& rk = route_keys[f];
@@ -227,7 +241,7 @@ std::vector<SweepGroup> link_ordered_groups(
     }
   }
   std::erase_if(groups, [](const SweepGroup& g) { return g.nodes.empty(); });
-  return groups;
+  return plan;
 }
 
 /// The converged hop result of the stage before `stage` in `frame`, or
@@ -240,7 +254,7 @@ const HopResult* previous_hop(const FrameResult& frame, std::size_t stage) {
 }
 
 struct SweepOutcome {
-  /// A jitter entry changed, or a back-edge node got its first result (its
+  /// A jitter entry changed, or a back-edge node was analysed (its
   /// successor is written next sweep): not a fixed point yet.
   bool changed = false;
   bool diverged = false;  ///< some frame's hop analysis diverged
@@ -250,10 +264,10 @@ struct SweepOutcome {
 /// One link-ordered Gauss-Seidel sweep.  At each group, step 1 writes every
 /// node's per-frame JSUM (Figure 6 lines 8/13/17: the jitter at the
 /// previous stage plus that stage's response); step 2 analyses the nodes
-/// when a written entry changed since their last analysis, and any frame
-/// never analysed at this stage.  A skipped node keeps its result in
-/// `flows`.  A frame whose hop diverges stops there.  `counted[f]` holds
-/// the last sweep flow f was counted in.
+/// when the group is stale, and any frame never analysed at this stage.  A
+/// skipped node keeps its (possibly seeded) result in `flows`.  A frame
+/// whose hop diverges stops there.  `counted[f]` holds the last sweep flow
+/// f was counted in.
 SweepOutcome sweep_link_ordered(const AnalysisContext& ctx,
                                 std::vector<SweepGroup>& groups,
                                 JitterMap& jitters,
@@ -294,12 +308,14 @@ SweepOutcome sweep_link_ordered(const AnalysisContext& ctx,
         if (had) {
           fk.stages[nd.stage].hop = hop;
         } else {
-          // A first result on a back edge: the next stage, visited earlier
-          // in the sweep, has not been analysed against it yet.  (A moved
-          // result needs no flag: re-analysis implies a jitter changed.)
-          out.changed |= nd.back_edge;
           fk.stages.push_back(StageResponse{g.key, hop});
         }
+        // A result on a back edge: the next stage, visited earlier in the
+        // sweep, has not been analysed against it yet.  Without a seed only
+        // a first result needs this (any other re-analysis follows a jitter
+        // change); a seeded node may be re-analysed for a changed flow set
+        // alone.
+        out.changed |= nd.back_edge;
         if (!hop.converged) {
           fk.stages.resize(nd.stage + 1);
           out.diverged = true;
@@ -339,6 +355,10 @@ HolisticResult solve_holistic(const AnalysisContext& ctx,
         "solve_holistic: a restricted request needs an engaged warm start "
         "(clean flows' fixed points cannot be conjured from nothing)");
   }
+  if (req.seed != nullptr && req.changed_links == nullptr) {
+    throw std::logic_error(
+        "solve_holistic: a seeded request must name its changed links");
+  }
 
   HolisticResult out;
   out.jitters =
@@ -356,16 +376,36 @@ HolisticResult solve_holistic(const AnalysisContext& ctx,
       dirty_ids.push_back(FlowId(static_cast<std::int32_t>(f)));
     }
   }
-  std::vector<SweepGroup> groups = link_ordered_groups(ctx, dirty_ids);
+  SweepPlan plan = link_ordered_groups(ctx, dirty_ids);
+
+  // A seed from above descends to the least fixed point only where the
+  // fixed point is unique (an acyclic key graph); otherwise the dirty flows
+  // climb from their source jitters instead.
+  const bool seeded = req.seed != nullptr && !(req.seed_above && plan.cyclic);
+  if (req.seed_above && !seeded) {
+    for (const FlowId id : dirty_ids) out.jitters.reset_to_source(ctx, id);
+  }
+  if (seeded) {
+    for (SweepGroup& g : plan.groups) {
+      g.stale = req.changed_links->contains(g.link);
+    }
+  }
   for (const FlowId id : dirty_ids) {
-    FlowResult& fr = out.flows[static_cast<std::size_t>(id.v)];
+    const auto f = static_cast<std::size_t>(id.v);
+    FlowResult& fr = out.flows[f];
+    const FlowResult* s =
+        seeded && f < req.seed->size() ? (*req.seed)[f] : nullptr;
+    if (s != nullptr && !s->frames.empty()) {
+      fr = *s;
+      continue;
+    }
     fr.frames.resize(ctx.flow(id).frame_count());
     for (FrameResult& fk : fr.frames) fk.stages.reserve(ctx.stages(id).size());
   }
   std::vector<int> counted(ctx.flow_count(), -1);
 
   for (int sweep = 0; sweep < opts.max_sweeps; ++sweep) {
-    const SweepOutcome so = sweep_link_ordered(ctx, groups, out.jitters,
+    const SweepOutcome so = sweep_link_ordered(ctx, plan.groups, out.jitters,
                                                out.flows, opts.hop, counted,
                                                sweep);
     out.sweeps = sweep + 1;
@@ -373,24 +413,26 @@ HolisticResult solve_holistic(const AnalysisContext& ctx,
       ++stats->sweeps;
       stats->flow_analyses += so.flows_analysed;
     }
-    if (so.diverged) {
-      // Any per-hop divergence means the jitters would grow without bound:
-      // report unschedulable.
-      finalize_frames(ctx, dirty_ids, out.flows);
-      out.converged = false;
-      out.schedulable = false;
-      return out;
-    }
+    // Any per-hop divergence means the jitters would grow without bound:
+    // not converged, so unschedulable.
+    if (so.diverged) break;
     if (!so.changed) {
       out.converged = true;
       break;
     }
   }
   finalize_frames(ctx, dirty_ids, out.flows);
+  if (stats != nullptr) {
+    // Every unseeded flow has its source stage analysed in the first sweep,
+    // so a flow never counted kept its seed.
+    for (const FlowId id : dirty_ids) {
+      if (counted[static_cast<std::size_t>(id.v)] < 0) ++stats->results_kept;
+    }
+  }
 
   if (!out.converged) {
-    // Sweep cap reached without a fixed point: treat as unschedulable (the
-    // monotone jitters were still growing).
+    // Divergence, or the sweep cap reached without a fixed point (the
+    // monotone jitters were still growing): unschedulable.
     out.schedulable = false;
     return out;
   }

@@ -22,9 +22,30 @@
 // rule itself (which hop analysis a stage runs, its JSUM, a frame's
 // verdict) comes from end_to_end.hpp, shared with analyze_frame_end_to_end.
 //
+// Change-driven restricted solves.  A restricted request may carry a seed:
+// the dirty flows' converged stage results from the previous fixed point,
+// plus the links whose flow set changed since (see SolveRequest).  Seeded
+// flows start with those results, and only the keys on changed links start
+// stale; from there a key turns stale only when one of its JSUM entries
+// moves.  A seeded node whose key never turns stale keeps its result.
+// That is exact: a stage analysis is a deterministic function of its key's
+// jitter entries and of the flows on its link, and a key that saw neither
+// change reads exactly the inputs its seeded result was computed from.  So
+// a probe re-analyses the candidate, the nodes on its route links, and
+// whatever lies downstream of a jitter the candidate moved; the rest of its
+// component is kept verbatim.  A seed from below (the fixed point before
+// flows were added) climbs to the least fixed point on any key graph.  A
+// seed from above (the fixed point before flows were removed) descends,
+// which reaches the least fixed point only where the fixed point is
+// unique: on an acyclic key graph, where one topological sweep computes
+// every node from final inputs.  On a cyclic one (an equal-priority ring
+// may have several fixed points) the solve drops a seed from above and
+// restarts the dirty flows from their source jitters.
+//
 // `HolisticResult::sweeps` counts these passes; `IncrementalStats::
 // flow_analyses` counts, per sweep, the flows with at least one node
-// analysed.
+// analysed, and `IncrementalStats::results_kept` the seeded flows that
+// finished with none.
 //
 // A whole-set solve may instead ask for Jacobi sweeps (SweepOrder::kJacobi):
 // whole flows analysed against a frozen snapshot, embarrassingly parallel
@@ -35,6 +56,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <set>
 #include <vector>
 
 #include "core/context.hpp"
@@ -57,7 +79,12 @@ enum class SweepOrder { kGaussSeidel, kJacobi };
 /// the least fixed point of the sweep operator — e.g. the converged map of
 /// the same flow set minus some flows (interference only grew, so the old
 /// fixed point is a valid under-approximation and the iteration converges
-/// to the *same* least fixed point, in far fewer sweeps).
+/// to the *same* least fixed point, in far fewer sweeps).  A restricted
+/// request may also start from above — the converged map of the same flow
+/// set plus some flows — if it says so (SolveRequest::seed_above): the
+/// solve then keeps the map only on an acyclic dirty key graph, where the
+/// fixed point is unique, and restarts the dirty flows from their source
+/// jitters otherwise.
 class WarmStartView {
  public:
   /// Disengaged: the solve starts from JitterMap::initial(ctx).
@@ -106,6 +133,8 @@ struct IncrementalStats {
   std::size_t flow_analyses = 0;  ///< flows with >= 1 (flow, stage) node
                                   ///< analysed, summed over sweeps
   std::size_t sweeps = 0;         ///< sweeps executed
+  std::size_t results_kept = 0;   ///< seeded flows that finished with no
+                                  ///< node analysed
 };
 
 /// One solve, described as a request.  This is the single solver entry
@@ -124,6 +153,28 @@ struct SolveRequest {
   /// map); restricted requests must engage it (std::logic_error otherwise —
   /// clean flows' fixed points cannot be conjured from nothing).
   WarmStartView start;
+  /// Seed results, indexed by flow id: a dirty flow whose entry is non-null
+  /// and has frames starts with these stage results instead of none (flows
+  /// past the end start with none).  Contract: each seeded result is what
+  /// the stage analyses compute from `start`'s entries on the context's
+  /// flow sets, except on `changed_links` — in practice, the converged
+  /// results that come with `start`'s converged entries, from the world
+  /// before the flows on `changed_links` were added or removed.  Unseeded
+  /// dirty flows may only ride changed links.  Null: no seed, every dirty
+  /// node is analysed at least once.  Borrowed; must outlive the call.
+  const std::vector<const FlowResult*>* seed = nullptr;
+  /// The links whose flow set changed since the seed was computed (the
+  /// route links of added and removed flows).  Their keys start stale; every
+  /// other key starts clean and keeps its seeded results until one of its
+  /// JSUM entries moves.  Required with a seed (std::logic_error otherwise).
+  /// Borrowed; must outlive the call.
+  const std::set<LinkRef>* changed_links = nullptr;
+  /// True when `start`'s dirty entries and the seed come from *above* the
+  /// least fixed point (flows were removed).  The descent is exact only on
+  /// an acyclic dirty key graph; on a cyclic one the solve ignores the seed
+  /// and restarts every dirty flow from its source jitters.  False: they
+  /// lie at or below it (flows were added), valid on any key graph.
+  bool seed_above = false;
 };
 
 /// Runs the holistic fixed point described by `req` under `opts`.
@@ -134,8 +185,8 @@ struct SolveRequest {
 /// default-constructed and `schedulable` false: the caller owns adopting
 /// its cached FlowResults for clean flows and finalizing the verdict
 /// (skipped when `converged` is false).  `opts.warm_start` is ignored in
-/// favour of `req.start`.  Sweeps and flow analyses are counted in `stats`
-/// when provided.
+/// favour of `req.start`.  Sweeps, flow analyses and kept seeded results
+/// are counted in `stats` when provided.
 [[nodiscard]] HolisticResult solve_holistic(const AnalysisContext& ctx,
                                             const SolveRequest& req,
                                             const HolisticOptions& opts,

@@ -138,7 +138,7 @@ std::uint32_t AnalysisEngine::merge_shards(
   if (any_covered) {
     for (const std::size_t pos : uncovered) {
       const net::FlowId local(static_cast<std::int32_t>(pos));
-      seed_source_jitters(ctx, local, cache.jitters);
+      cache.jitters.reset_to_source(ctx, local);
       for (const net::LinkRef l : ctx.route_links(local)) {
         merged.dirty_links.insert(l);
       }

@@ -77,34 +77,6 @@ std::vector<bool> dirty_closure(const core::AnalysisContext& ctx,
   return dirty;
 }
 
-void seed_source_jitters(const core::AnalysisContext& ctx, net::FlowId id,
-                         core::JitterMap& map) {
-  map.clear_flow(id);
-  const gmf::Flow& flow = ctx.flow(id);
-  const core::StageKey& source = ctx.stages(id).front();
-  for (std::size_t k = 0; k < flow.frame_count(); ++k) {
-    map.set_jitter(id, source, k, flow.frame(k).jitter);
-  }
-}
-
-core::JitterMap warm_start(const core::AnalysisContext& ctx,
-                           const core::JitterMap& cached,
-                           std::size_t cached_flows,
-                           const std::vector<bool>& dirty, bool reset_dirty) {
-  // Clean flows sit exactly at their (unchanged) fixed point; dirty flows
-  // after an add start from the old fixed point, a sound
-  // under-approximation of the new one.  Start from one copy of the cached
-  // map and reset only the flows that must restart from the initial state
-  // (flows with no cached entries, and the dirty component after a
-  // removal).
-  core::JitterMap start = cached;
-  for (std::size_t f = 0; f < ctx.flow_count(); ++f) {
-    if (f < cached_flows && !(dirty[f] && reset_dirty)) continue;
-    seed_source_jitters(ctx, net::FlowId(static_cast<std::int32_t>(f)), start);
-  }
-  return start;
-}
-
 RunStats Shard::run(const core::HolisticOptions& opts) {
   RunStats rs;
   const std::size_t n = flow_count();
@@ -115,6 +87,8 @@ RunStats Shard::run(const core::HolisticOptions& opts) {
 
   std::vector<bool> dirty;
   core::JitterMap start;
+  std::vector<const core::FlowResult*> seed;
+  core::SolveRequest req;
   if (!cache_valid()) {
     // No converged state to start from: cold run, everything dirty.  With
     // all flows dirty and the initial map this is exactly the cold
@@ -125,17 +99,31 @@ RunStats Shard::run(const core::HolisticOptions& opts) {
   } else {
     dirty = dirty_closure(*ctx, std::vector<bool>(n, false), dirty_links,
                           cache->flows.size());
-    start = warm_start(*ctx, cache->jitters, cache->flows.size(), dirty,
-                       removal_pending);
+    // Warm start: clean flows sit exactly at their (unchanged) fixed point;
+    // dirty flows start from the old one, jitters and stage results alike —
+    // below the new fixed point after an add, above it after a removal,
+    // which the solve honours only on an acyclic key graph.  Only the nodes
+    // on dirty links, and those downstream of a jitter that moves, are
+    // re-analysed.  Flows with no cached entries start from their source
+    // jitters, unseeded.
+    start = cache->jitters;
+    for (std::size_t f = cache->flows.size(); f < n; ++f) {
+      start.reset_to_source(*ctx, net::FlowId(static_cast<std::int32_t>(f)));
+    }
+    seed.reserve(cache->flows.size());
+    for (const core::FlowResult& fr : cache->flows) seed.push_back(&fr);
+    req.seed = &seed;
+    req.changed_links = &dirty_links;
+    req.seed_above = removal_pending;
   }
 
   core::IncrementalStats is;
-  core::SolveRequest req;
   req.dirty = &dirty;
   req.start = core::WarmStartView(start);
   core::HolisticResult result = core::solve_holistic(*ctx, req, opts, &is);
   rs.flow_analyses = is.flow_analyses;
   rs.sweeps = is.sweeps;
+  rs.flow_results_reused = is.results_kept;
 
   // Clean flows keep their converged results verbatim.
   for (std::size_t f = 0; f < n; ++f) {

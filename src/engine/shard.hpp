@@ -34,6 +34,8 @@ struct RunStats {
   bool full = false;  ///< cold run (no usable warm cache) vs incremental
   std::size_t flow_analyses = 0;
   std::size_t sweeps = 0;
+  /// FlowResults carried over with no node analysed: clean flows, and
+  /// seeded dirty flows the solve kept.
   std::size_t flow_results_reused = 0;
 };
 
@@ -50,11 +52,6 @@ struct FlowLoc {
 [[nodiscard]] std::vector<bool> dirty_closure(
     const core::AnalysisContext& ctx, std::vector<bool> dirty,
     const std::set<net::LinkRef>& dirty_links, std::size_t cached_flows);
-
-/// Seeds `map` with `id`'s holistic initial state: the source stage carries
-/// the source-specified per-frame jitters, downstream stages are absent.
-void seed_source_jitters(const core::AnalysisContext& ctx, net::FlowId id,
-                         core::JitterMap& map);
 
 /// One entry of a multi-shard merge, in global-id order.
 struct MergeEnt {
@@ -79,16 +76,6 @@ struct MergeEnt {
 /// dirty results + adopted clean ones): all flows meet deadlines, and only
 /// a converged result can be schedulable.
 void finalize_schedulable(core::HolisticResult& r);
-
-/// Warm-start map for `ctx` from a converged `cached` map covering the
-/// first `cached_flows` flows: cached entries adopted for every covered
-/// flow — except dirty flows when `reset_dirty` (after removals their fixed
-/// point may shrink) — and the holistic initial state for everything else.
-[[nodiscard]] core::JitterMap warm_start(const core::AnalysisContext& ctx,
-                                         const core::JitterMap& cached,
-                                         std::size_t cached_flows,
-                                         const std::vector<bool>& dirty,
-                                         bool reset_dirty);
 
 /// One locality domain.  Mutations (performed by AnalysisEngine) follow the
 /// copy-and-swap discipline described above; `run` re-solves the shard's

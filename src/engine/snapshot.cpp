@@ -1,6 +1,7 @@
 #include "engine/snapshot.hpp"
 
 #include <algorithm>
+#include <set>
 #include <stdexcept>
 #include <utility>
 
@@ -200,13 +201,15 @@ ProbeScratch::Entry& EngineSnapshot::build_entry(
     e.base = std::move(base);
   }
 
-  // Converged warm start over the base: every resident sits at its shard's
-  // published fixed point.
+  // Converged warm start and seed over the base: every resident sits at
+  // its shard's published fixed point.
+  e.base_seed.reserve(e.srcs.size());
   for (std::size_t pos = 0; pos < e.srcs.size(); ++pos) {
     const MergeEnt& m = e.srcs[pos];
     e.base_start.adopt_flow(e.results[m.shard]->jitters,
                             net::FlowId(static_cast<std::int32_t>(m.local)),
                             net::FlowId(static_cast<std::int32_t>(pos)));
+    e.base_seed.push_back(&e.results[m.shard]->flows[m.local]);
   }
 
   if (scratch.entries_.size() >= ProbeScratch::kMaxEntries) {
@@ -336,18 +339,27 @@ EngineSnapshot::Probe EngineSnapshot::run_probe(const gmf::Flow& candidate,
     // the candidate (and transitively its component) is dirty.  Copying the
     // cached map costs one shared pointer per resident.
     core::JitterMap start = entry->base_start;
-    seed_source_jitters(ctx, cand_local, start);
+    start.reset_to_source(ctx, cand_local);
 
     p.dirty = dirty_closure(ctx, std::vector<bool>(ctx.flow_count(), false),
                             {}, residents);
 
+    // Residents also start from their converged stage results, climbing
+    // from below: only the candidate's route links gained a flow, so the
+    // solve re-analyses the nodes there and downstream of a jitter the
+    // candidate moves, and keeps the rest of the component.
+    const std::vector<net::LinkRef>& route = candidate.route().links();
+    const std::set<net::LinkRef> changed(route.begin(), route.end());
     core::IncrementalStats is;
     core::SolveRequest req;
     req.dirty = &p.dirty;
     req.start = core::WarmStartView(start);
+    req.seed = &entry->base_seed;
+    req.changed_links = &changed;
     p.local = core::solve_holistic(ctx, req, opts_, &is);
     p.rs.flow_analyses = is.flow_analyses;
     p.rs.sweeps = is.sweeps;
+    p.rs.flow_results_reused = is.results_kept;
     for (std::size_t pos = 0; pos < residents; ++pos) {
       if (!p.dirty[pos]) ++p.rs.flow_results_reused;
     }

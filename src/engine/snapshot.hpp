@@ -18,7 +18,9 @@
 // A probe touches only the shards the candidate's route links belong to:
 // it assembles a probe context from those shards (adopting their immutable
 // derived state, O(touched) not O(residents)), warm-starts from their
-// converged jitters, and solves just the candidate's dirty component.
+// converged jitters and stage results, and solves just the candidate's
+// dirty component — re-analysing only the nodes on the candidate's route
+// links and downstream of a jitter the candidate moves.
 // Results are bit-identical to a from-scratch whole-set analysis
 // (tests/test_engine_shard.cpp).
 //
@@ -89,6 +91,9 @@ class ProbeScratch {
     std::optional<core::AnalysisContext> base;
     /// Converged warm start over `base` (never mutated; copied per probe).
     core::JitterMap base_start;
+    /// The residents' converged results, in `base` order — the probe's
+    /// seed (pointers into the pinned `results`).
+    std::vector<const core::FlowResult*> base_seed;
     /// Merge order; `shard` indexes ctxs/results, not snapshot shards.
     std::vector<MergeEnt> srcs;
     std::uint64_t stamp = 0;  ///< LRU clock value of the last use

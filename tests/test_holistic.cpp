@@ -4,11 +4,14 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "core/priority.hpp"
 #include "engine/analysis_engine.hpp"
+#include "engine/shard.hpp"
 #include "net/topology.hpp"
 #include "util/rng.hpp"
 #include "workload/scenario.hpp"
@@ -275,39 +278,67 @@ TEST(HolisticOrder, RandomizedTreesMatchJacobi) {
   EXPECT_GE(converged, 32) << "too few fixed points were compared";
 }
 
-// The near-critical ring of bench_holistic_convergence: two equal-priority
-// flows cross X->Y and Z->W in opposite route order, so the link successor
-// graph has the cycle X->Y -> Y->M -> M->Z -> Z->W -> W->N -> N->X -> X->Y
-// and the sweep must fall back to repeated passes in a broken-cycle order.
-TEST(HolisticOrder, CyclicRingMatchesJacobi) {
-  net::Network netw;
-  const auto X = netw.add_switch("X"), Y = netw.add_switch("Y");
-  const auto M = netw.add_switch("M"), Z = netw.add_switch("Z");
-  const auto W = netw.add_switch("W"), N = netw.add_switch("N");
-  const auto hA = netw.add_endhost("hA"), hA2 = netw.add_endhost("hA2");
-  const auto hB = netw.add_endhost("hB"), hB2 = netw.add_endhost("hB2");
+/// The near-critical ring of bench_holistic_convergence: six switches
+/// X-Y-M-Z-W-N-X, host hA at X, hA2 at W, hB at Z and hB2 at Y.
+struct RingWorld {
+  net::Network net;
+  net::NodeId X, Y, M, Z, W, N, hA, hA2, hB, hB2;
+};
+
+RingWorld make_ring() {
+  RingWorld r;
+  net::Network& netw = r.net;
+  r.X = netw.add_switch("X");
+  r.Y = netw.add_switch("Y");
+  r.M = netw.add_switch("M");
+  r.Z = netw.add_switch("Z");
+  r.W = netw.add_switch("W");
+  r.N = netw.add_switch("N");
+  r.hA = netw.add_endhost("hA");
+  r.hA2 = netw.add_endhost("hA2");
+  r.hB = netw.add_endhost("hB");
+  r.hB2 = netw.add_endhost("hB2");
   const ethernet::LinkSpeedBps sp = 100'000'000;
-  netw.add_duplex_link(X, Y, sp);
-  netw.add_duplex_link(Y, M, sp);
-  netw.add_duplex_link(M, Z, sp);
-  netw.add_duplex_link(Z, W, sp);
-  netw.add_duplex_link(W, N, sp);
-  netw.add_duplex_link(N, X, sp);
-  netw.add_duplex_link(hA, X, sp);
-  netw.add_duplex_link(W, hA2, sp);
-  netw.add_duplex_link(hB, Z, sp);
-  netw.add_duplex_link(Y, hB2, sp);
+  netw.add_duplex_link(r.X, r.Y, sp);
+  netw.add_duplex_link(r.Y, r.M, sp);
+  netw.add_duplex_link(r.M, r.Z, sp);
+  netw.add_duplex_link(r.Z, r.W, sp);
+  netw.add_duplex_link(r.W, r.N, sp);
+  netw.add_duplex_link(r.N, r.X, sp);
+  netw.add_duplex_link(r.hA, r.X, sp);
+  netw.add_duplex_link(r.W, r.hA2, sp);
+  netw.add_duplex_link(r.hB, r.Z, sp);
+  netw.add_duplex_link(r.Y, r.hB2, sp);
   netw.validate();
+  return r;
+}
+
+gmf::FrameSpec ring_frame(std::int64_t sep_us, std::int64_t payload_bytes) {
+  gmf::FrameSpec fs;
+  fs.min_separation = gmfnet::Time::us(sep_us);
+  fs.deadline = gmfnet::Time::ms(500);
+  fs.jitter = gmfnet::Time::ms(2);
+  fs.payload_bits = payload_bytes * 8;
+  return fs;
+}
+
+/// The ring's two equal-priority flows: they cross X->Y and Z->W in
+/// opposite route order, so the link successor graph has the cycle X->Y ->
+/// Y->M -> M->Z -> Z->W -> W->N -> N->X -> X->Y.
+std::vector<gmf::Flow> ring_flows(const RingWorld& r, std::int64_t sep_us) {
+  const gmf::FrameSpec fs = ring_frame(sep_us, 1000);
+  return {gmf::Flow("A", net::Route({r.hA, r.X, r.Y, r.M, r.Z, r.W, r.hA2}),
+                    {fs}, 3),
+          gmf::Flow("B", net::Route({r.hB, r.Z, r.W, r.N, r.X, r.Y, r.hB2}),
+                    {fs}, 3)};
+}
+
+// The sweep must fall back to repeated passes in a broken-cycle order.
+TEST(HolisticOrder, CyclicRingMatchesJacobi) {
+  const RingWorld ring = make_ring();
   for (const std::int64_t sep_us : {400, 205}) {
-    gmf::FrameSpec fs;
-    fs.min_separation = gmfnet::Time::us(sep_us);
-    fs.deadline = gmfnet::Time::ms(500);
-    fs.jitter = gmfnet::Time::ms(2);
-    fs.payload_bits = 1000 * 8;
-    const std::vector<gmf::Flow> flows = {
-        gmf::Flow("A", net::Route({hA, X, Y, M, Z, W, hA2}), {fs}, 3),
-        gmf::Flow("B", net::Route({hB, Z, W, N, X, Y, hB2}), {fs}, 3)};
-    const AnalysisContext ctx(netw, flows);
+    const std::vector<gmf::Flow> flows = ring_flows(ring, sep_us);
+    const AnalysisContext ctx(ring.net, flows);
     const HolisticResult r = analyze_holistic(ctx);
     EXPECT_TRUE(r.converged) << sep_us;
     EXPECT_GT(r.sweeps, 2) << "a cyclic key graph needs repeated passes";
@@ -352,6 +383,269 @@ TEST(HolisticOrder, TreeProbeMatchesFromScratch) {
   const HolisticResult cold =
       analyze_holistic(AnalysisContext(tree.net, flows), opts);
   expect_same_results(probe.result(), cold, "tree probe");
+}
+
+// ------------------------------------------------------------------------
+// Seeded restricted solves.  After an add or a removal, the engine re-solves
+// the dirty component from the old fixed point's jitters *and* stage
+// results, with only the keys on the changed links stale.  The seeded solve
+// must match the same request without a seed and the cold Jacobi oracle,
+// bit for bit — from below (an add) on any key graph, from above (a
+// removal) where the key graph is acyclic, and by falling back to the
+// source jitters where it is not.
+
+/// One change to a converged world, described over the world after it.
+struct Change {
+  std::vector<gmf::Flow> flows;  ///< the world after the change
+  JitterMap start;               ///< the old fixed point, new flow ids
+  std::vector<FlowResult> old;   ///< old converged results, new flow ids
+  std::set<LinkRef> changed;     ///< route links of the changed flow
+  bool above = false;            ///< a removal: the old state is above
+};
+
+/// `candidate` joins the converged world `residents` (as the last flow).
+/// Returns nullopt when the residents do not converge.
+std::optional<Change> add_change(const net::Network& net,
+                                 std::vector<gmf::Flow> residents,
+                                 const gmf::Flow& candidate) {
+  HolisticResult before = analyze_holistic(AnalysisContext(net, residents));
+  if (!before.converged) return std::nullopt;
+  Change c;
+  c.flows = std::move(residents);
+  c.flows.push_back(candidate);
+  const AnalysisContext ctx(net, c.flows);
+  const FlowId cand(static_cast<std::int32_t>(c.flows.size() - 1));
+  c.start = std::move(before.jitters);
+  c.start.reset_to_source(ctx, cand);
+  c.old = std::move(before.flows);
+  for (const LinkRef l : ctx.route_links(cand)) c.changed.insert(l);
+  return c;
+}
+
+/// Flow `idx` leaves the converged world `flows`.  Returns nullopt when the
+/// world does not converge.
+std::optional<Change> remove_change(const net::Network& net,
+                                    std::vector<gmf::Flow> flows,
+                                    std::size_t idx) {
+  const AnalysisContext full(net, flows);
+  HolisticResult before = analyze_holistic(full);
+  if (!before.converged) return std::nullopt;
+  const FlowId gone(static_cast<std::int32_t>(idx));
+  Change c;
+  for (const LinkRef l : full.route_links(gone)) c.changed.insert(l);
+  c.start = std::move(before.jitters);
+  c.start.erase_flow(gone);
+  c.old = std::move(before.flows);
+  c.old.erase(c.old.begin() + static_cast<std::ptrdiff_t>(idx));
+  flows.erase(flows.begin() + static_cast<std::ptrdiff_t>(idx));
+  c.flows = std::move(flows);
+  c.above = true;
+  return c;
+}
+
+/// The engine's restricted re-solve of `c` over its dirty closure, with or
+/// without the seed; clean flows adopt their old results and the verdict
+/// is finalized, as Shard::run does.  `seed_above` defaults to the
+/// change's direction.
+HolisticResult solve_change(const AnalysisContext& ctx, const Change& c,
+                            bool seeded, IncrementalStats* stats,
+                            std::optional<bool> seed_above = std::nullopt) {
+  const std::vector<bool> dirty = engine::dirty_closure(
+      ctx, std::vector<bool>(ctx.flow_count(), false), c.changed,
+      c.old.size());
+  std::vector<const FlowResult*> seed;
+  for (const FlowResult& fr : c.old) seed.push_back(&fr);
+  SolveRequest req;
+  req.dirty = &dirty;
+  req.start = WarmStartView(c.start);
+  if (seeded) {
+    req.seed = &seed;
+    req.changed_links = &c.changed;
+  }
+  req.seed_above = seed_above.value_or(c.above);
+  HolisticOptions opts;
+  opts.max_sweeps = 512;
+  HolisticResult r = solve_holistic(ctx, req, opts, stats);
+  for (std::size_t f = 0; f < c.old.size(); ++f) {
+    if (!dirty[f]) r.flows[f] = c.old[f];
+  }
+  engine::finalize_schedulable(r);
+  return r;
+}
+
+/// Seeded == unseeded == cold Jacobi on the world after `c`; returns the
+/// seeded solve's counters.
+IncrementalStats expect_seeded_matches(const net::Network& net,
+                                       const Change& c,
+                                       const std::string& where) {
+  const AnalysisContext ctx(net, c.flows);
+  IncrementalStats seeded_stats;
+  IncrementalStats plain_stats;
+  const HolisticResult seeded = solve_change(ctx, c, true, &seeded_stats);
+  const HolisticResult plain = solve_change(ctx, c, false, &plain_stats);
+  HolisticOptions jc;
+  jc.order = SweepOrder::kJacobi;
+  jc.threads = 2;
+  jc.max_sweeps = 512;
+  expect_same_results(seeded, plain, where + " (seeded vs unseeded)");
+  expect_same_results(seeded, analyze_holistic(ctx, jc),
+                      where + " (seeded vs Jacobi)");
+  EXPECT_LE(seeded_stats.flow_analyses, plain_stats.flow_analyses) << where;
+  EXPECT_LE(seeded_stats.sweeps, plain_stats.sweeps) << where;
+  EXPECT_EQ(plain_stats.results_kept, 0u) << where;
+  return seeded_stats;
+}
+
+/// One generated world of the order tests.
+struct World {
+  std::string name;
+  net::Network net;
+  std::vector<gmf::Flow> flows;
+};
+
+/// The generated star and tree sets of the order tests.
+std::vector<World> generated_sets() {
+  std::vector<World> out;
+  for (std::uint64_t seed = 0; seed < 24; ++seed) {
+    const auto star = net::make_star_network(6 + static_cast<int>(seed % 3),
+                                             100'000'000);
+    out.push_back({"star seed " + std::to_string(seed), star.net,
+                   random_flows(star.net, star.hosts, seed, seed % 4 == 3)});
+  }
+  for (const int depth : {3, 4}) {
+    const auto tree = net::make_tree_network(depth, 2, 100'000'000);
+    for (std::uint64_t seed = 0; seed < 12; ++seed) {
+      for (const bool equal : {false, true}) {
+        out.push_back({"tree depth " + std::to_string(depth) + " seed " +
+                           std::to_string(seed) + (equal ? " equal" : ""),
+                       tree.net,
+                       random_flows(tree.net, tree.hosts, seed, equal)});
+      }
+    }
+  }
+  return out;
+}
+
+TEST(SeededSolve, GeneratedAddsMatchUnseededAndJacobi) {
+  int compared = 0;
+  std::size_t kept = 0;
+  for (const World& w : generated_sets()) {
+    if (w.flows.size() < 2) continue;
+    const std::vector<gmf::Flow> residents(w.flows.begin(),
+                                           w.flows.end() - 1);
+    const std::optional<Change> c =
+        add_change(w.net, residents, w.flows.back());
+    if (!c) continue;
+    ++compared;
+    kept += expect_seeded_matches(w.net, *c, "add: " + w.name).results_kept;
+  }
+  EXPECT_GE(compared, 40) << "too few converged worlds were compared";
+  EXPECT_GT(kept, 0u) << "no seeded result was ever kept";
+}
+
+TEST(SeededSolve, GeneratedRemovalsMatchUnseededAndJacobi) {
+  int compared = 0;
+  std::size_t kept = 0;
+  for (const World& w : generated_sets()) {
+    if (w.flows.size() < 2) continue;
+    for (const std::size_t idx : {std::size_t{0}, w.flows.size() / 2}) {
+      const std::optional<Change> c = remove_change(w.net, w.flows, idx);
+      if (!c) continue;
+      ++compared;
+      kept += expect_seeded_matches(
+                  w.net, *c, "remove " + std::to_string(idx) + ": " + w.name)
+                  .results_kept;
+    }
+  }
+  EXPECT_GE(compared, 80) << "too few converged worlds were compared";
+  EXPECT_GT(kept, 0u) << "no seeded result was ever kept";
+}
+
+// On the equal-priority ring, a third flow C (hA -> X -> Y -> hB2) joins or
+// leaves the cyclic pair A, B.  Seeding from below is exact on the cycle.
+// Seeding from above is not: the descent from the three-flow fixed point
+// stops on a higher fixed point of the pair, so the removal must restart
+// the dirty flows from their source jitters — exactly the unseeded solve.
+TEST(SeededSolve, CyclicRingSeedsFromBelowAndFallsBackFromAbove) {
+  const RingWorld ring = make_ring();
+  std::vector<gmf::Flow> flows = ring_flows(ring, 400);
+  flows.emplace_back("C", net::Route({ring.hA, ring.X, ring.Y, ring.hB2}),
+                     std::vector<gmf::FrameSpec>{ring_frame(2000, 200)}, 3);
+
+  // From below: B joins A (the cycle closes), C joins the pair.
+  for (const std::size_t n : {std::size_t{1}, std::size_t{2}}) {
+    const std::vector<gmf::Flow> residents(flows.begin(),
+                                           flows.begin() + n);
+    const std::optional<Change> c = add_change(ring.net, residents, flows[n]);
+    ASSERT_TRUE(c.has_value());
+    expect_seeded_matches(ring.net, *c,
+                          "ring add of flow " + std::to_string(n));
+  }
+
+  // From above on an acyclic remainder: B leaves, A alone is a path.
+  {
+    const std::vector<gmf::Flow> pair(flows.begin(), flows.begin() + 2);
+    const std::optional<Change> c = remove_change(ring.net, pair, 1);
+    ASSERT_TRUE(c.has_value());
+    expect_seeded_matches(ring.net, *c, "ring removal of B");
+  }
+
+  // From above on the cyclic remainder: C leaves A and B.
+  const std::optional<Change> c = remove_change(ring.net, flows, 2);
+  ASSERT_TRUE(c.has_value());
+  const IncrementalStats seeded =
+      expect_seeded_matches(ring.net, *c, "ring removal of C");
+  const AnalysisContext ctx(ring.net, c->flows);
+  IncrementalStats plain;
+  (void)solve_change(ctx, *c, false, &plain);
+  // The seed was dropped: the same work as the unseeded solve, none kept.
+  EXPECT_EQ(seeded.flow_analyses, plain.flow_analyses);
+  EXPECT_EQ(seeded.sweeps, plain.sweeps);
+  EXPECT_EQ(seeded.results_kept, 0u);
+  // Why: honoured, the seed from above lands on a higher fixed point.
+  const HolisticResult descent =
+      solve_change(ctx, *c, true, nullptr, /*seed_above=*/false);
+  const HolisticResult least = analyze_holistic(ctx);
+  ASSERT_TRUE(descent.converged);
+  EXPECT_FALSE(descent.jitters == least.jitters);
+  EXPECT_GT(descent.worst_response(FlowId(0)),
+            least.worst_response(FlowId(0)));
+}
+
+// The stop rule for seeded solves.  Re-solved from its own fixed point with
+// every ring link marked changed, the ring's first sweep re-analyses every
+// node — the ones on back edges too — and writes no changed jitter.  A
+// re-analysed back-edge node must still keep the solve going: its
+// successor, visited earlier in the sweep, has not seen the new result.
+// (Here the result is the same, so the second sweep analyses nothing and
+// confirms the fixed point.)
+TEST(SeededSolve, ReanalysedBackEdgeKeepsTheSolveGoing) {
+  const RingWorld ring = make_ring();
+  const std::vector<gmf::Flow> flows = ring_flows(ring, 400);
+  const AnalysisContext ctx(ring.net, flows);
+  const HolisticResult fixed = analyze_holistic(ctx);
+  ASSERT_TRUE(fixed.converged);
+
+  const std::vector<bool> all(flows.size(), true);
+  std::vector<const FlowResult*> seed;
+  for (const FlowResult& fr : fixed.flows) seed.push_back(&fr);
+  std::set<LinkRef> changed;
+  for (std::size_t f = 0; f < flows.size(); ++f) {
+    const FlowId id(static_cast<std::int32_t>(f));
+    for (const LinkRef l : ctx.route_links(id)) changed.insert(l);
+  }
+  SolveRequest req;
+  req.dirty = &all;
+  req.start = WarmStartView(fixed.jitters);
+  req.seed = &seed;
+  req.changed_links = &changed;
+  IncrementalStats stats;
+  HolisticResult again = solve_holistic(ctx, req, HolisticOptions{}, &stats);
+  engine::finalize_schedulable(again);
+  expect_same_results(again, fixed, "seeded ring re-solve");
+  EXPECT_EQ(again.sweeps, 2);
+  EXPECT_EQ(stats.flow_analyses, 2u);  // both flows in sweep 1, none after
+  EXPECT_EQ(stats.results_kept, 0u);
 }
 
 }  // namespace
