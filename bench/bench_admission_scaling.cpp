@@ -23,6 +23,9 @@
 //
 //   $ ./bench_admission_scaling [probes_per_size]
 //
+// Both tables also print the sharded engine's per-frame hop analyses per
+// probe, run and served from an identical node's result (informational).
+//
 // Exits non-zero if sharded admission is not >= 5x faster than
 // from-scratch at 64+ campus residents, not >= 3x faster than from-scratch
 // on the 4-domain 256-resident scenario, or if any two paths disagree on a
@@ -80,7 +83,7 @@ int main(int argc, char** argv) {
 
   Table t("Per-admission decision cost (median over probes)");
   t.set_columns({"resident flows", "from-scratch us", "sharded us", "speedup",
-                 "verdicts agree"});
+                 "hops run / shared", "verdicts agree"});
   CsvWriter csv({"section", "residents", "scratch_us", "incremental_us",
                  "speedup"});
   BenchJsonWriter json("admission_scaling");
@@ -104,6 +107,7 @@ int main(int argc, char** argv) {
     scratch_samples.reserve(static_cast<std::size_t>(probes));
     incremental_samples.reserve(static_cast<std::size_t>(probes));
     bool size_agree = true;
+    const engine::EngineStats before = eng.stats();
     for (int p = 0; p < probes; ++p) {
       const gmf::Flow cand = resident_flow(campus, kCells, residents + p);
 
@@ -129,6 +133,11 @@ int main(int argc, char** argv) {
               core::FlowId(static_cast<std::int32_t>(residents)));
     }
     verdicts_agree &= size_agree;
+    const engine::EngineStats after = eng.stats();
+    const double hops_run =
+        static_cast<double>(after.hops_run - before.hops_run) / probes;
+    const double hops_shared =
+        static_cast<double>(after.hops_shared - before.hops_shared) / probes;
     const double scratch_us = median(std::move(scratch_samples));
     const double incremental_us = median(std::move(incremental_samples));
     const double speedup = scratch_us / incremental_us;
@@ -136,6 +145,7 @@ int main(int argc, char** argv) {
 
     t.add_row({std::to_string(residents), Table::fixed(scratch_us, 1),
                Table::fixed(incremental_us, 1), Table::fixed(speedup, 1) + "x",
+               Table::fixed(hops_run, 1) + " / " + Table::fixed(hops_shared, 1),
                size_agree ? "yes" : "NO"});
     csv.begin_row();
     csv.add(std::string("campus"));
@@ -149,6 +159,8 @@ int main(int argc, char** argv) {
     json.add("scratch_us", scratch_us);
     json.add("incremental_us", incremental_us);
     json.add("speedup", speedup);
+    json.add("hops_run_per_probe", hops_run);
+    json.add("hops_shared_per_probe", hops_shared);
     json.add("verdicts_agree", size_agree);
   }
   t.print();
@@ -185,6 +197,7 @@ int main(int argc, char** argv) {
 
   std::vector<double> fs_s, mono_s, shard_s;
   bool hub_agree = true;
+  const engine::EngineStats hub_before = sharded.stats();
   const int fs_probes = std::min(probes, 8);  // from-scratch is slow here
   for (int p = 0; p < probes; ++p) {
     const gmf::Flow cand = hub_flow(hub, kFourCells, kFourResidents + p);
@@ -204,6 +217,12 @@ int main(int argc, char** argv) {
     if (p < fs_probes) hub_agree &= ws.admissible == cold.schedulable;
   }
   verdicts_agree &= hub_agree;
+  const engine::EngineStats hub_after = sharded.stats();
+  const double hub_hops_run =
+      static_cast<double>(hub_after.hops_run - hub_before.hops_run) / probes;
+  const double hub_hops_shared =
+      static_cast<double>(hub_after.hops_shared - hub_before.hops_shared) /
+      probes;
   const double fs_us = median(fs_s);
   const double mono_us = median(mono_s);
   const double shard_us = median(shard_s);
@@ -232,6 +251,9 @@ int main(int argc, char** argv) {
               "(expect ~1.0x within noise); the touched-shard copy/closure "
               "win shows in the many-small-domains campus table above\n",
               vs_mono);
+  std::printf("sharded engine per probe: %.1f hop analyses run, %.1f served "
+              "from an identical node's result\n",
+              hub_hops_run, hub_hops_shared);
   csv.begin_row();
   csv.add(std::string("four_domain"));
   csv.add(kFourResidents);
@@ -246,6 +268,8 @@ int main(int argc, char** argv) {
   json.add("mono_us", mono_us);
   json.add("speedup", hub_speedup);
   json.add("speedup_vs_mono", vs_mono);
+  json.add("hops_run_per_probe", hub_hops_run);
+  json.add("hops_shared_per_probe", hub_hops_shared);
   json.add("verdicts_agree", hub_agree);
 
   csv.save("bench_admission_scaling.csv");

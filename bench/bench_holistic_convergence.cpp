@@ -10,6 +10,8 @@
 // climb into a slow geometric ratchet).  Emits the ring's sweep counts and
 // wall times to BENCH_holistic_convergence.json; no gate reads them (the
 // tier-1 HolisticOrder.CyclicRingMatchesJacobi test pins the sweep counts).
+// Both sections also print the link-ordered sweep's per-frame hop analyses
+// run and served from an identical node's result (informational).
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -82,7 +84,7 @@ Ring make_near_critical_ring(std::int64_t separation_us) {
 int run_near_critical_section(BenchJsonWriter& json) {
   std::printf("\n=== Plain Gauss-Seidel on the near-critical ring ===\n\n");
   Table t("Near-saturation ratchet: sweeps and wall time");
-  t.set_columns({"separation", "sweeps", "ms"});
+  t.set_columns({"separation", "sweeps", "ms", "hops run / shared"});
 
   for (const std::int64_t sep_us : {205, 202, 200}) {
     const Ring r = make_near_critical_ring(sep_us);
@@ -91,10 +93,13 @@ int run_near_critical_section(BenchJsonWriter& json) {
     plain.max_sweeps = 512;
 
     core::HolisticResult rp;
+    core::IncrementalStats st;
     double plain_ms = 1e100;
     for (int rep = 0; rep < 5; ++rep) {
-      plain_ms = std::min(
-          plain_ms, wall_ms([&] { rp = core::analyze_holistic(ctx, plain); }));
+      st = {};
+      plain_ms = std::min(plain_ms, wall_ms([&] {
+                            rp = core::solve_holistic(ctx, {}, plain, &st);
+                          }));
     }
     if (!rp.converged) {
       std::printf("plain solve did not converge at %lldus — bench bug\n",
@@ -102,12 +107,16 @@ int run_near_critical_section(BenchJsonWriter& json) {
       return 1;
     }
     t.add_row({Table::num(sep_us) + "us", Table::num(rp.sweeps),
-               Table::fixed(plain_ms, 2)});
+               Table::fixed(plain_ms, 2),
+               Table::num(static_cast<double>(st.hops_run)) + " / " +
+                   Table::num(static_cast<double>(st.hops_shared))});
     json.begin_row();
     json.add("section", std::string("near_critical_ring"));
     json.add("separation_us", static_cast<std::int64_t>(sep_us));
     json.add("plain_sweeps", rp.sweeps);
     json.add("plain_ms", plain_ms);
+    json.add("hops_run", static_cast<std::int64_t>(st.hops_run));
+    json.add("hops_shared", static_cast<std::int64_t>(st.hops_shared));
   }
   t.print();
   return 0;
@@ -128,14 +137,15 @@ int main(int argc, char** argv) {
   Table t("Sweeps to convergence and wall time");
   t.set_columns({"utilization", "converged", "GS sweeps (mean/max)",
                  "Jacobi sweeps (mean/max)", "GS ms", "Jacobi ms",
-                 "fixed points agree"});
+                 "GS hops run / shared", "fixed points agree"});
   CsvWriter csv({"utilization", "converged_frac", "gs_sweeps_mean",
                  "gs_sweeps_max", "jc_sweeps_mean", "jc_sweeps_max", "gs_ms",
-                 "jc_ms", "agree"});
+                 "jc_ms", "gs_hops_run", "gs_hops_shared", "agree"});
 
   for (const double util : {0.1, 0.3, 0.5, 0.7, 0.85}) {
     OnlineStats gs_sweeps, jc_sweeps;
     double gs_ms = 0, jc_ms = 0;
+    core::IncrementalStats gs_stats;
     int converged = 0, total = 0;
     bool agree = true;
     for (int trial = 0; trial < trials; ++trial) {
@@ -157,7 +167,8 @@ int main(int argc, char** argv) {
       core::HolisticOptions jc;
       jc.order = core::SweepOrder::kJacobi;
       core::HolisticResult rg, rj;
-      gs_ms += wall_ms([&] { rg = core::analyze_holistic(ctx, gs); });
+      gs_ms += wall_ms(
+          [&] { rg = core::solve_holistic(ctx, {}, gs, &gs_stats); });
       jc_ms += wall_ms([&] { rj = core::analyze_holistic(ctx, jc); });
       agree &= rj.converged == rg.converged;
       if (rg.converged) {
@@ -178,6 +189,9 @@ int main(int argc, char** argv) {
                Table::fixed(jc_sweeps.mean(), 1) + " / " +
                    Table::num(jc_sweeps.max()),
                Table::fixed(gs_ms, 1), Table::fixed(jc_ms, 1),
+               Table::num(static_cast<double>(gs_stats.hops_run)) +
+                   " / " +
+                   Table::num(static_cast<double>(gs_stats.hops_shared)),
                agree ? "yes" : "NO"});
     csv.begin_row();
     csv.add(util);
@@ -188,6 +202,8 @@ int main(int argc, char** argv) {
     csv.add(jc_sweeps.max());
     csv.add(gs_ms);
     csv.add(jc_ms);
+    csv.add(static_cast<std::int64_t>(gs_stats.hops_run));
+    csv.add(static_cast<std::int64_t>(gs_stats.hops_shared));
     csv.add(agree ? "1" : "0");
     if (!agree) {
       t.print();

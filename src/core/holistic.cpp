@@ -6,6 +6,9 @@
 #include <queue>
 #include <stdexcept>
 
+#include "core/egress.hpp"
+#include "core/hop_level.hpp"
+#include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
 namespace gmfnet::core {
@@ -150,6 +153,8 @@ struct SweepGroup {
   StageKey key;
   LinkRef link;  ///< L
   std::vector<SweepNode> nodes;
+  std::size_t frames = 0;  ///< per-frame hops of the nodes (an upper bound
+                           ///< on one visit's analyses)
   /// Inputs changed since the nodes' last analysis: a written entry, or
   /// (before the first sweep of a seeded solve) L's flow set.
   bool stale = true;
@@ -233,10 +238,15 @@ SweepPlan link_ordered_groups(const AnalysisContext& ctx,
   for (std::size_t f = 0; f < iterated.size(); ++f) {
     const std::vector<std::size_t>& rk = route_keys[f];
     for (std::size_t t = 0; t < rk.size(); ++t) {
-      groups[2 * pos[rk[t]]].nodes.push_back({iterated[f], 2 * t, false});
+      const std::size_t frames = ctx.flow(iterated[f]).frame_count();
+      SweepGroup& link_group = groups[2 * pos[rk[t]]];
+      link_group.nodes.push_back({iterated[f], 2 * t, false});
+      link_group.frames += frames;
       if (t + 1 < rk.size()) {
-        groups[2 * pos[rk[t]] + 1].nodes.push_back(
+        SweepGroup& ingress_group = groups[2 * pos[rk[t]] + 1];
+        ingress_group.nodes.push_back(
             {iterated[f], 2 * t + 1, pos[rk[t + 1]] < pos[rk[t]]});
+        ingress_group.frames += frames;
       }
     }
   }
@@ -253,12 +263,130 @@ const HopResult* previous_hop(const FrameResult& frame, std::size_t stage) {
   return prev.converged ? &prev : nullptr;
 }
 
+// ------------------------------------------------- shared hop results --
+
+/// What analyze_stage reads about the analysed flow of a node, less the
+/// frame (see holistic.hpp); the rest of what it reads is the same for
+/// every node of a group visit.
+struct NodeKey {
+  const gmf::FlowLinkParams* params = nullptr;  ///< compared by content
+  gmfnet::Time shift;
+  /// A link group may hold first-hop (stage 0) and egress nodes; route
+  /// validation keeps them apart today, the key does not rely on it.
+  HopKind kind = HopKind::kFirstHop;
+  std::int64_t priority = 0;  ///< egress only, else 0
+  /// Egress only: egress_feasible of `flow`, -1 until a twin asks.
+  std::int8_t feasible = -1;
+  FlowId flow;
+  std::uint64_t hash = 0;
+};
+
+NodeKey node_key(const AnalysisContext& ctx, const JitterMap& jitters,
+                 const SweepGroup& g, const SweepNode& nd) {
+  NodeKey key;
+  key.params = &ctx.link_params(nd.flow, g.link);
+  key.shift = jitters.max_jitter(nd.flow, g.key);
+  key.kind = nd.stage == 0      ? HopKind::kFirstHop
+             : g.key.is_link()  ? HopKind::kEgress
+                                : HopKind::kIngress;
+  if (key.kind == HopKind::kEgress) key.priority = ctx.flow(nd.flow).priority();
+  key.flow = nd.flow;
+  key.hash = mix64(key.params->digest() ^
+                   mix64(static_cast<std::uint64_t>(key.shift.ps()) ^
+                         (static_cast<std::uint64_t>(key.priority) << 2) ^
+                         static_cast<std::uint64_t>(key.kind)));
+  return key;
+}
+
+/// One analysed (node, frame) of a group visit and its result.
+struct SharedHop {
+  std::uint64_t visit = 0;  ///< the table's visit when claimed
+  std::uint64_t hash = 0;
+  std::size_t frame = 0;
+  NodeKey key;
+  HopResult hop;
+};
+
+/// Per-thread open-addressed table of one group visit's hop results.
+/// Starting a visit forgets every entry in O(1) (a new visit id), and the
+/// slots grow only when a group has more hops than any before it, so the
+/// steady state allocates nothing.
+class SharedHops {
+ public:
+  static SharedHops& local() {
+    thread_local SharedHops table;
+    return table;
+  }
+
+  /// Starts a visit of at most `hops` analyses.
+  void begin(std::size_t hops) {
+    ++visit_;
+    if (slots_.size() < 2 * hops) {
+      std::size_t cap = 16;
+      while (cap < 2 * hops) cap *= 2;
+      slots_.assign(cap, SharedHop{});
+    }
+  }
+
+  /// The entry of this visit whose node is `key`'s twin at `frame`, or the
+  /// free slot where (key, frame) goes (then holds() is false).
+  /// `feasible(flow)` is egress_feasible at the group's egress port; it
+  /// runs only for egress keys that match in everything else.
+  template <typename Feasible>
+  SharedHop& find(NodeKey& key, std::size_t frame, Feasible&& feasible) {
+    const std::uint64_t hash = hash_of(key, frame);
+    const std::size_t mask = slots_.size() - 1;
+    for (std::size_t i = mix64(hash) & mask;; i = (i + 1) & mask) {
+      SharedHop& e = slots_[i];
+      if (e.visit != visit_ ||
+          (e.hash == hash && e.frame == frame && twins(e.key, key, feasible))) {
+        return e;
+      }
+    }
+  }
+
+  [[nodiscard]] bool holds(const SharedHop& e) const {
+    return e.visit == visit_;
+  }
+  /// Fills the free slot `e` (from find) with (key, frame)'s result.
+  void claim(SharedHop& e, const NodeKey& key, std::size_t frame,
+             const HopResult& hop) {
+    e.visit = visit_;
+    e.hash = hash_of(key, frame);
+    e.frame = frame;
+    e.key = key;
+    e.hop = hop;
+  }
+
+ private:
+  static std::uint64_t hash_of(const NodeKey& key, std::size_t frame) {
+    return key.hash + frame * 0x9E3779B97F4A7C15ull;
+  }
+
+  template <typename Feasible>
+  static bool twins(NodeKey& a, NodeKey& b, Feasible& feasible) {
+    if (a.shift != b.shift || a.kind != b.kind || a.priority != b.priority ||
+        !(a.params == b.params || a.params->same_content(*b.params))) {
+      return false;
+    }
+    if (a.kind != HopKind::kEgress) return true;
+    if (a.feasible < 0) a.feasible = feasible(a.flow) ? 1 : 0;
+    if (b.feasible < 0) b.feasible = feasible(b.flow) ? 1 : 0;
+    return a.feasible == b.feasible;
+  }
+
+  std::vector<SharedHop> slots_;
+  std::uint64_t visit_ = 0;
+};
+
 struct SweepOutcome {
   /// A jitter entry changed, or a back-edge node was analysed (its
   /// successor is written next sweep): not a fixed point yet.
   bool changed = false;
   bool diverged = false;  ///< some frame's hop analysis diverged
   std::size_t flows_analysed = 0;  ///< flows with >= 1 node analysed
+  std::size_t hops_run = 0;        ///< per-frame analyze_stage calls
+  std::size_t hops_shared = 0;     ///< per-frame results copied from a twin
 };
 
 /// One link-ordered Gauss-Seidel sweep.  At each group, step 1 writes every
@@ -275,6 +403,7 @@ SweepOutcome sweep_link_ordered(const AnalysisContext& ctx,
                                 const HopOptions& opts,
                                 std::vector<int>& counted, int sweep) {
   SweepOutcome out;
+  SharedHops& shared = SharedHops::local();
   for (SweepGroup& g : groups) {
     for (const SweepNode& nd : g.nodes) {
       const FlowResult& fr = flows[static_cast<std::size_t>(nd.flow.v)];
@@ -293,17 +422,30 @@ SweepOutcome sweep_link_ordered(const AnalysisContext& ctx,
       }
     }
 
+    shared.begin(g.frames);
     for (const SweepNode& nd : g.nodes) {
       const auto f = static_cast<std::size_t>(nd.flow.v);
       FlowResult& fr = flows[f];
+      NodeKey key;  // made when the node's first frame is analysed
       bool analysed = false;
       for (std::size_t k = 0; k < fr.frames.size(); ++k) {
         FrameResult& fk = fr.frames[k];
         if (nd.stage > 0 && previous_hop(fk, nd.stage) == nullptr) continue;
         const bool had = fk.stages.size() > nd.stage;
         if (had && !g.stale) continue;
-        const HopResult hop =
-            analyze_stage(ctx, jitters, nd.flow, nd.stage, k, opts);
+        if (!analysed) key = node_key(ctx, jitters, g, nd);
+        SharedHop& e = shared.find(key, k, [&](FlowId id) {
+          return egress_feasible(ctx, id, g.link.src);
+        });
+        HopResult hop;
+        if (shared.holds(e)) {
+          hop = e.hop;
+          ++out.hops_shared;
+        } else {
+          hop = analyze_stage(ctx, jitters, nd.flow, nd.stage, k, opts);
+          ++out.hops_run;
+          shared.claim(e, key, k, hop);
+        }
         analysed = true;
         if (had) {
           fk.stages[nd.stage].hop = hop;
@@ -412,6 +554,8 @@ HolisticResult solve_holistic(const AnalysisContext& ctx,
     if (stats != nullptr) {
       ++stats->sweeps;
       stats->flow_analyses += so.flows_analysed;
+      stats->hops_run += so.hops_run;
+      stats->hops_shared += so.hops_shared;
     }
     // Any per-hop divergence means the jitters would grow without bound:
     // not converged, so unschedulable.

@@ -42,10 +42,32 @@
 // may have several fixed points) the solve drops a seed from above and
 // restarts the dirty flows from their source jitters.
 //
+// Shared hop results.  Besides its key's jitter entries and the flows on
+// its link, which every node of a group visit reads alike, a stage
+// analysis reads only this about the analysed flow: its FlowLinkParams on
+// the link, its shift (its max jitter at the key), the frame, which hop
+// analysis runs, and at an egress its priority (it selects hep, eq 2) and
+// its own egress_feasible bit.  That last one is needed because eq (35)'s
+// level load is a floating-point sum in an order that depends on the
+// analysed flow, so two otherwise equal flows can round to either side of
+// 1.0.  Nodes of one visit that agree on all of it get bit-identical
+// results, so the sweep runs analyze_stage once per distinct key and
+// copies the HopResult to the key's twins; on a hub of one call codec and
+// one camera model, 339 per-frame hops become 45 analyses.  The interferer
+// side agrees too: equal parameters give equal demand curves, so with an
+// equal shift twins fall in one LinkLevel class (core/hop_level.hpp), and
+// removing either twin from the link's flows (or, at an egress, from the
+// flows of priority >= theirs) leaves the same class multiset.  Parameters
+// match by content (FlowLinkParams::digest, then an exact compare), never
+// by a hash alone.  The keys live in a per-thread open-addressed table
+// that a group visit resets in O(1), so keying allocates nothing in the
+// steady state.
+//
 // `HolisticResult::sweeps` counts these passes; `IncrementalStats::
 // flow_analyses` counts, per sweep, the flows with at least one node
-// analysed, and `IncrementalStats::results_kept` the seeded flows that
-// finished with none.
+// analysed (run or served from a twin), `IncrementalStats::results_kept`
+// the seeded flows that finished with none, and `hops_run` / `hops_shared`
+// the per-frame analyses run and copied.
 //
 // A whole-set solve may instead ask for Jacobi sweeps (SweepOrder::kJacobi):
 // whole flows analysed against a frozen snapshot, embarrassingly parallel
@@ -135,6 +157,11 @@ struct IncrementalStats {
   std::size_t sweeps = 0;         ///< sweeps executed
   std::size_t results_kept = 0;   ///< seeded flows that finished with no
                                   ///< node analysed
+  /// Per-frame hop analyses of the link-ordered sweep: run, and served from
+  /// an identical node's result in the same group visit (see the header).
+  /// A node served a shared result still counts in flow_analyses.
+  std::size_t hops_run = 0;
+  std::size_t hops_shared = 0;
 };
 
 /// One solve, described as a request.  This is the single solver entry

@@ -47,6 +47,15 @@
 // curve the class only uses by content.  Its own demand is evaluated from
 // its current shift through the slot's single-entry self envelope.
 //
+// The analysed side.  Given the table, an analysed flow's interferer
+// envelope depends only on its class (curve content and shift) and, at an
+// egress, its priority: flows equal in those see the same class multiset,
+// since each is the other's interferer.  The rest of a hop analysis reads
+// the flow's own FlowLinkParams, which fix its curve.  The link-ordered
+// sweep (core/holistic.cpp) therefore runs one analysis per distinct
+// (parameters, shift, frame, hop kind, egress priority and feasibility)
+// within a group visit and copies the result to the other nodes.
+//
 // Everything here is per-thread (HopScratch::local()): no locks, no
 // allocation on the steady-state path, safe under Jacobi sweeps and the
 // engine's batched what-if pools, where each worker has its own tables.

@@ -34,6 +34,8 @@ EngineStats AnalysisEngine::stats() const {
   out.flow_results_reused =
       stats_.flow_results_reused.v.load(std::memory_order_relaxed);
   out.sweeps = stats_.sweeps.v.load(std::memory_order_relaxed);
+  out.hops_run = stats_.hops_run.v.load(std::memory_order_relaxed);
+  out.hops_shared = stats_.hops_shared.v.load(std::memory_order_relaxed);
   return out;
 }
 
@@ -44,6 +46,8 @@ void AnalysisEngine::reset_stats() {
   stats_.flow_analyses.v.store(0, std::memory_order_relaxed);
   stats_.flow_results_reused.v.store(0, std::memory_order_relaxed);
   stats_.sweeps.v.store(0, std::memory_order_relaxed);
+  stats_.hops_run.v.store(0, std::memory_order_relaxed);
+  stats_.hops_shared.v.store(0, std::memory_order_relaxed);
 }
 
 void AnalysisEngine::record_run(const RunStats& rs) {
@@ -59,6 +63,8 @@ void AnalysisEngine::record_run(const RunStats& rs) {
   stats_.flow_results_reused.v.fetch_add(rs.flow_results_reused,
                                          std::memory_order_relaxed);
   stats_.sweeps.v.fetch_add(rs.sweeps, std::memory_order_relaxed);
+  stats_.hops_run.v.fetch_add(rs.hops_run, std::memory_order_relaxed);
+  stats_.hops_shared.v.fetch_add(rs.hops_shared, std::memory_order_relaxed);
 }
 
 std::vector<std::uint32_t> AnalysisEngine::touched_shards(

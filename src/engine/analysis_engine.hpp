@@ -93,6 +93,11 @@ struct EngineStats {
   /// tagged key/value section.
   std::size_t accel_accepted = 0;
   std::size_t accel_rejected = 0;    ///< always 0 (see accel_accepted)
+  /// Per-frame hop analyses run, and served from an identical node's
+  /// result (core::IncrementalStats).  In-process only: not on the STATS
+  /// wire, so a client reads 0.
+  std::size_t hops_run = 0;
+  std::size_t hops_shared = 0;
 };
 
 class AnalysisEngine {
@@ -283,6 +288,8 @@ class AnalysisEngine {
     PaddedCounter flow_analyses;
     PaddedCounter flow_results_reused;
     PaddedCounter sweeps;
+    PaddedCounter hops_run;
+    PaddedCounter hops_shared;
   };
 
   /// Shard indices (ascending, deduped) owning the given route links; all

@@ -124,6 +124,8 @@ RunStats Shard::run(const core::HolisticOptions& opts) {
   rs.flow_analyses = is.flow_analyses;
   rs.sweeps = is.sweeps;
   rs.flow_results_reused = is.results_kept;
+  rs.hops_run = is.hops_run;
+  rs.hops_shared = is.hops_shared;
 
   // Clean flows keep their converged results verbatim.
   for (std::size_t f = 0; f < n; ++f) {

@@ -37,6 +37,8 @@ struct RunStats {
   /// FlowResults carried over with no node analysed: clean flows, and
   /// seeded dirty flows the solve kept.
   std::size_t flow_results_reused = 0;
+  std::size_t hops_run = 0;     ///< core::IncrementalStats::hops_run
+  std::size_t hops_shared = 0;  ///< core::IncrementalStats::hops_shared
 };
 
 /// Where one global flow id lives: which shard, and at which shard-local id.

@@ -2,6 +2,8 @@
 
 #include <cassert>
 
+#include "util/rng.hpp"
+
 namespace gmfnet::gmf {
 
 FlowLinkParams::FlowLinkParams(const Flow& flow,
@@ -34,6 +36,12 @@ FlowLinkParams::FlowLinkParams(const Flow& flow,
     c_prefix_[i + 1] = c_prefix_[i] + c_[i % n].ps();
     n_prefix_[i + 1] = n_prefix_[i] + nframes_[i % n];
     t_prefix_[i + 1] = t_prefix_[i] + t_[i % n].ps();
+  }
+
+  digest_ = mix64(static_cast<std::uint64_t>(speed_));
+  for (std::size_t k = 0; k < n; ++k) {
+    digest_ = mix64(digest_ ^ static_cast<std::uint64_t>(c_[k].ps()));
+    digest_ = mix64(digest_ ^ static_cast<std::uint64_t>(t_[k].ps()));
   }
 }
 

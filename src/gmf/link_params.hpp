@@ -51,6 +51,17 @@ class FlowLinkParams {
   /// convergence preconditions, eqs 20/34/35).
   [[nodiscard]] double utilization() const;
 
+  /// Digest of the content, computed once at construction: equal content
+  /// gives equal digests.  Only a filter — same_content is the exact check.
+  [[nodiscard]] std::uint64_t digest() const { return digest_; }
+  /// Exact content equality: the same link speed and per-frame C and T,
+  /// hence the same per-frame N, MFT, CSUM/NSUM/TSUM, windows and demand
+  /// curve.
+  [[nodiscard]] bool same_content(const FlowLinkParams& other) const {
+    return digest_ == other.digest_ && speed_ == other.speed_ &&
+           c_ == other.c_ && t_ == other.t_;
+  }
+
  private:
   ethernet::LinkSpeedBps speed_;
   gmfnet::Time mft_;
@@ -64,6 +75,7 @@ class FlowLinkParams {
   std::vector<gmfnet::Time::rep> c_prefix_;   // size 2n+1
   std::vector<std::int64_t> n_prefix_;        // size 2n+1
   std::vector<gmfnet::Time::rep> t_prefix_;   // size 2n+1
+  std::uint64_t digest_ = 0;
 };
 
 }  // namespace gmfnet::gmf

@@ -5,13 +5,16 @@
 
 namespace gmfnet {
 
+std::uint64_t mix64(std::uint64_t x) {
+  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
+  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
+  return x ^ (x >> 31);
+}
+
 namespace {
 std::uint64_t splitmix64(std::uint64_t& x) {
   x += 0x9E3779B97F4A7C15ull;
-  std::uint64_t z = x;
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-  return z ^ (z >> 31);
+  return mix64(x);
 }
 
 std::uint64_t rotl(std::uint64_t x, int k) {

@@ -12,6 +12,9 @@
 
 namespace gmfnet {
 
+/// SplitMix64's finalizer: a bijective 64-bit mix (also a cheap hash).
+[[nodiscard]] std::uint64_t mix64(std::uint64_t x);
+
 /// xoshiro256** 1.0 (Blackman & Vigna), seeded via SplitMix64.
 class Rng {
  public:

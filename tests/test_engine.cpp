@@ -114,10 +114,18 @@ TEST(Engine, HubProbeAnalysesEachFlowOnce) {
   EXPECT_EQ(lock_free.sweeps(), 2);
 
   // Same probe through the engine, whose counters record the solve.
-  const std::size_t analyses = eng.stats().flow_analyses;
+  const EngineStats before = eng.stats();
   const WhatIfResult probe = eng.what_if(candidate);
   EXPECT_EQ(probe.sweeps(), 2);
-  EXPECT_EQ(eng.stats().flow_analyses - analyses, 65u);
+  const EngineStats after = eng.stats();
+  EXPECT_EQ(after.flow_analyses - before.flow_analyses, 65u);
+  // Those 65 flows hold 339 per-frame hops (49 one-frame calls and 16
+  // four-frame cameras, three stages each).  Within a group visit a hop is
+  // run once per distinct key: at the uplink and the ingress FIFO one call
+  // frame and the four camera frames (5 + 5); at each of the 7 downlinks
+  // the same 5, the calls and cameras there split by priority (35).
+  EXPECT_EQ(after.hops_run - before.hops_run, 45u);
+  EXPECT_EQ(after.hops_shared - before.hops_shared, 294u);
 }
 
 // Change-driven re-solves on a two-leaf tree (root R, leaf S1 with hosts
@@ -154,6 +162,10 @@ TEST(Engine, TreeProbeAndRemovalReanalyseOnlyChangedNodes) {
   EngineStats after = eng.stats();
   EXPECT_EQ(after.flow_analyses - before.flow_analyses, 2u);
   EXPECT_EQ(after.flow_results_reused - before.flow_results_reused, 2u);
+  // d's three stages and a's egress, which shares no result with d's: a
+  // arrives at S2 with a larger shift.
+  EXPECT_EQ(after.hops_run - before.hops_run, 4u);
+  EXPECT_EQ(after.hops_shared - before.hops_shared, 0u);
 
   // The commit of d re-solves the same way.
   eng.add_flow(d);

@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "core/egress.hpp"
 #include "core/priority.hpp"
 #include "engine/analysis_engine.hpp"
 #include "engine/shard.hpp"
@@ -646,6 +647,203 @@ TEST(SeededSolve, ReanalysedBackEdgeKeepsTheSolveGoing) {
   EXPECT_EQ(again.sweeps, 2);
   EXPECT_EQ(stats.flow_analyses, 2u);  // both flows in sweep 1, none after
   EXPECT_EQ(stats.results_kept, 0u);
+}
+
+// ------------------------------------------------------------------------
+// Shared hop results.  Within one group visit the link-ordered sweep runs
+// analyze_stage once per distinct key — the analysed flow's parameters on
+// the link (by content), its shift, the frame, the hop kind and, at an
+// egress, its priority and its own egress_feasible bit — and copies the
+// result to the key's twins.  Each world below offers a near twin that a
+// weaker key would share wrongly, next to an exact twin that must share.
+// The results must equal the Jacobi oracle bit for bit, and each stage must
+// equal a fresh analyze_stage against the final jitter map: a group's
+// nodes read only its own key, which no later group writes, so that holds
+// after every link-ordered solve, a divergent one too.
+
+/// Every per-stage HopResult of `r` is what analyze_stage computes for its
+/// node from r's final jitter map.
+void expect_stages_reanalyse(const AnalysisContext& ctx,
+                             const HolisticResult& r,
+                             const std::string& where) {
+  for (std::size_t f = 0; f < r.flows.size(); ++f) {
+    const FlowId id(static_cast<std::int32_t>(f));
+    for (std::size_t k = 0; k < r.flows[f].frames.size(); ++k) {
+      const FrameResult& fk = r.flows[f].frames[k];
+      for (std::size_t s = 0; s < fk.stages.size(); ++s) {
+        const HopResult fresh = analyze_stage(ctx, r.jitters, id, s, k);
+        const HopResult& got = fk.stages[s].hop;
+        const std::string at = where + ": flow " + std::to_string(f) +
+                               " frame " + std::to_string(k) + " stage " +
+                               std::to_string(s);
+        EXPECT_EQ(got.response, fresh.response) << at;
+        EXPECT_EQ(got.converged, fresh.converged) << at;
+        EXPECT_EQ(got.busy_period, fresh.busy_period) << at;
+        EXPECT_EQ(got.instances, fresh.instances) << at;
+        EXPECT_EQ(got.iterations, fresh.iterations) << at;
+      }
+    }
+  }
+}
+
+/// Solves `flows` link-ordered, checks it against Jacobi and against every
+/// stage re-analysed, and returns the solve's counters.
+IncrementalStats expect_sharing_exact(const net::Network& net,
+                                      const std::vector<gmf::Flow>& flows,
+                                      const std::string& where) {
+  const AnalysisContext ctx(net, flows);
+  SolveRequest req;
+  IncrementalStats stats;
+  const HolisticResult r = solve_holistic(ctx, req, HolisticOptions{}, &stats);
+  HolisticOptions jc;
+  jc.order = SweepOrder::kJacobi;
+  jc.threads = 2;
+  expect_same_results(r, analyze_holistic(ctx, jc), where + " (vs Jacobi)");
+  expect_stages_reanalyse(ctx, r, where);
+  return stats;
+}
+
+gmf::FrameSpec shared_frame(std::int64_t payload_bytes,
+                            gmfnet::Time jitter = gmfnet::Time::ms(1)) {
+  gmf::FrameSpec fs;
+  fs.min_separation = gmfnet::Time::ms(5);
+  fs.deadline = gmfnet::Time::ms(50);
+  fs.jitter = jitter;
+  fs.payload_bits = payload_bytes * 8;
+  return fs;
+}
+
+/// A star whose flows all run h1 -> sw -> h0: one first-hop, one ingress
+/// and one egress group.  Two fillers of distinct sizes join the tested
+/// flows, so every hop has at least five flows (the class path).
+struct SharedStar {
+  net::StarNetwork star = net::make_star_network(4, 100'000'000);
+  std::vector<gmf::Flow> flows;
+
+  void add(std::vector<gmf::FrameSpec> frames, std::int64_t priority = 1,
+           bool rtp = false) {
+    flows.emplace_back("f" + std::to_string(flows.size()),
+                       net::Route({star.hosts[1], star.sw, star.hosts[0]}),
+                       std::move(frames), priority, rtp);
+  }
+  void add_fillers() {
+    add({shared_frame(300)});
+    add({shared_frame(700)});
+  }
+};
+
+// Equal demand curves, rotated frame order: A = [1200 B, 200 B] and
+// B = [200 B, 1200 B] fall in one interferer class (a rotation has the same
+// windows), but frame 0 is a different packet.  A2 is A's exact twin.
+TEST(SharedHops, RotatedFramesDoNotShare) {
+  SharedStar w;
+  w.add({shared_frame(1200), shared_frame(200)});  // A
+  w.add({shared_frame(1200), shared_frame(200)});  // A2
+  w.add({shared_frame(200), shared_frame(1200)});  // B
+  w.add_fillers();
+  const AnalysisContext ctx(w.star.net, w.flows);
+  const LinkRef up(w.star.hosts[1], w.star.sw);
+  ASSERT_TRUE(ctx.demand(FlowId(0), up).same_shape(ctx.demand(FlowId(2), up)));
+
+  const IncrementalStats s = expect_sharing_exact(w.star.net, w.flows, "rot");
+  // 8 per-frame hops per stage; A2's two are shared at each of the three.
+  EXPECT_EQ(s.hops_run, 18u);
+  EXPECT_EQ(s.hops_shared, 6u);
+  EXPECT_EQ(s.flow_analyses, 5u);  // a shared node still counts
+}
+
+// Equal frames, different RTP packetisation: the 16-byte RTP header makes
+// B's packets longer on every link.
+TEST(SharedHops, RtpChangesTheKey) {
+  SharedStar w;
+  w.add({shared_frame(500)});                  // A
+  w.add({shared_frame(500)});                  // A2
+  w.add({shared_frame(500)}, 1, /*rtp=*/true);  // B
+  w.add_fillers();
+  const IncrementalStats s = expect_sharing_exact(w.star.net, w.flows, "rtp");
+  EXPECT_EQ(s.hops_run, 12u);
+  EXPECT_EQ(s.hops_shared, 3u);
+}
+
+// Equal parameters, different priorities: a first hop and an ingress FIFO
+// do not read the priority, so A and A2 share there; at the egress A (4)
+// sees X (5) and A2 (6) in hep(A) while A2 sees neither, so they must not.
+TEST(SharedHops, PrioritySplitsOnlyEgressTwins) {
+  SharedStar w;
+  w.add({shared_frame(900)}, 4);  // A
+  w.add({shared_frame(900)}, 6);  // A2
+  w.add({shared_frame(400)}, 5);  // X
+  w.add_fillers();
+  const IncrementalStats s = expect_sharing_exact(w.star.net, w.flows, "prio");
+  EXPECT_EQ(s.hops_run, 13u);
+  EXPECT_EQ(s.hops_shared, 2u);  // A2's first hop and ingress
+
+  const AnalysisContext ctx(w.star.net, w.flows);
+  const HolisticResult r = analyze_holistic(ctx);
+  ASSERT_TRUE(r.converged);
+  EXPECT_NE(r.flows[0].frames[0].stages[2].hop.response,
+            r.flows[1].frames[0].stages[2].hop.response)
+      << "the egress twins must see different hep sets";
+}
+
+// Equal parameters, different source jitter: the shift differs at the
+// first hop (and so downstream), while A3, A's exact twin, shares.
+TEST(SharedHops, ShiftChangesTheKey) {
+  SharedStar w;
+  w.add({shared_frame(800, gmfnet::Time::ms(1))});  // A
+  w.add({shared_frame(800, gmfnet::Time::ms(3))});  // A2
+  w.add({shared_frame(800, gmfnet::Time::ms(1))});  // A3
+  w.add_fillers();
+  const IncrementalStats s = expect_sharing_exact(w.star.net, w.flows, "shift");
+  EXPECT_EQ(s.hops_run, 12u);
+  EXPECT_EQ(s.hops_shared, 3u);
+}
+
+// Egress twins at the utilisation boundary.  A and B (equal parameters,
+// priority and shift) and X leave the switch on sw -> h0 from their own
+// hosts.  Eq (35)'s level load is the analysed flow's own utilisation plus
+// its hep flows' in link order: (u + x) + u for A, (u + u) + x for B.  The
+// two sums round to either side of 1.0, so A's egress is analysed (and
+// diverges) while B's is infeasible: they must not share.
+TEST(SharedHops, FeasibilityBitSplitsBoundaryTwins) {
+  const auto star = net::make_star_network(4, 100'000'000);
+  const auto flow = [&](std::size_t host, std::int64_t bytes,
+                        std::int64_t sep_ps) {
+    gmf::FrameSpec fs;
+    fs.min_separation = gmfnet::Time(sep_ps);
+    fs.deadline = gmfnet::Time::ms(50);
+    fs.jitter = gmfnet::Time::zero();
+    fs.payload_bits = bytes * 8;
+    return gmf::Flow("h" + std::to_string(host),
+                     net::Route({star.hosts[host], star.sw, star.hosts[0]}),
+                     {fs}, 1);
+  };
+  const std::vector<gmf::Flow> flows = {flow(1, 1077, 304'799'999),   // A
+                                        flow(2, 950, 203'200'001),    // X
+                                        flow(3, 1077, 304'799'999)};  // B
+  const AnalysisContext ctx(star.net, flows);
+  ASSERT_TRUE(egress_feasible(ctx, FlowId(0), star.sw));
+  ASSERT_FALSE(egress_feasible(ctx, FlowId(2), star.sw));
+
+  const IncrementalStats s =
+      expect_sharing_exact(star.net, flows, "boundary");
+  EXPECT_EQ(s.hops_run, 9u);
+  EXPECT_EQ(s.hops_shared, 0u);
+}
+
+// Generated star and tree sets with every flow tripled: exact twins share
+// wherever their keys agree, and the results stay exact.
+TEST(SharedHops, GeneratedTwinsMatchJacobi) {
+  std::size_t shared = 0;
+  for (const World& w : generated_sets()) {
+    std::vector<gmf::Flow> tripled;
+    for (const gmf::Flow& f : w.flows) {
+      for (int t = 0; t < 3; ++t) tripled.push_back(f);
+    }
+    shared += expect_sharing_exact(w.net, tripled, "tripled " + w.name)
+                  .hops_shared;
+  }
+  EXPECT_GT(shared, 0u);
 }
 
 }  // namespace
