@@ -6,10 +6,10 @@
 // GMF cycle length and hop count.
 #include <benchmark/benchmark.h>
 
-#include "core/admission.hpp"
 #include "core/first_hop.hpp"
 #include "core/holistic.hpp"
 #include "core/priority.hpp"
+#include "engine/analysis_engine.hpp"
 #include "net/shortest_path.hpp"
 #include "net/topology.hpp"
 #include "workload/scenario.hpp"
@@ -110,7 +110,7 @@ void BM_AdmissionDecision(benchmark::State& state) {
   // Cost of one online admission test at a realistic operating point.
   const auto s = workload::make_videoconf_scenario(100'000'000);
   for (auto _ : state) {
-    core::AdmissionController ac(s.network);
+    engine::AnalysisEngine ac(s.network);
     for (const auto& f : s.flows) {
       benchmark::DoNotOptimize(ac.try_admit(f));
     }

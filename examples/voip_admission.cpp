@@ -15,7 +15,7 @@
 #include <cstdlib>
 #include <string>
 
-#include "core/admission.hpp"
+#include "engine/analysis_engine.hpp"
 #include "net/topology.hpp"
 #include "util/table.hpp"
 #include "workload/scenario.hpp"
@@ -27,7 +27,7 @@ int main(int argc, char** argv) {
 
   // An office: one software switch, 10 phones, 10 Mbit/s cabling.
   const auto star = net::make_star_network(10, 10'000'000);
-  core::AdmissionController controller(star.net);
+  engine::AnalysisEngine controller(star.net);
 
   std::printf("Admitting G.711 calls (160-byte RTP payload every 20 ms, "
               "20 ms network deadline)\nonto a 10-port software switch, "
@@ -38,6 +38,7 @@ int main(int argc, char** argv) {
                  "worst bound after"});
   Rng rng(7);
   int admitted = 0;
+  int rejected = 0;
   for (int c = 0; c < max_calls; ++c) {
     const auto a = static_cast<std::size_t>(rng.next_below(10));
     auto b = a;
@@ -59,6 +60,8 @@ int main(int argc, char** argv) {
         w = max(w, result->flows[f].worst_response());
       }
       worst = w.str();
+    } else {
+      ++rejected;
     }
     t.add_row({std::to_string(c),
                "h" + std::to_string(a) + " -> h" + std::to_string(b),
@@ -67,9 +70,8 @@ int main(int argc, char** argv) {
   }
   t.print();
 
-  const engine::EngineStats& stats = controller.engine().stats();
-  std::printf("\n%d calls admitted, %zu rejected.\n", admitted,
-              controller.rejected_count());
+  const engine::EngineStats stats = controller.stats();
+  std::printf("\n%d calls admitted, %d rejected.\n", admitted, rejected);
   std::printf("Engine: %zu per-flow analyses run, %zu cached flow results "
               "reused, %zu sweeps total\n        across %zu evaluations "
               "(%zu cold, %zu incremental).\n",

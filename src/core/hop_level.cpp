@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cassert>
 
+#include "util/fixed_point.hpp"
+
 namespace gmfnet::core {
 
 bool LinkLevel::ensure(const AnalysisContext& ctx, const JitterMap& jitters,
@@ -110,13 +112,51 @@ typename Map::mapped_type& bounded_entry(Map& map,
   return map[key];
 }
 
+StageKey stage_of(HopKind kind, LinkRef link) {
+  return kind == HopKind::kIngress ? StageKey::ingress(link.dst)
+                                   : StageKey::link(link);
+}
+
+/// The hop recurrence (see HopTerms), over either level source.
+template <typename Level>
+HopResult solve_hop(const HopTerms& h, Level& level,
+                    const FixedPointOptions& fp) {
+  HopResult result;
+  const auto busy_fn = [&](gmfnet::Time t) {
+    return h.blocking + h.self(level.self(t)) + h.others(level.others(t));
+  };
+  const FixedPointResult busy = iterate_fixed_point(h.busy_seed, busy_fn, fp);
+  result.iterations += busy.iterations;
+  result.busy_period = busy.value;
+  if (!busy.converged) return result;
+
+  const std::int64_t q_count =
+      gmfnet::max(busy.value, gmfnet::Time(1)).ceil_div(h.tsum);
+  result.instances = q_count;
+
+  gmfnet::Time worst = gmfnet::Time::zero();
+  for (std::int64_t q = 0; q < q_count; ++q) {
+    const gmfnet::Time self = h.self_base + q * h.self_step;
+    const auto w_fn = [&](gmfnet::Time w) {
+      return self + h.others(level.others(w));
+    };
+    const FixedPointResult w = iterate_fixed_point(self, w_fn, fp);
+    result.iterations += w.iterations;
+    if (!w.converged) return result;
+    worst = gmfnet::max(worst, w.value - q * h.tsum + h.tail);
+  }
+
+  result.response = worst + h.prop;
+  result.converged = true;
+  return result;
+}
+
 }  // namespace
 
 LevelSlot& HopScratch::level(const AnalysisContext& ctx,
                              const JitterMap& jitters, HopKind kind,
                              LinkRef link, FlowId i) {
-  const StageKey stage = kind == HopKind::kIngress ? StageKey::ingress(link.dst)
-                                                   : StageKey::link(link);
+  const StageKey stage = stage_of(kind, link);
   LinkLevel& table =
       bounded_entry(tables_, TableKey{stage.kind, link}, kMaxEntries);
   if (table.ensure(ctx, jitters, link, stage, i)) ++gathers_;
@@ -132,6 +172,39 @@ LevelSlot& HopScratch::level(const AnalysisContext& ctx,
                                jitters.max_jitter(i, stage)};
   slot.self_env_.ensure(&self, 1);
   return slot;
+}
+
+NaiveLevel& HopScratch::naive(const AnalysisContext& ctx,
+                              const JitterMap& jitters, HopKind kind,
+                              LinkRef link, FlowId i) {
+  const StageKey stage = stage_of(kind, link);
+  naive_.others_.clear();
+  const auto add = [&](FlowId j) {
+    naive_.others_.push_back(
+        gmf::EnvelopeSpec{&ctx.demand(j, link), jitters.max_jitter(j, stage)});
+  };
+  if (kind == HopKind::kEgress) {
+    ctx.for_each_hep(i, link, add);  // eq (2)
+  } else {
+    for (const FlowId j : ctx.flows_on_link(link)) {
+      if (j != i) add(j);
+    }
+  }
+  naive_.self_ =
+      gmf::EnvelopeSpec{&ctx.demand(i, link), jitters.max_jitter(i, stage)};
+  return naive_;
+}
+
+HopResult analyze_hop(const AnalysisContext& ctx, const JitterMap& jitters,
+                      HopKind kind, LinkRef link, FlowId i,
+                      const HopTerms& terms, const HopOptions& opts) {
+  FixedPointOptions fp;
+  fp.horizon = opts.horizon;
+  HopScratch& scratch = HopScratch::local();
+  if (opts.use_envelope) {
+    return solve_hop(terms, scratch.level(ctx, jitters, kind, link, i), fp);
+  }
+  return solve_hop(terms, scratch.naive(ctx, jitters, kind, link, i), fp);
 }
 
 HopScratch& HopScratch::local() {

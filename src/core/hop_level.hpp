@@ -1,4 +1,20 @@
-// Per-link interferer classes for the three per-hop analyses.
+// The per-hop kernel and the per-link interferer classes it reads.
+//
+// The three per-hop analyses (first hop, ingress FIFO, egress port) share
+// one recurrence: a level busy period (eqs 14-15, 21-22, 28-29), then for
+// each of the Q = ceil(max(busy, 1) / TSUM_i) instances of frame k in it a
+// queueing fixed point w(q) (eqs 16-17, 23-24, 30-31) and its response
+// R(q) = w(q) - q * TSUM_i + tail (eqs 18, 25, 32), the worst R(q) plus the
+// propagation delay being the hop's bound.  analyze_hop runs it once, for
+// every hop kind; a hop file states only its HopTerms — how it weighs MX
+// and NX, its blocking, busy seed, self term and tail — and its
+// feasibility test.  The kernel reads demand from a level source with two
+// members, others(t) and self(t), each the (MX, NX) sums at t of the
+// analysed flow's interferers and of the flow itself.  There are two
+// sources, bit-identical because every sum is an exact int64 picosecond
+// or frame count: a LevelSlot, the cached class envelope described below,
+// and the NaiveLevel reference oracle, which re-gathers the interferers
+// and reads each DemandCurve with one staircase search per evaluation.
 //
 // A hop analysis sums MX_j/NX_j(t + extra_j) over the interferers at one
 // hop.  Every flow analysed there sees the same flows with the same shifts
@@ -66,19 +82,13 @@
 #include <vector>
 
 #include "core/context.hpp"
+#include "core/hop_result.hpp"
 #include "gmf/envelope.hpp"
 
 namespace gmfnet::core {
 
 /// Which per-hop analysis a slot belongs to.
 enum class HopKind : std::uint8_t { kFirstHop = 0, kIngress = 1, kEgress = 2 };
-
-/// Below this many interferers the per-hop analyses use the direct
-/// per-curve path even when HopOptions::use_envelope is set: with one or
-/// two interferers the naive loop beats the envelope's slot bookkeeping,
-/// and the two paths are bit-identical, so the cutover is purely a cost
-/// choice (measured crossover in bench_demand_eval).
-constexpr std::size_t kEnvelopeMinInterferers = 4;
 
 /// The interferer classes of one hop: every flow on a directed link, with
 /// its shift at one stage kind (the link stage for first hops and egress
@@ -127,20 +137,20 @@ class LinkLevel {
   std::uint64_t build_ = 0;
 };
 
-/// One analysed flow's view of a hop: the merged envelope of its interferer
-/// classes and the analysed flow's own single-entry envelope, each with its
-/// cursor.
+/// One analysed flow's view of a hop, as a level source: the merged
+/// envelope of its interferer classes and the analysed flow's own
+/// single-entry envelope, each with its cursor.  A cursor is shared by the
+/// busy-period and w(q) chains: each chain start below the previous
+/// chain's fixed point costs one binary-search re-anchor per entry, then
+/// the chain advances forward.
 class LevelSlot {
  public:
-  [[nodiscard]] const gmf::LevelEnvelope& envelope() const { return env_; }
-  /// Shared cursor for the busy-period and w(q) chains: each chain start
-  /// below the previous chain's fixed point costs one binary-search
-  /// re-anchor per entry, then the chain advances forward.
-  [[nodiscard]] gmf::EvalCursor& cursor() { return cursor_; }
-  [[nodiscard]] const gmf::LevelEnvelope& self_envelope() const {
-    return self_env_;
+  [[nodiscard]] gmf::EnvelopeSums others(gmfnet::Time t) {
+    return env_.eval(t, cursor_);
   }
-  [[nodiscard]] gmf::EvalCursor& self_cursor() { return self_cursor_; }
+  [[nodiscard]] gmf::EnvelopeSums self(gmfnet::Time t) {
+    return self_env_.eval(t, self_cursor_);
+  }
 
  private:
   friend class HopScratch;
@@ -152,8 +162,32 @@ class LevelSlot {
   gmf::EvalCursor self_cursor_;
 };
 
+/// The reference level source: the interferers gathered afresh for each
+/// analysis, every curve read directly at each evaluation.
+class NaiveLevel {
+ public:
+  [[nodiscard]] gmf::EnvelopeSums others(gmfnet::Time t) const {
+    gmf::EnvelopeSums sums;
+    for (const gmf::EnvelopeSpec& j : others_) {
+      const gmf::EnvelopeSums d = j.curve->at(t + j.shift);
+      sums.cost += d.cost;
+      sums.count += d.count;
+    }
+    return sums;
+  }
+  [[nodiscard]] gmf::EnvelopeSums self(gmfnet::Time t) const {
+    return self_.curve->at(t + self_.shift);
+  }
+
+ private:
+  friend class HopScratch;
+
+  std::vector<gmf::EnvelopeSpec> others_;  ///< one entry per interferer
+  gmf::EnvelopeSpec self_;
+};
+
 /// Per-thread arena for the per-hop analyses: the link tables, the
-/// per-flow slots and a reusable gather buffer for the naive path.
+/// per-flow slots and the naive source's gather buffer.
 class HopScratch {
  public:
   /// The calling thread's arena.
@@ -167,17 +201,13 @@ class HopScratch {
   LevelSlot& level(const AnalysisContext& ctx, const JitterMap& jitters,
                    HopKind kind, LinkRef link, FlowId i);
 
+  /// The naive source for the same analysis: every other flow on `link`,
+  /// or its hep(i) subset at an egress, each with its shift.
+  NaiveLevel& naive(const AnalysisContext& ctx, const JitterMap& jitters,
+                    HopKind kind, LinkRef link, FlowId i);
+
   /// Link-table gathers on this thread so far (tests pin when they happen).
   [[nodiscard]] std::uint64_t gathers() const { return gathers_; }
-
-  /// Gather buffer for the naive (reference) path: (curve, shift, is_self)
-  /// per level member, self included.
-  struct NaiveSpec {
-    const gmf::DemandCurve* curve;
-    gmfnet::Time shift;
-    bool is_self;
-  };
-  std::vector<NaiveSpec> naive;
 
  private:
   struct TableKey {
@@ -203,7 +233,43 @@ class HopScratch {
   std::map<TableKey, LinkLevel> tables_;
   std::map<SlotKey, LevelSlot> slots_;
   std::vector<gmf::EnvelopeSpec> specs_;  ///< interferers() buffer
+  NaiveLevel naive_;
   std::uint64_t gathers_ = 0;
 };
+
+/// How a hop weighs a demand sum: mx * MX + NX * nx.
+struct DemandWeights {
+  std::int64_t mx = 0;  ///< 1 where link time counts, 0 at an ingress
+  gmfnet::Time nx;      ///< per Ethernet frame: CIRC(N) or 0
+
+  [[nodiscard]] gmfnet::Time operator()(const gmf::EnvelopeSums& s) const {
+    return gmfnet::Time(mx * s.cost) + s.count * nx;
+  }
+};
+
+/// The terms that make the kernel one of the three per-hop analyses:
+///   busy(t) = blocking + self(S(t)) + others(O(t)),   seeded busy_seed;
+///   w(q)    = self_base + q * self_step + others(O(w)), seeded its self term;
+///   R(q)    = w(q) - q * tsum + tail;   response = max_q R(q) + prop;
+/// with S and O the level source's self(t) and others(t).
+struct HopTerms {
+  DemandWeights others;  ///< interferer demand, busy period and w(q)
+  DemandWeights self;    ///< the analysed flow's demand in the busy period
+  gmfnet::Time blocking;
+  gmfnet::Time busy_seed;
+  gmfnet::Time self_base;
+  gmfnet::Time self_step;
+  gmfnet::Time tsum;  ///< TSUM_i: Q = ceil(max(busy, 1) / tsum)
+  gmfnet::Time tail;
+  gmfnet::Time prop;
+};
+
+/// Flow `i`'s `kind` analysis on `link` (the incoming link for an ingress)
+/// with `terms`: the recurrence above, over the LevelSlot source, or over
+/// the NaiveLevel one when opts.use_envelope is off.  The caller has
+/// checked feasibility.
+HopResult analyze_hop(const AnalysisContext& ctx, const JitterMap& jitters,
+                      HopKind kind, LinkRef link, FlowId i,
+                      const HopTerms& terms, const HopOptions& opts);
 
 }  // namespace gmfnet::core

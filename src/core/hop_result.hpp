@@ -36,9 +36,10 @@ struct HopOptions {
 
   /// Evaluate per-hop demand through the merged gmf::LevelEnvelope fast
   /// path (one cursor-advanced pass per fixed-point iteration) instead of
-  /// k binary searches over the individual DemandCurves.  Bit-identical
-  /// results either way — the naive path is kept as the reference for the
-  /// equivalence suites and the bench_demand_eval speedup measurement.
+  /// k binary searches over the individual DemandCurves (the NaiveLevel
+  /// source of core/hop_level.hpp).  Bit-identical results either way —
+  /// the naive source is kept as the reference for the equivalence suites
+  /// and the bench_demand_eval speedup measurement.
   bool use_envelope = true;
 };
 

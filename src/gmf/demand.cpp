@@ -90,12 +90,18 @@ gmfnet::Time DemandCurve::mxs(gmfnet::Time t) const {
   return gmfnet::Time(steps_[static_cast<std::size_t>(i)].max_cost);
 }
 
-gmfnet::Time DemandCurve::mx(gmfnet::Time t) const {
-  if (t < gmfnet::Time::zero()) return gmfnet::Time::zero();
+EnvelopeSums DemandCurve::at(gmfnet::Time t) const {
+  if (t < gmfnet::Time::zero()) return {};
   assert(tsum_ > gmfnet::Time::zero());
   const auto q = t.floor_div(tsum_);
-  const gmfnet::Time rem = t.mod(tsum_);
-  return q * csum_ + mxs(rem);
+  const std::ptrdiff_t i = last_leq(steps_, t.mod(tsum_).ps());
+  assert(i >= 0);
+  const Step& s = steps_[static_cast<std::size_t>(i)];
+  return EnvelopeSums{(q * csum_).ps() + s.max_cost, q * nsum_ + s.max_count};
+}
+
+gmfnet::Time DemandCurve::mx(gmfnet::Time t) const {
+  return gmfnet::Time(at(t).cost);
 }
 
 std::int64_t DemandCurve::nxs(gmfnet::Time t) const {
@@ -105,13 +111,7 @@ std::int64_t DemandCurve::nxs(gmfnet::Time t) const {
   return steps_[static_cast<std::size_t>(i)].max_count;
 }
 
-std::int64_t DemandCurve::nx(gmfnet::Time t) const {
-  if (t < gmfnet::Time::zero()) return 0;
-  assert(tsum_ > gmfnet::Time::zero());
-  const auto q = t.floor_div(tsum_);
-  const gmfnet::Time rem = t.mod(tsum_);
-  return q * nsum_ + nxs(rem);
-}
+std::int64_t DemandCurve::nx(gmfnet::Time t) const { return at(t).count; }
 
 bool DemandCurve::same_shape(const DemandCurve& other) const {
   if (uid_ == other.uid_) return true;

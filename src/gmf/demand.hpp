@@ -28,6 +28,13 @@
 
 namespace gmfnet::gmf {
 
+/// Demand at one instant: MX (link time, picoseconds) and NX (Ethernet
+/// frames), of one curve or summed over a hop's interferers.
+struct EnvelopeSums {
+  gmfnet::Time::rep cost = 0;  ///< MX
+  std::int64_t count = 0;      ///< NX
+};
+
 /// Precomputed request-bound curve of one flow on one link.
 class DemandCurve {
  public:
@@ -49,6 +56,10 @@ class DemandCurve {
   /// MX (eq 11): upper bound on link time demanded in any right-closed
   /// window of length t >= 0 (0 for t < 0).
   [[nodiscard]] gmfnet::Time mx(gmfnet::Time t) const;
+
+  /// MX(t) and NX(t) together, from one staircase search: both maxima sit
+  /// on the same step.
+  [[nodiscard]] EnvelopeSums at(gmfnet::Time t) const;
 
   /// NXS (eq 12): frame-count analogue of MXS.
   [[nodiscard]] std::int64_t nxs(gmfnet::Time t) const;

@@ -58,12 +58,6 @@ struct EnvelopeSpec {
   std::int64_t mult = 1;  ///< members (>= 1): the entry counts mult times
 };
 
-/// Total interferer demand at one instant.
-struct EnvelopeSums {
-  gmfnet::Time::rep cost = 0;  ///< sum of MX_j(t+e_j)
-  std::int64_t count = 0;      ///< sum of NX_j(t+e_j)
-};
-
 class LevelEnvelope;
 
 /// Per-interferer forward positions of the monotone fixed-point iteration.

@@ -7,10 +7,11 @@
 namespace gmfnet {
 
 namespace {
-/// Slot of the pool worker running on this thread (meaningless outside a
-/// worker).  A thread belongs to at most one pool, so one thread-local
-/// suffices; parallel_for_slotted reads it to hand each body call its
-/// executing worker's slot.
+/// The pool this thread is running parallel_for bodies for, and its slot
+/// there: a worker's own pool and slot, or a caller's while it takes
+/// chunks of its own call (slot size()).  A thread serves at most one pool
+/// at a time, so one thread-local pair suffices.
+thread_local const ThreadPool* t_pool = nullptr;
 thread_local std::size_t t_pool_slot = 0;
 }  // namespace
 
@@ -48,6 +49,7 @@ void ThreadPool::wait_idle() {
 }
 
 void ThreadPool::worker_loop(std::size_t slot) {
+  t_pool = this;
   t_pool_slot = slot;
   for (;;) {
     std::function<void()> task;
@@ -67,14 +69,6 @@ void ThreadPool::worker_loop(std::size_t slot) {
   }
 }
 
-bool ThreadPool::called_from_worker() const {
-  const auto self = std::this_thread::get_id();
-  for (const std::thread& w : workers_) {
-    if (w.get_id() == self) return true;
-  }
-  return false;
-}
-
 void ThreadPool::parallel_for(std::size_t n,
                               const std::function<void(std::size_t)>& body) {
   parallel_for_slotted(n,
@@ -83,48 +77,52 @@ void ThreadPool::parallel_for(std::size_t n,
 
 void ThreadPool::parallel_for_slotted(
     std::size_t n, const std::function<void(std::size_t, std::size_t)>& body) {
-  if (called_from_worker()) {
+  if (t_pool == this) {
     throw std::logic_error(
-        "ThreadPool::parallel_for: nested call from a worker of the same "
+        "ThreadPool::parallel_for: nested call from a body of the same "
         "pool would deadlock");
   }
   std::lock_guard pf_lock(parallel_for_mu_);
   if (n == 0) return;
-  const std::size_t nthreads = std::max<std::size_t>(1, size());
-  if (nthreads <= 1) {
-    // A one-worker pool adds no parallelism: run inline on the caller (its
-    // slot is size()) and skip the queue/condvar round trip entirely.  An
-    // exception propagates directly, matching the pooled path's
-    // first-exception-cancels semantics.
-    for (std::size_t i = 0; i < n; ++i) body(size(), i);
-    return;
-  }
-  const std::size_t chunk = (n + nthreads - 1) / nthreads;
+  // The workers and the caller (slot size()) take chunks alike, so the
+  // work starts at once on the caller instead of waiting for a worker to
+  // wake; only as many workers are woken as there are chunks left over.  A
+  // one-worker pool leaves the whole loop to the caller, in index order:
+  // the worker would add little and take away the sequential execution
+  // such a pool's callers may rely on.
+  const std::size_t participants = size() > 1 ? size() + 1 : 1;
+  const std::size_t chunk = (n + participants - 1) / participants;
+  const std::size_t chunks = (n + chunk - 1) / chunk;
   std::atomic<std::size_t> next{0};
   std::atomic<bool> cancelled{false};
   std::mutex error_mu;
   std::exception_ptr error;
-  for (std::size_t t = 0; t < nthreads; ++t) {
-    submit([&, chunk, n] {
-      for (;;) {
+  const auto take_chunks = [&](std::size_t slot) {
+    for (;;) {
+      if (cancelled.load(std::memory_order_relaxed)) return;
+      const std::size_t begin = next.fetch_add(chunk);
+      if (begin >= n) return;
+      const std::size_t end = std::min(begin + chunk, n);
+      for (std::size_t i = begin; i < end; ++i) {
         if (cancelled.load(std::memory_order_relaxed)) return;
-        const std::size_t begin = next.fetch_add(chunk);
-        if (begin >= n) return;
-        const std::size_t end = std::min(begin + chunk, n);
-        for (std::size_t i = begin; i < end; ++i) {
-          if (cancelled.load(std::memory_order_relaxed)) return;
-          try {
-            body(t_pool_slot, i);
-          } catch (...) {
-            cancelled.store(true, std::memory_order_relaxed);
-            const std::lock_guard lk(error_mu);
-            if (!error) error = std::current_exception();
-            return;
-          }
+        try {
+          body(slot, i);
+        } catch (...) {
+          cancelled.store(true, std::memory_order_relaxed);
+          const std::lock_guard lk(error_mu);
+          if (!error) error = std::current_exception();
+          return;
         }
       }
-    });
+    }
+  };
+  for (std::size_t t = 1; t < chunks; ++t) {
+    submit([&take_chunks] { take_chunks(t_pool_slot); });
   }
+  const ThreadPool* const outer = t_pool;  // the caller may serve another pool
+  t_pool = this;
+  take_chunks(size());
+  t_pool = outer;
   wait_idle();
   if (error) std::rethrow_exception(error);
 }

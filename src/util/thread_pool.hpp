@@ -33,12 +33,13 @@ class ThreadPool {
   /// Blocks until every submitted task has finished.
   void wait_idle();
 
-  /// Runs body(i) for i in [0, n), distributing chunks over the pool, and
-  /// waits for completion.  Safe to call from one thread at a time: an
-  /// internal mutex serializes concurrent calls from different threads, and
-  /// a nested call from one of this pool's own workers (which could never
-  /// finish — the caller occupies the very worker it would wait on) throws
-  /// std::logic_error before enqueuing anything.
+  /// Runs body(i) for i in [0, n), distributing chunks over the pool's
+  /// workers and the calling thread, and waits for completion.  A
+  /// one-worker pool runs the whole loop on the caller, in index order.
+  /// Safe to call from one thread at a time: an internal mutex serializes
+  /// concurrent calls from different threads, and a nested call from a body
+  /// of this pool (which could never finish — it would wait on the very
+  /// call it runs in) throws std::logic_error before enqueuing anything.
   ///
   /// Exception-safe: if a body call throws, remaining iterations are
   /// cancelled (already-started chunks finish their current call), the pool
@@ -49,9 +50,8 @@ class ThreadPool {
 
   /// parallel_for whose body also receives the executing thread's *slot*:
   /// body(slot, i).  Each pool worker owns one fixed slot in [0, size());
-  /// slot size() is the calling thread itself (the single-worker fast path
-  /// runs the whole loop inline on the caller, skipping the queue round
-  /// trip).  No two concurrent body calls of one invocation share a slot,
+  /// slot size() is the calling thread, which takes chunks alongside the
+  /// workers.  No two concurrent body calls of one invocation share a slot,
   /// so callers may key per-thread scratch state by slot with size() + 1
   /// entries and no further synchronization.  Same serialization, nesting
   /// and exception contract as parallel_for.
@@ -61,7 +61,6 @@ class ThreadPool {
 
  private:
   void worker_loop(std::size_t slot);
-  [[nodiscard]] bool called_from_worker() const;
 
   std::vector<std::thread> workers_;
   std::queue<std::function<void()>> tasks_;

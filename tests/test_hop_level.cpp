@@ -237,29 +237,38 @@ void expect_same_results(const HolisticResult& a, const HolisticResult& b,
 }
 
 // Whole solves over templated worlds: the class path and the naive
-// per-curve path agree on every verdict, stage result and jitter.
+// per-curve path agree on every verdict, stage result and jitter, with the
+// self CIRC terms charged (the default) and with the paper's literal
+// recurrences (charge_self_circ = false, E10).
 TEST(HopLevel, TemplatedWorldsMatchNaivePath) {
   int converged = 0;
-  for (std::uint64_t seed = 0; seed < 24; ++seed) {
-    Rng rng(0x7E3A1ull + seed * 0x2545F491ull);
-    const auto star = net::make_star_network(7, kSpeed);
-    const AnalysisContext ctx(star.net,
-                              templated_flows(star, rng, seed % 2 == 0));
-    HolisticOptions naive;
-    naive.hop.use_envelope = false;
-    const HolisticResult by_class = analyze_holistic(ctx);
-    const HolisticResult reference = analyze_holistic(ctx, naive);
-    expect_same_results(by_class, reference, "seed " + std::to_string(seed));
-    HolisticOptions jacobi;
-    jacobi.order = SweepOrder::kJacobi;
-    jacobi.threads = 2;
-    const HolisticResult parallel = analyze_holistic(ctx, jacobi);
-    EXPECT_EQ(parallel.converged, reference.converged);
-    EXPECT_TRUE(parallel.jitters == reference.jitters || !reference.converged)
-        << "seed " << seed;
-    converged += reference.converged ? 1 : 0;
+  for (const bool charge : {true, false}) {
+    for (std::uint64_t seed = 0; seed < 24; ++seed) {
+      Rng rng(0x7E3A1ull + seed * 0x2545F491ull);
+      const auto star = net::make_star_network(7, kSpeed);
+      const AnalysisContext ctx(star.net,
+                                templated_flows(star, rng, seed % 2 == 0));
+      const std::string where = "seed " + std::to_string(seed) +
+                                (charge ? " charged" : " literal");
+      HolisticOptions by_class_opts;
+      by_class_opts.hop.charge_self_circ = charge;
+      HolisticOptions naive = by_class_opts;
+      naive.hop.use_envelope = false;
+      const HolisticResult by_class = analyze_holistic(ctx, by_class_opts);
+      const HolisticResult reference = analyze_holistic(ctx, naive);
+      expect_same_results(by_class, reference, where);
+      HolisticOptions jacobi = by_class_opts;
+      jacobi.order = SweepOrder::kJacobi;
+      jacobi.threads = 2;
+      const HolisticResult parallel = analyze_holistic(ctx, jacobi);
+      EXPECT_EQ(parallel.converged, reference.converged) << where;
+      EXPECT_TRUE(parallel.jitters == reference.jitters ||
+                  !reference.converged)
+          << where;
+      converged += reference.converged ? 1 : 0;
+    }
   }
-  EXPECT_GE(converged, 8) << "too few fixed points were compared";
+  EXPECT_GE(converged, 16) << "too few fixed points were compared";
 }
 
 // The flow-major path (analyze_flow_end_to_end) writes the analysed flow's

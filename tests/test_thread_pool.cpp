@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <numeric>
 #include <stdexcept>
 #include <thread>
@@ -117,6 +118,34 @@ TEST(ThreadPool, ConcurrentParallelForCallsAreSerialized) {
   for (std::size_t i = 0; i < kPerCall; ++i) {
     EXPECT_EQ(hits[i].load(), 2 * kCallsPerThread) << "index " << i;
   }
+}
+
+TEST(ThreadPool, CallerTakesChunksToo) {
+  // The calling thread (slot size()) works on its own call instead of
+  // sleeping until the workers finish.  Every item a worker runs waits,
+  // bounded, until the caller has run one; were the caller idle, the first
+  // wait would time out (and the rest would not wait).
+  ThreadPool pool(3);
+  std::atomic<bool> caller_ran{false};
+  std::atomic<bool> timed_out{false};
+  std::vector<std::atomic<int>> hits(8);
+  pool.parallel_for_slotted(hits.size(), [&](std::size_t slot, std::size_t i) {
+    hits[i].fetch_add(1);
+    ASSERT_LE(slot, pool.size());
+    if (slot == pool.size()) {
+      caller_ran.store(true);
+      return;
+    }
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (!caller_ran.load() && !timed_out.load()) {
+      if (std::chrono::steady_clock::now() > deadline) timed_out.store(true);
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  });
+  EXPECT_TRUE(caller_ran.load());
+  EXPECT_FALSE(timed_out.load());
+  for (auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
 TEST(ThreadPool, StandaloneParallelFor) {
