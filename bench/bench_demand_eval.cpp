@@ -11,10 +11,17 @@
 // distinct video flows (k interferer classes); an ungated section repeats
 // it with k identical VoIP legs, which the link tables count as one class.
 //
+// The gate is the envelope's own speed, read against a fixed reference
+// kernel timed in the same run (`vs_reference` = reference us / envelope
+// us): k synthetic staircases read by binary search at a fixed sequence of
+// points, defined in this file, so neither a faster naive oracle nor any
+// other library change moves it.  The naive/envelope `speedup` is printed
+// for context only: it moves whenever the oracle does.
+//
 //   $ ./bench_demand_eval [reps]
 //
-// Exits non-zero if the envelope path is not >= 3x faster on hop analysis
-// at 32+ interferers, or if the two paths ever disagree.
+// Exits non-zero if `vs_reference` falls under its floor at 32+
+// interferers, or if the two paths ever disagree.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -38,6 +45,14 @@ using namespace gmfnet;
 namespace {
 
 constexpr ethernet::LinkSpeedBps kSpeed = 1'000'000'000;
+/// Self floor on vs_reference at 32+ interferers.  Eight runs on a quiet
+/// 4-vCPU host read 1.40-1.52 at k = 32 and 0.94-0.99 at k = 64 (1.04-1.12
+/// and 0.68-0.76 while a 4-job compile shared the host); a copy whose
+/// envelope re-anchors its cursor before every evaluation read 0.62-0.75
+/// and 0.39-0.41 (0.55-0.59 and 0.33-0.35 under the compile).
+/// bench/check_bench_regression.py gates every row within 25% of its
+/// baseline.
+constexpr double kMinVsReference = 0.5;
 
 double wall_us(const std::function<void()>& fn) {
   const auto t0 = std::chrono::steady_clock::now();
@@ -72,13 +87,75 @@ gmf::Flow video_flow(const std::string& name, net::Route route, Rng& rng) {
 }
 
 /// One hop-analysis measurement: median per-flow analysis time of the naive
-/// and the envelope path, and whether their results agreed.
+/// and the envelope path, whether their results agreed, and the reference
+/// kernel's median time at the same k.
 struct HopRow {
   bool converged = false;
   bool identical = true;
   double naive_us = 0.0;
   double envelope_us = 0.0;
+  double reference_us = 0.0;
   [[nodiscard]] double speedup() const { return naive_us / envelope_us; }
+  [[nodiscard]] double vs_reference() const {
+    return reference_us / envelope_us;
+  }
+};
+
+/// The fixed reference kernel: k staircases of 24 steps (spans increasing,
+/// costs and counts their prefix maxima, drawn from a fixed seed), each
+/// read with one binary search and a wrap into its cycle at `points`
+/// increasing points per run — the shape of a naive per-curve demand sum,
+/// one point per demand read of the analysis it is timed against.  Nothing
+/// here calls the library, so its time tracks only the host.
+class ReferenceKernel {
+ public:
+  explicit ReferenceKernel(int k) {
+    constexpr std::size_t kSteps = 24;
+    Rng rng(0x5EFu + static_cast<std::uint64_t>(k));
+    curves_.resize(static_cast<std::size_t>(k));
+    for (Curve& c : curves_) {
+      std::int64_t span = 0, cost = 0, count = 0;
+      for (std::size_t s = 0; s < kSteps; ++s) {
+        span += rng.uniform_i64(1'000, 20'000'000);
+        cost += rng.uniform_i64(10'000, 200'000);
+        count += 1 + static_cast<std::int64_t>(rng.next_below(3));
+        c.span.push_back(span);
+        c.cost.push_back(cost);
+        c.count.push_back(count);
+      }
+      c.cycle = span + rng.uniform_i64(1'000, 20'000'000);
+      c.cycle_cost = cost;
+      c.cycle_count = count;
+    }
+  }
+
+  /// Sums every curve at `points` points; returns a checksum, so the work
+  /// cannot be elided.
+  std::int64_t run(std::int64_t points) const {
+    std::int64_t sink = 0;
+    std::int64_t t = 0;
+    for (std::int64_t p = 0; p < points; ++p) {
+      t += 37'000 + (p % 7) * 11'000;
+      std::int64_t cost = 0, count = 0;
+      for (const Curve& c : curves_) {
+        const std::int64_t cycles = t / c.cycle;
+        const std::int64_t rem = t - cycles * c.cycle;
+        const auto it = std::upper_bound(c.span.begin(), c.span.end(), rem);
+        const auto i = static_cast<std::size_t>(it - c.span.begin());
+        cost += cycles * c.cycle_cost + (i == 0 ? 0 : c.cost[i - 1]);
+        count += cycles * c.cycle_count + (i == 0 ? 0 : c.count[i - 1]);
+      }
+      sink += cost ^ count;
+    }
+    return sink;
+  }
+
+ private:
+  struct Curve {
+    std::vector<std::int64_t> span, cost, count;
+    std::int64_t cycle = 0, cycle_cost = 0, cycle_count = 0;
+  };
+  std::vector<Curve> curves_;
 };
 
 /// k interferers sharing one first-hop link, one switch ingress and one
@@ -110,10 +187,22 @@ HopRow hop_row(int k, double rate_bps, int reps, MakeFlow&& make) {
   naive_opts.use_envelope = false;
   core::HopOptions env_opts;  // default: envelope on
 
+  // One reference point per interferer-demand read of the analysis: each
+  // fixed-point iteration of every stage reads the others' demand once.
+  std::int64_t reads = 0;
+  core::JitterMap counted = base.jitters;
+  const core::FlowResult once =
+      core::analyze_flow_end_to_end(ctx, counted, probe_flow, env_opts);
+  for (const core::FrameResult& fr : once.frames) {
+    for (const core::StageResponse& st : fr.stages) reads += st.hop.iterations;
+  }
+  const ReferenceKernel reference(k);
+
+  // The three are timed back to back in every rep, so a host slowdown hits
+  // them alike.
   core::FlowResult naive_result, env_result;
-  std::vector<double> naive_us, env_us;
-  naive_us.reserve(static_cast<std::size_t>(reps));
-  env_us.reserve(static_cast<std::size_t>(reps));
+  std::vector<double> naive_us, env_us, ref_us;
+  std::int64_t sink = 0;
   for (int r = 0; r < reps; ++r) {
     core::JitterMap jm = base.jitters;
     naive_us.push_back(wall_us([&] {
@@ -125,6 +214,7 @@ HopRow hop_row(int k, double rate_bps, int reps, MakeFlow&& make) {
       env_result =
           core::analyze_flow_end_to_end(ctx, jm2, probe_flow, env_opts);
     }));
+    ref_us.push_back(wall_us([&] { sink += reference.run(reads); }));
     row.identical &=
         naive_result.worst_response() == env_result.worst_response();
     for (std::size_t fr = 0; fr < naive_result.frames.size(); ++fr) {
@@ -132,8 +222,10 @@ HopRow hop_row(int k, double rate_bps, int reps, MakeFlow&& make) {
           naive_result.frames[fr].response == env_result.frames[fr].response;
     }
   }
+  std::printf("%s", sink == 42 ? " " : "");  // keeps the checksums live
   row.naive_us = median(std::move(naive_us));
   row.envelope_us = median(std::move(env_us));
+  row.reference_us = median(std::move(ref_us));
   return row;
 }
 
@@ -142,6 +234,8 @@ void add_hop_row(Table& t, BenchJsonWriter& json, const std::string& section,
   t.add_row({std::to_string(k), Table::fixed(row.naive_us, 1),
              Table::fixed(row.envelope_us, 1),
              Table::fixed(row.speedup(), 2) + "x",
+             Table::fixed(row.reference_us, 1),
+             Table::fixed(row.vs_reference(), 2) + "x",
              row.identical ? "yes" : "NO"});
   json.begin_row();
   json.add("section", section);
@@ -149,6 +243,8 @@ void add_hop_row(Table& t, BenchJsonWriter& json, const std::string& section,
   json.add("naive_us", row.naive_us);
   json.add("envelope_us", row.envelope_us);
   json.add("speedup", row.speedup());
+  json.add("reference_us", row.reference_us);
+  json.add("vs_reference", row.vs_reference());
   json.add("identical", row.identical);
 }
 
@@ -223,8 +319,8 @@ int main(int argc, char** argv) {
   // the envelope + cursor itself.
   Table t("Per-flow hop analysis (first hop + ingress + egress, median us)");
   t.set_columns({"interferers", "naive us", "envelope us", "speedup",
-                 "identical"});
-  double speedup_at_32 = 0.0;
+                 "reference us", "vs reference", "identical"});
+  double vs_reference_at_32 = 0.0;
   for (const int k : {8, 16, 32, 64}) {
     Rng rng(0xbe7c + static_cast<std::uint64_t>(k));
     const auto video = [&](const std::string& name, net::Route route) {
@@ -235,8 +331,8 @@ int main(int argc, char** argv) {
       std::printf("FAIL: base scenario did not converge at k=%d\n", k);
       return 1;
     }
-    if (k == 32) speedup_at_32 = row.speedup();
-    if (k >= 32 && row.speedup() < 3.0) ok = false;
+    if (k == 32) vs_reference_at_32 = row.vs_reference();
+    if (k >= 32 && row.vs_reference() < kMinVsReference) ok = false;
     if (!row.identical) ok = false;
     add_hop_row(t, json, "hop_analysis", k, row);
   }
@@ -249,7 +345,7 @@ int main(int argc, char** argv) {
   // path grows linearly.
   Table tu("Per-flow hop analysis, k identical VoIP interferers (median us)");
   tu.set_columns({"interferers", "naive us", "envelope us", "speedup",
-                  "identical"});
+                  "reference us", "vs reference", "identical"});
   const auto voip = [](const std::string& name, net::Route route) {
     return workload::make_voip_flow(name, std::move(route),
                                     gmfnet::Time::ms(50), 3);
@@ -320,12 +416,13 @@ int main(int argc, char** argv) {
 
   if (!ok) {
     std::printf(
-        "FAIL: envelope hop analysis is not >= 3x faster at 32+ interferers "
-        "(speedup@32 = %.2fx) or results diverged.\n", speedup_at_32);
+        "FAIL: envelope hop analysis under %.2fx the reference kernel at 32+ "
+        "interferers (vs_reference@32 = %.2fx) or results diverged.\n",
+        kMinVsReference, vs_reference_at_32);
     return 1;
   }
   std::printf(
-      "PASS: envelope hop analysis >= 3x faster at 32+ interferers, "
-      "bit-identical results.\n");
+      "PASS: envelope hop analysis >= %.2fx the reference kernel at 32+ "
+      "interferers, bit-identical results.\n", kMinVsReference);
   return 0;
 }

@@ -70,7 +70,11 @@ CHECKS = {
         "file": "BENCH_demand_eval.json",
         "key": ["section", "interferers"],
         "filter": {"section": "hop_analysis"},
-        "metrics": {"speedup": "higher"},
+        # The envelope's per-hop time against a fixed reference kernel
+        # timed in the same reps (bench_demand_eval.cpp), not against the
+        # naive oracle: the oracle got faster once and moved the old
+        # naive/envelope `speedup` without the envelope changing.
+        "metrics": {"vs_reference": "higher"},
     },
     "warm_boot": {
         "file": "BENCH_warm_boot.json",

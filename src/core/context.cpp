@@ -14,6 +14,82 @@ std::uint64_t next_content_uid() {
   return next.fetch_add(1, std::memory_order_relaxed);
 }
 
+namespace {
+
+/// A stage key's node ids as one word whose unsigned order is the signed
+/// lexicographic order of (a, b).
+std::uint64_t pack_nodes(const StageKey& k) {
+  constexpr std::uint32_t kBias = 0x8000'0000u;
+  return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(k.a.v) ^ kBias)
+          << 32) |
+         (static_cast<std::uint32_t>(k.b.v) ^ kBias);
+}
+
+StageKey unpack_nodes(StageKey::Kind kind, std::uint64_t ab) {
+  constexpr std::uint32_t kBias = 0x8000'0000u;
+  StageKey k;
+  k.kind = kind;
+  k.a = NodeId(static_cast<std::int32_t>(
+      static_cast<std::uint32_t>(ab >> 32) ^ kBias));
+  k.b = NodeId(static_cast<std::int32_t>(static_cast<std::uint32_t>(ab) ^
+                                         kBias));
+  return k;
+}
+
+}  // namespace
+
+std::size_t JitterMap::FlowRow::find(const StageKey& key) const {
+  const std::uint64_t ab = pack_nodes(key);
+  std::size_t s = 0;
+  while (s < stages.size() &&
+         !(stages[s].ab == ab && stages[s].kind == key.kind)) {
+    ++s;
+  }
+  return s;
+}
+
+std::size_t JitterMap::FlowRow::insert(const StageKey& key) {
+  const std::uint64_t ab = pack_nodes(key);
+  std::size_t s = 0;
+  while (s < stages.size() &&
+         (stages[s].kind < key.kind ||
+          (stages[s].kind == key.kind && stages[s].ab < ab))) {
+    ++s;
+  }
+  StageSlot slot;
+  slot.ab = ab;
+  slot.kind = key.kind;
+  slot.first = static_cast<std::uint32_t>(
+      s < stages.size() ? stages[s].first : frames.size());
+  stages.insert(stages.begin() + static_cast<std::ptrdiff_t>(s), slot);
+  return s;
+}
+
+void JitterMap::FlowRow::resize_stage(std::size_t s, std::size_t n) {
+  StageSlot& st = stages[s];
+  const auto end = frames.begin() + st.first + st.count;
+  if (n > st.count) {
+    frames.insert(end, n - st.count, gmfnet::Time::zero());
+  } else {
+    frames.erase(end - static_cast<std::ptrdiff_t>(st.count - n), end);
+  }
+  const auto delta = static_cast<std::uint32_t>(n) - st.count;  // mod 2^32
+  st.count = static_cast<std::uint32_t>(n);
+  for (std::size_t t = s + 1; t < stages.size(); ++t) stages[t].first += delta;
+}
+
+bool JitterMap::FlowRow::same_entries(const FlowRow& other) const {
+  if (stages.size() != other.stages.size() || frames != other.frames) {
+    return false;
+  }
+  for (std::size_t s = 0; s < stages.size(); ++s) {
+    const StageSlot& a = stages[s];
+    const StageSlot& b = other.stages[s];
+    if (a.ab != b.ab || a.kind != b.kind || a.count != b.count) return false;
+  }
+  return true;
+}
+
 JitterMap JitterMap::initial(const AnalysisContext& ctx) {
   JitterMap m;
   m.per_flow_.resize(ctx.flow_count());
@@ -21,16 +97,17 @@ JitterMap JitterMap::initial(const AnalysisContext& ctx) {
   for (std::size_t f = 0; f < ctx.flow_count(); ++f) {
     const FlowId id(static_cast<std::int32_t>(f));
     const gmf::Flow& flow = ctx.flow(id);
-    const auto& stages = ctx.stages(id);
-    StageJitter src_jitter;
-    src_jitter.frames.resize(flow.frame_count());
+    auto row = std::make_shared<FlowRow>();
+    row->insert(ctx.stages(id).front());
+    StageSlot& src = row->stages.front();
+    src.count = static_cast<std::uint32_t>(flow.frame_count());
+    row->frames.resize(flow.frame_count());
     for (std::size_t k = 0; k < flow.frame_count(); ++k) {
-      src_jitter.frames[k] = flow.frame(k).jitter;
-      src_jitter.max = gmfnet::max(src_jitter.max, src_jitter.frames[k]);
+      row->frames[k] = flow.frame(k).jitter;
+      src.max = gmfnet::max(src.max, row->frames[k]);
     }
-    m.per_flow_[f] = std::make_shared<FlowEntries>();
-    m.per_flow_[f]->stages[stages.front()] = std::move(src_jitter);
-    m.per_flow_[f]->version = next_content_uid();
+    row->version = next_content_uid();
+    m.per_flow_[f] = std::move(row);
   }
   return m;
 }
@@ -44,70 +121,66 @@ void JitterMap::reset_to_source(const AnalysisContext& ctx, FlowId flow) {
   }
 }
 
-const JitterMap::StageMap& JitterMap::flow_map(std::size_t f) const {
-  static const StageMap kEmpty;
-  if (f >= per_flow_.size() || !per_flow_[f]) return kEmpty;
-  return per_flow_[f]->stages;
-}
-
-JitterMap::StageMap& JitterMap::mutable_flow_map(std::size_t f) {
+JitterMap::FlowRow& JitterMap::mutable_row(std::size_t f) {
   if (f >= per_flow_.size()) per_flow_.resize(f + 1);
   auto& slot = per_flow_[f];
   if (!slot) {
-    slot = std::make_shared<FlowEntries>();
+    slot = std::make_shared<FlowRow>();
   } else if (slot.use_count() > 1) {
     // Shared with a snapshot/copy: clone before the write.
-    slot = std::make_shared<FlowEntries>(*slot);
+    slot = std::make_shared<FlowRow>(*slot);
   }
   slot->version = next_content_uid();
   stamp_.renew();
-  return slot->stages;
+  return *slot;
 }
 
 gmfnet::Time JitterMap::jitter(FlowId flow, const StageKey& stage,
                                std::size_t frame) const {
-  const StageMap& m = flow_map(static_cast<std::size_t>(flow.v));
-  const auto it = m.find(stage);
-  if (it == m.end() || frame >= it->second.frames.size()) {
+  const FlowRow* r = row(static_cast<std::size_t>(flow.v));
+  if (r == nullptr) return gmfnet::Time::zero();
+  const std::size_t s = r->find(stage);
+  if (s == r->stages.size() || frame >= r->stages[s].count) {
     return gmfnet::Time::zero();
   }
-  return it->second.frames[frame];
+  return r->frames[r->stages[s].first + frame];
 }
 
 gmfnet::Time JitterMap::max_jitter(FlowId flow, const StageKey& stage) const {
-  const StageMap& sm = flow_map(static_cast<std::size_t>(flow.v));
-  const auto it = sm.find(stage);
-  return it == sm.end() ? gmfnet::Time::zero() : it->second.max;
+  const FlowRow* r = row(static_cast<std::size_t>(flow.v));
+  if (r == nullptr) return gmfnet::Time::zero();
+  const std::size_t s = r->find(stage);
+  return s == r->stages.size() ? gmfnet::Time::zero() : r->stages[s].max;
 }
 
 bool JitterMap::set_jitter(FlowId flow, const StageKey& stage,
                            std::size_t frame, gmfnet::Time value) {
   const auto f = static_cast<std::size_t>(flow.v);
-  {
-    // An equal write is a no-op: no copy-on-write clone and no new
-    // version, so link tables keyed on flow_version stay valid.  A missing
-    // entry is always created, even for a zero value — absent and zero
-    // entries differ structurally.
-    const StageMap& m = flow_map(f);
-    const auto it = m.find(stage);
-    if (it != m.end() && frame < it->second.frames.size() &&
-        it->second.frames[frame] == value) {
-      return false;
-    }
+  // An equal write is a no-op: no copy-on-write clone and no new version,
+  // so link tables keyed on flow_version stay valid.  A missing entry is
+  // always created, even for a zero value — absent and zero entries differ
+  // structurally.
+  const FlowRow* r = row(f);
+  std::size_t s = r == nullptr ? 0 : r->find(stage);
+  if (r != nullptr && s < r->stages.size() && frame < r->stages[s].count &&
+      r->frames[r->stages[s].first + frame] == value) {
+    return false;
   }
-  StageJitter& sj = mutable_flow_map(f)[stage];
-  auto& v = sj.frames;
-  if (frame >= v.size()) v.resize(frame + 1, gmfnet::Time::zero());
-  const gmfnet::Time old = v[frame];
-  v[frame] = value;
+  FlowRow& w = mutable_row(f);
+  if (s == w.stages.size()) s = w.insert(stage);
+  if (frame >= w.stages[s].count) w.resize_stage(s, frame + 1);
+  StageSlot& st = w.stages[s];
+  const auto v = w.frames.begin() + st.first;
+  const gmfnet::Time old = v[static_cast<std::ptrdiff_t>(frame)];
+  v[static_cast<std::ptrdiff_t>(frame)] = value;
   // Maintain the cached maximum exactly: a write at or above it raises it;
   // overwriting the (unique or not) maximum with less forces one rescan.
-  if (value >= sj.max) {
-    sj.max = value;
-  } else if (old == sj.max) {
+  if (value >= st.max) {
+    st.max = value;
+  } else if (old == st.max) {
     gmfnet::Time m = gmfnet::Time::zero();
-    for (const gmfnet::Time t : v) m = gmfnet::max(m, t);
-    sj.max = m;
+    for (auto t = v; t != v + st.count; ++t) m = gmfnet::max(m, *t);
+    st.max = m;
   }
   return true;
 }
@@ -120,7 +193,7 @@ void JitterMap::adopt_flow(const JitterMap& other, FlowId from, FlowId to) {
   const auto src = static_cast<std::size_t>(from.v);
   const auto dst = static_cast<std::size_t>(to.v);
   if (dst >= per_flow_.size()) per_flow_.resize(dst + 1);
-  // Adoption shares the source's map; a later write to either side clones.
+  // Adoption shares the source's row; a later write to either side clones.
   per_flow_[dst] =
       src < other.per_flow_.size() ? other.per_flow_[src] : nullptr;
   stamp_.renew();
@@ -143,19 +216,19 @@ void JitterMap::clear_flow(FlowId flow) {
 }
 
 std::uint64_t JitterMap::flow_version(FlowId flow) const {
-  const auto f = static_cast<std::size_t>(flow.v);
-  return f < per_flow_.size() && per_flow_[f] ? per_flow_[f]->version : 0;
+  const FlowRow* r = row(static_cast<std::size_t>(flow.v));
+  return r == nullptr ? 0 : r->version;
 }
 
 bool JitterMap::flow_equals(const JitterMap& other, FlowId flow) const {
   const auto f = static_cast<std::size_t>(flow.v);
-  // Shared maps are equal by construction; only diverged ones need a deep
-  // compare.
-  if (f < per_flow_.size() && f < other.per_flow_.size() &&
-      per_flow_[f] == other.per_flow_[f]) {
-    return true;
-  }
-  return flow_map(f) == other.flow_map(f);
+  const FlowRow* a = row(f);
+  const FlowRow* b = other.row(f);
+  // Shared rows are equal by construction; only diverged ones need a deep
+  // compare.  An absent row reads as one with no stages.
+  if (a == b) return true;
+  static const FlowRow kEmpty;
+  return (a != nullptr ? *a : kEmpty).same_entries(b != nullptr ? *b : kEmpty);
 }
 
 bool JitterMap::operator==(const JitterMap& other) const {
@@ -169,15 +242,19 @@ bool JitterMap::operator==(const JitterMap& other) const {
 }
 
 bool JitterMap::has_entries(FlowId flow) const {
-  const auto f = static_cast<std::size_t>(flow.v);
-  return f < per_flow_.size() && per_flow_[f] != nullptr;
+  return row(static_cast<std::size_t>(flow.v)) != nullptr;
 }
 
 JitterMap::StageEntries JitterMap::stage_entries(FlowId flow) const {
   StageEntries out;
-  const StageMap& m = flow_map(static_cast<std::size_t>(flow.v));
-  out.reserve(m.size());
-  for (const auto& [stage, sj] : m) out.emplace_back(stage, sj.frames);
+  const FlowRow* r = row(static_cast<std::size_t>(flow.v));
+  if (r == nullptr) return out;
+  out.reserve(r->stages.size());
+  for (const StageSlot& st : r->stages) {
+    const auto first = r->frames.begin() + st.first;
+    out.emplace_back(unpack_nodes(st.kind, st.ab),
+                     std::vector<gmfnet::Time>(first, first + st.count));
+  }
   return out;
 }
 
@@ -188,21 +265,31 @@ void JitterMap::resize_slots(std::size_t n) {
 
 void JitterMap::set_stage_frames(FlowId flow, const StageKey& stage,
                                  std::vector<gmfnet::Time> frames) {
-  StageJitter sj;
-  sj.max = gmfnet::Time::zero();
-  for (const gmfnet::Time t : frames) sj.max = gmfnet::max(sj.max, t);
-  sj.frames = std::move(frames);
-  mutable_flow_map(static_cast<std::size_t>(flow.v))[stage] = std::move(sj);
+  FlowRow& w = mutable_row(static_cast<std::size_t>(flow.v));
+  std::size_t s = w.find(stage);
+  if (s == w.stages.size()) s = w.insert(stage);
+  w.resize_stage(s, frames.size());
+  StageSlot& st = w.stages[s];
+  st.max = gmfnet::Time::zero();
+  for (const gmfnet::Time t : frames) st.max = gmfnet::max(st.max, t);
+  std::copy(frames.begin(), frames.end(), w.frames.begin() + st.first);
 }
 
 AnalysisContext::AnalysisContext(net::Network network)
     : net_(std::make_shared<const net::Network>(std::move(network))) {
   net_->validate();
-  std::vector<gmfnet::Time> circ(net_->node_count(), gmfnet::Time::zero());
+  auto tables = std::make_shared<NetTables>();
+  tables->circ.assign(net_->node_count(), gmfnet::Time::zero());
   for (const NodeId n : net_->nodes_of_kind(net::NodeKind::kSwitch)) {
-    circ[static_cast<std::size_t>(n.v)] = switchsim::circ_of(*net_, n);
+    tables->circ[static_cast<std::size_t>(n.v)] = switchsim::circ_of(*net_, n);
   }
-  circ_ = std::make_shared<const std::vector<gmfnet::Time>>(std::move(circ));
+  const std::vector<net::LinkId> order = net_->link_ids_in_ref_order();
+  tables->link_rank.resize(order.size());
+  for (std::size_t r = 0; r < order.size(); ++r) {
+    tables->link_rank[order[r]] = static_cast<std::uint32_t>(r);
+  }
+  net_tables_ = std::move(tables);
+  link_slot_.assign(net_->link_count(), kNoSlot);
 }
 
 AnalysisContext::AnalysisContext(net::Network network,
@@ -227,8 +314,10 @@ FlowId AnalysisContext::append_flow_deferred(gmf::Flow flow) {
   }
 
   d->links = route.links();
+  d->link_ids.reserve(d->links.size());
   d->params.reserve(d->links.size());
   for (const LinkRef l : d->links) {
+    d->link_ids.push_back(net_->link_id(l));
     d->params.emplace_back(d->flow, net_->linkspeed(l.src, l.dst));
   }
   d->demand.reserve(d->params.size());
@@ -238,14 +327,25 @@ FlowId AnalysisContext::append_flow_deferred(gmf::Flow flow) {
   stamp_.renew();
 
   // Route-based incremental update: only this flow's links are touched.
-  for (const LinkRef l : derived_.back()->links) links_[l].flows.push_back(id);
+  for (const net::LinkId l : derived_.back()->link_ids) {
+    used_link(l).flows.push_back(id);
+  }
   return id;
+}
+
+AnalysisContext::LinkState& AnalysisContext::used_link(net::LinkId id) {
+  std::uint32_t& slot = link_slot_[id];
+  if (slot == kNoSlot) {
+    slot = static_cast<std::uint32_t>(link_states_.size());
+    link_states_.emplace_back().id = id;
+  }
+  return link_states_[slot];
 }
 
 FlowId AnalysisContext::add_flow(gmf::Flow flow) {
   const FlowId id = append_flow_deferred(std::move(flow));
-  for (const LinkRef l : derived_.back()->links) {
-    recompute_link_aggregates(l, links_[l]);
+  for (const net::LinkId l : derived_.back()->link_ids) {
+    recompute_link_aggregates(used_link(l));
   }
   return id;
 }
@@ -256,10 +356,10 @@ void AnalysisContext::add_flows(std::vector<gmf::Flow> flows) {
   // not mid-batch with links whose aggregates were never recomputed.
   for (const gmf::Flow& f : flows) f.validate(*net_);
   derived_.reserve(derived_.size() + flows.size());
-  std::vector<LinkRef> touched;
+  std::vector<net::LinkId> touched;
   for (gmf::Flow& f : flows) {
     const FlowId id = append_flow_deferred(std::move(f));
-    const auto& links = derived_[static_cast<std::size_t>(id.v)]->links;
+    const auto& links = derived_[static_cast<std::size_t>(id.v)]->link_ids;
     touched.insert(touched.end(), links.begin(), links.end());
   }
   // One from-scratch aggregate pass per touched link, however many of the
@@ -267,25 +367,13 @@ void AnalysisContext::add_flows(std::vector<gmf::Flow> flows) {
   // final state matches the sequential add_flow path bit for bit.
   std::sort(touched.begin(), touched.end());
   touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
-  for (const LinkRef l : touched) {
-    recompute_link_aggregates(l, links_[l]);
-  }
+  for (const net::LinkId l : touched) recompute_link_aggregates(used_link(l));
 }
 
 FlowId AnalysisContext::adopt_flow(const AnalysisContext& from, FlowId src) {
-  const auto s = static_cast<std::size_t>(src.v);
-  if (src.v < 0 || s >= from.derived_.size()) {
-    throw std::out_of_range("adopt_flow: no such flow in source context");
-  }
-  const FlowId id(static_cast<std::int32_t>(derived_.size()));
-  // Share the immutable derived state verbatim; only this context's
-  // per-link aggregates are recomputed, exactly as add_flow would.
-  derived_.push_back(from.derived_[s]);
-  stamp_.renew();
-  for (const LinkRef l : derived_.back()->links) {
-    LinkState& state = links_[l];
-    state.flows.push_back(id);
-    recompute_link_aggregates(l, state);
+  const FlowId id = adopt_flow_deferred(from, src);
+  for (const net::LinkId l : derived_.back()->link_ids) {
+    recompute_link_aggregates(used_link(l));
   }
   return id;
 }
@@ -297,20 +385,25 @@ FlowId AnalysisContext::adopt_flow_deferred(const AnalysisContext& from,
     throw std::out_of_range("adopt_flow: no such flow in source context");
   }
   const FlowId id(static_cast<std::int32_t>(derived_.size()));
+  // Share the immutable derived state verbatim (link ids included: both
+  // contexts are over the same network).
   derived_.push_back(from.derived_[s]);
   stamp_.renew();
-  for (const LinkRef l : derived_.back()->links) links_[l].flows.push_back(id);
+  for (const net::LinkId l : derived_.back()->link_ids) {
+    used_link(l).flows.push_back(id);
+  }
   return id;
 }
 
 void AnalysisContext::recompute_all_aggregates() {
-  for (auto& [link, state] : links_) recompute_link_aggregates(link, state);
+  for (LinkState& state : link_states_) recompute_link_aggregates(state);
 }
 
 AnalysisContext AnalysisContext::empty_clone(const AnalysisContext& like) {
   AnalysisContext out;
   out.net_ = like.net_;
-  out.circ_ = like.circ_;
+  out.net_tables_ = like.net_tables_;
+  out.link_slot_.assign(like.link_slot_.size(), kNoSlot);
   return out;
 }
 
@@ -319,38 +412,39 @@ void AnalysisContext::remove_flow(std::size_t index) {
     throw std::out_of_range("remove_flow: no flow at this index");
   }
   const auto removed = static_cast<std::int32_t>(index);
-  const std::vector<LinkRef> touched = derived_[index]->links;
+  const std::shared_ptr<const FlowDerived> gone = derived_[index];
 
   derived_.erase(derived_.begin() + static_cast<std::ptrdiff_t>(index));
   stamp_.renew();
 
-  // Flow ids above the removed one shift down by one, on every link.
-  for (auto it = links_.begin(); it != links_.end();) {
-    auto& flows = it->second.flows;
-    std::erase(flows, FlowId(removed));
-    for (FlowId& f : flows) {
-      if (f.v > removed) f = FlowId(f.v - 1);
-    }
-    if (flows.empty()) {
-      it = links_.erase(it);
-    } else {
-      ++it;
+  // The removed flow leaves its route links, and every later flow's id
+  // shifts down by one on each of its links.  A link's flows stay in
+  // ascending id order throughout, so each later id is found by bisection.
+  for (const net::LinkId l : gone->link_ids) {
+    std::erase(used_link(l).flows, FlowId(removed));
+  }
+  for (std::size_t f = index; f < derived_.size(); ++f) {
+    const FlowId old_id(static_cast<std::int32_t>(f + 1));
+    for (const net::LinkId l : derived_[f]->link_ids) {
+      std::vector<FlowId>& flows = used_link(l).flows;
+      *std::lower_bound(flows.begin(), flows.end(), old_id) =
+          FlowId(static_cast<std::int32_t>(f));
     }
   }
   // Only the removed flow's route links need their aggregates rebuilt.
-  for (const LinkRef l : touched) {
-    const auto it = links_.find(l);
-    if (it != links_.end()) recompute_link_aggregates(l, it->second);
+  for (const net::LinkId l : gone->link_ids) {
+    recompute_link_aggregates(used_link(l));
   }
 }
 
-void AnalysisContext::recompute_link_aggregates(LinkRef link,
-                                                LinkState& state) const {
+void AnalysisContext::recompute_link_aggregates(LinkState& state) const {
+  const net::Link& link = net_->links()[state.id];
   const gmfnet::Time c = circ(link.dst);
+  const LinkRef ref(link.src, link.dst);
   state.utilization = 0.0;
   state.ingress_utilization = 0.0;
   for (const FlowId j : state.flows) {
-    const gmf::FlowLinkParams& p = link_params(j, link);
+    const gmf::FlowLinkParams& p = link_params(j, ref);
     state.utilization += p.utilization();
     state.ingress_utilization += static_cast<double>(p.nsum()) *
                                  static_cast<double>(c.ps()) /
@@ -358,10 +452,11 @@ void AnalysisContext::recompute_link_aggregates(LinkRef link,
   }
 }
 
-const std::vector<FlowId>& AnalysisContext::flows_on_link(LinkRef link) const {
+const std::vector<FlowId>& AnalysisContext::flows_on_link(
+    net::LinkId id) const {
   static const std::vector<FlowId> kEmpty;
-  const auto it = links_.find(link);
-  return it == links_.end() ? kEmpty : it->second.flows;
+  const LinkState* state = link_state(id);
+  return state != nullptr ? state->flows : kEmpty;
 }
 
 std::vector<FlowId> AnalysisContext::hep(FlowId i, LinkRef link) const {
@@ -407,17 +502,17 @@ const gmf::DemandCurve& AnalysisContext::demand(FlowId i, LinkRef link) const {
 
 gmfnet::Time AnalysisContext::circ(NodeId n) const {
   if (!net_->has_node(n)) throw std::out_of_range("circ: bad node");
-  return (*circ_)[static_cast<std::size_t>(n.v)];
+  return net_tables_->circ[static_cast<std::size_t>(n.v)];
 }
 
 double AnalysisContext::link_utilization(LinkRef link) const {
-  const auto it = links_.find(link);
-  return it == links_.end() ? 0.0 : it->second.utilization;
+  const LinkState* state = link_state(link_id(link));
+  return state != nullptr ? state->utilization : 0.0;
 }
 
 double AnalysisContext::ingress_utilization(LinkRef link) const {
-  const auto it = links_.find(link);
-  return it == links_.end() ? 0.0 : it->second.ingress_utilization;
+  const LinkState* state = link_state(link_id(link));
+  return state != nullptr ? state->ingress_utilization : 0.0;
 }
 
 double AnalysisContext::egress_level_utilization(FlowId i, LinkRef link) const {
@@ -435,6 +530,11 @@ const std::vector<StageKey>& AnalysisContext::stages(FlowId i) const {
 
 const std::vector<LinkRef>& AnalysisContext::route_links(FlowId i) const {
   return derived_[static_cast<std::size_t>(i.v)]->links;
+}
+
+const std::vector<net::LinkId>& AnalysisContext::route_link_ids(
+    FlowId i) const {
+  return derived_[static_cast<std::size_t>(i.v)]->link_ids;
 }
 
 }  // namespace gmfnet::core

@@ -21,13 +21,19 @@
 // require exclusive access to the mutated context only — they never write
 // through the shared state.  The same contract holds for JitterMap: const
 // reads and copies are concurrency-safe, writes are copy-on-write against
-// any state shared with other maps (a shared per-flow map is cloned before
+// any state shared with other maps (a shared per-flow row is cloned before
 // the first write), so concurrent readers holding snapshots never observe
 // a writer's mutation.
+//
+// Per-link state is addressed by the network's dense link ids
+// (net::Network::link_id): each flow's derived state carries its route's
+// link ids, and the per-link flow lists and aggregates are reached through
+// a table with one slot per network link, so the sweep bookkeeping
+// (core/holistic.cpp) and the per-hop tables (core/hop_level.hpp) index
+// arrays instead of searching maps.
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -103,10 +109,21 @@ class ContentStamp {
 /// holistic analysis iterates on.  Missing entries read as zero (the
 /// holistic initial assumption for non-source stages).
 ///
-/// Per-flow stage maps are copy-on-write: copying a JitterMap shares them,
-/// and a write clones only the written flow's map.  Snapshots (Jacobi
-/// sweeps, the engine's convergence checks and warm starts) therefore cost
-/// one pointer per untouched flow.  Equality compares values, not sharing.
+/// Storage: each flow's entries are one flat row — its stages sorted by
+/// StageKey, each with its frame count and cached maximum, and all their
+/// frames in one buffer in stage order.  A lookup scans the row's packed
+/// keys (a flow has a handful of stages, one per pipeline stage it
+/// crossed); nothing is hashed or tree-searched.  Absent and zero entries
+/// stay distinct: a stage or frame never written is absent from the row,
+/// and stage_entries() lists exactly what was written, in StageKey order.
+///
+/// Rows are copy-on-write: copying a JitterMap shares them, and a write
+/// clones only the written flow's row (two flat vectors, however many
+/// stages it holds).  Snapshots (Jacobi sweeps, the engine's convergence
+/// checks and warm starts) therefore cost one pointer per untouched flow.
+/// A shared row is never written in place, so threads reading their own
+/// copies never race a writer cloning the rows they share (see the
+/// file comment).  Equality compares values, not sharing.
 class JitterMap {
  public:
   JitterMap() = default;
@@ -197,37 +214,52 @@ class JitterMap {
                         std::vector<gmfnet::Time> frames);
 
  private:
-  /// Per-frame jitters of one flow at one stage, with the frame maximum
-  /// maintained incrementally — max_jitter (extra_j) is read k times per
-  /// hop analysis per fixed-point chain, so it must not rescan the frames.
-  struct StageJitter {
+  /// One stage of a flow's row.  The key is packed for the lookup scan:
+  /// `ab` holds both node ids (order-preserving, so (kind, ab) sorts like
+  /// StageKey) and a hit needs one word compare plus the kind.  The
+  /// stage's frames sit at [first, first + count) of the row's frame
+  /// buffer.  `max`, the frame maximum, is maintained incrementally:
+  /// max_jitter (extra_j) is read k times per hop analysis per fixed-point
+  /// chain, so it must not rescan the frames.
+  struct StageSlot {
+    std::uint64_t ab = 0;
+    gmfnet::Time max = gmfnet::Time::zero();
+    std::uint32_t first = 0;
+    std::uint32_t count = 0;
+    StageKey::Kind kind = StageKey::Kind::kLink;
+  };
+
+  /// One flow's entries: its stages sorted by StageKey, their frames back
+  /// to back in stage order (no gaps), and the content version (see
+  /// flow_version).  A copy-on-write clone copies the two flat vectors.
+  struct FlowRow {
+    std::vector<StageSlot> stages;
     std::vector<gmfnet::Time> frames;
-    gmfnet::Time max = gmfnet::Time::zero();  ///< max over `frames`
-
-    /// Value equality ignores `max`: it is derived from `frames`.
-    bool operator==(const StageJitter& other) const {
-      return frames == other.frames;
-    }
-  };
-
-  /// [stage] -> per-frame jitter state, for one flow.
-  using StageMap = std::map<StageKey, StageJitter>;
-
-  /// One flow's entries plus their content version (see flow_version).
-  struct FlowEntries {
-    StageMap stages;
     std::uint64_t version = 0;
+
+    /// Index of `key` in `stages`, or stages.size() when absent.
+    [[nodiscard]] std::size_t find(const StageKey& key) const;
+    /// Inserts `key` with no frames at its sorted position; returns it.
+    std::size_t insert(const StageKey& key);
+    /// Makes stage `s` hold exactly `n` frames: new frames read zero,
+    /// later stages' frames move along.
+    void resize_stage(std::size_t s, std::size_t n);
+    /// Value equality: same stages, same frames (`max` is derived).
+    [[nodiscard]] bool same_entries(const FlowRow& other) const;
   };
 
-  /// Read view of one flow's entries (empty when absent).
-  [[nodiscard]] const StageMap& flow_map(std::size_t f) const;
+  /// Read view of one flow's row (null when absent).
+  [[nodiscard]] const FlowRow* row(std::size_t f) const {
+    return f < per_flow_.size() ? per_flow_[f].get() : nullptr;
+  }
   /// Write access for a write that changes the entries: clones the flow's
-  /// entries iff they are shared (copy-on-write) and gives them a new
-  /// version either way.
-  [[nodiscard]] StageMap& mutable_flow_map(std::size_t f);
+  /// row iff it is shared (copy-on-write; the clone keeps the layout, so
+  /// stage indices found before stay valid) and gives it a new version
+  /// either way.
+  [[nodiscard]] FlowRow& mutable_row(std::size_t f);
 
-  /// per_flow_[flow.v] -> shared entries (null reads as empty).
-  std::vector<std::shared_ptr<FlowEntries>> per_flow_;
+  /// per_flow_[flow.v] -> shared row (null reads as empty).
+  std::vector<std::shared_ptr<FlowRow>> per_flow_;
   ContentStamp stamp_;
 };
 
@@ -296,8 +328,23 @@ class AnalysisContext {
     return derived_[static_cast<std::size_t>(id.v)]->flow;
   }
 
-  /// flows(N1,N2): ids of flows whose route uses the directed link.
-  [[nodiscard]] const std::vector<FlowId>& flows_on_link(LinkRef link) const;
+  /// The network's dense id of `link` (net::kNoLink when it has none).
+  [[nodiscard]] net::LinkId link_id(LinkRef link) const {
+    return net_->link_id(link);
+  }
+  /// Position of link `id` in LinkRef order (source, then destination):
+  /// comparing ranks compares the links.  Computed once per network.
+  [[nodiscard]] std::uint32_t link_rank(net::LinkId id) const {
+    return net_tables_->link_rank[id];
+  }
+
+  /// flows(N1,N2): ids of flows whose route uses the directed link, in
+  /// ascending id order.
+  [[nodiscard]] const std::vector<FlowId>& flows_on_link(LinkRef link) const {
+    return flows_on_link(link_id(link));
+  }
+  /// The same by dense link id (empty for net::kNoLink).
+  [[nodiscard]] const std::vector<FlowId>& flows_on_link(net::LinkId id) const;
 
   /// hep(τ_i, N1, N2), eq (2): other flows on the link with priority >= τ_i.
   [[nodiscard]] std::vector<FlowId> hep(FlowId i, LinkRef link) const;
@@ -325,7 +372,7 @@ class AnalysisContext {
   [[nodiscard]] gmfnet::Time circ(NodeId n) const;
 
   /// Sum over flows on `link` of CSUM/TSUM — the left side of eq (20).
-  /// Maintained incrementally; O(log links) per query.
+  /// Maintained incrementally; one link-id lookup per query.
   [[nodiscard]] double link_utilization(LinkRef link) const;
   /// Ingress-task load on the FIFO of `link`: sum of NSUM*CIRC(dst)/TSUM.
   [[nodiscard]] double ingress_utilization(LinkRef link) const;
@@ -343,6 +390,9 @@ class AnalysisContext {
 
   /// The route links of flow `i`, in traversal order (cached).
   [[nodiscard]] const std::vector<LinkRef>& route_links(FlowId i) const;
+  /// The dense ids of route_links(i), in the same order (cached).
+  [[nodiscard]] const std::vector<net::LinkId>& route_link_ids(
+      FlowId i) const;
 
  private:
   /// One flow plus everything derived from it alone (given the network):
@@ -352,6 +402,7 @@ class AnalysisContext {
     gmf::Flow flow;
     std::vector<StageKey> stages;
     std::vector<LinkRef> links;               ///< route links, in order
+    std::vector<net::LinkId> link_ids;        ///< parallel to `links`
     std::vector<gmf::FlowLinkParams> params;  ///< parallel to `links`
     std::vector<gmf::DemandCurve> demand;     ///< parallel to `links`
   };
@@ -359,6 +410,7 @@ class AnalysisContext {
   /// Per-link mutable state: the flows crossing the link plus the
   /// incrementally maintained utilization aggregates.
   struct LinkState {
+    net::LinkId id = net::kNoLink;
     std::vector<FlowId> flows;
     double utilization = 0.0;          ///< sum of CSUM/TSUM
     double ingress_utilization = 0.0;  ///< sum of NSUM*CIRC(dst)/TSUM
@@ -368,19 +420,41 @@ class AnalysisContext {
   AnalysisContext() = default;
 
   [[nodiscard]] const FlowDerived& derived(FlowId i, const char* what) const;
-  /// Recomputes `state`'s aggregates from scratch, summing in flow-id order
-  /// (bit-identical to a monolithic rebuild).
-  void recompute_link_aggregates(LinkRef link, LinkState& state) const;
+  /// Network-static tables, computed once per network and shared by every
+  /// context over it.
+  struct NetTables {
+    std::vector<gmfnet::Time> circ;  ///< CIRC by node id (zero off switches)
+    std::vector<std::uint32_t> link_rank;  ///< see link_rank()
+  };
+
+  /// Link `id`'s state (null when no flow of this context ever used it).
+  [[nodiscard]] const LinkState* link_state(net::LinkId id) const {
+    return id < link_slot_.size() && link_slot_[id] != kNoSlot
+               ? &link_states_[link_slot_[id]]
+               : nullptr;
+  }
+  /// Link `id`'s state for writing, created empty on first use.
+  LinkState& used_link(net::LinkId id);
+  /// Recomputes `state`'s aggregates from scratch, summing in flow-id
+  /// order (bit-identical to a monolithic rebuild).
+  void recompute_link_aggregates(LinkState& state) const;
   /// add_flow minus the aggregate recomputation: validates, derives and
   /// appends `flow`, registering it on its route links.  The caller owns
   /// recomputing the touched links' aggregates before any query runs.
   FlowId append_flow_deferred(gmf::Flow flow);
 
   std::shared_ptr<const net::Network> net_;
-  /// CIRC by node id (zero for non-switches); network-static, shared.
-  std::shared_ptr<const std::vector<gmfnet::Time>> circ_;
+  std::shared_ptr<const NetTables> net_tables_;
   std::vector<std::shared_ptr<const FlowDerived>> derived_;
-  std::map<LinkRef, LinkState> links_;
+  /// Per-link state, reached by dense link id: link_slot_ has one entry
+  /// per network link (kNoSlot until a flow of this context uses it) and
+  /// points into link_states_, which holds only the links used.  So a
+  /// lookup is two array reads, and a shard or probe context over a large
+  /// network costs one word per link, not one LinkState.  A link that
+  /// loses its last flow keeps an empty state.
+  static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
+  std::vector<std::uint32_t> link_slot_;
+  std::vector<LinkState> link_states_;
   ContentStamp stamp_;
 };
 

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <functional>
-#include <map>
-#include <queue>
 #include <stdexcept>
 
 #include "core/egress.hpp"
@@ -135,7 +133,11 @@ HolisticResult solve_jacobi(const AnalysisContext& ctx,
 /// pipeline stage of one iterated flow.
 struct SweepNode {
   FlowId flow;
-  std::size_t stage = 0;  ///< index into ctx.stages(flow)
+  std::uint32_t stage = 0;  ///< index into ctx.stages(flow)
+  /// The node's flag in SweepPlan::jsum_due; the flow's next stage, when
+  /// there is one, has the flag after it.
+  std::uint32_t due = 0;
+  bool last = false;  ///< the flow's last stage
   /// The flow's next stage lives in a group visited earlier in the sweep
   /// (cyclic key graph): a result here reaches that stage's jitter only in
   /// the next sweep.
@@ -152,7 +154,8 @@ struct SweepNode {
 struct SweepGroup {
   StageKey key;
   LinkRef link;  ///< L
-  std::vector<SweepNode> nodes;
+  std::uint32_t begin = 0;  ///< nodes [begin, end) of SweepPlan::nodes
+  std::uint32_t end = 0;
   std::size_t frames = 0;  ///< per-frame hops of the nodes (an upper bound
                            ///< on one visit's analyses)
   /// Inputs changed since the nodes' last analysis: a written entry, or
@@ -163,8 +166,36 @@ struct SweepGroup {
 /// The visiting order of one solve.
 struct SweepPlan {
   std::vector<SweepGroup> groups;
+  std::vector<SweepNode> nodes;  ///< grouped, each group in flow order
+  /// Per node, flow-major (a flow's stages in route order): the node's
+  /// JSUM must be recomputed.  Set when the flow's previous stage was
+  /// written with a changed entry or analysed since the node's last write.
+  std::vector<char> jsum_due;
   /// The key graph has a cycle (some node sits on a back edge).
   bool cyclic = false;
+};
+
+/// Per-thread buffers of link_ordered_groups, reused across solves so a
+/// plan allocates nothing in the steady state.  The returned plan lives
+/// here too: a thread runs one solve at a time.
+struct PlanScratch {
+  static constexpr std::uint32_t kNone = ~std::uint32_t{0};
+
+  static PlanScratch& local() {
+    thread_local PlanScratch scratch;
+    return scratch;
+  }
+
+  std::vector<std::uint32_t> key_of;  ///< by link id; kNone between builds
+  std::vector<net::LinkId> keys;      ///< key -> link id, in LinkRef order
+  std::vector<std::uint32_t> succ_begin;  ///< CSR successor lists by key
+  std::vector<std::uint32_t> succ;
+  std::vector<std::uint32_t> indegree;
+  std::vector<std::uint32_t> pos;  ///< key -> visiting position
+  std::vector<char> placed;
+  std::vector<std::uint32_t> ready;  ///< min-heap of ready keys
+  std::vector<std::uint32_t> cursor;
+  SweepPlan plan;
 };
 
 /// The groups of `iterated` in visiting order.  Keys are ordered
@@ -173,84 +204,138 @@ struct SweepPlan {
 /// ready keys; on a cycle the lowest remaining key is forced next.  Each
 /// key contributes its link group, then its ingress group.  On a
 /// feed-forward component every node's upstream stages are therefore
-/// analysed before it in the same sweep.
-SweepPlan link_ordered_groups(const AnalysisContext& ctx,
-                              const std::vector<FlowId>& iterated) {
-  SweepPlan plan;
-  std::map<LinkRef, std::size_t> index;
-  for (const FlowId id : iterated) {
-    for (const LinkRef l : ctx.route_links(id)) index.emplace(l, 0);
+/// analysed before it in the same sweep.  Keys are numbered in LinkRef
+/// order (by link rank), so "lowest" compares key numbers.
+SweepPlan& link_ordered_groups(const AnalysisContext& ctx,
+                               const std::vector<FlowId>& iterated) {
+  constexpr std::uint32_t kNone = PlanScratch::kNone;
+  PlanScratch& ps = PlanScratch::local();
+  if (ps.key_of.size() < ctx.network().link_count()) {
+    ps.key_of.resize(ctx.network().link_count(), kNone);
   }
-  std::vector<LinkRef> keys;
-  keys.reserve(index.size());
-  for (auto& [l, i] : index) {
-    i = keys.size();
-    keys.push_back(l);
-  }
-  const std::size_t n = keys.size();
 
-  std::vector<std::vector<std::size_t>> route_keys;
-  route_keys.reserve(iterated.size());
-  std::vector<std::vector<std::size_t>> succ(n);
-  std::vector<std::size_t> indegree(n, 0);
+  ps.keys.clear();
   for (const FlowId id : iterated) {
-    std::vector<std::size_t>& rk = route_keys.emplace_back();
-    for (const LinkRef l : ctx.route_links(id)) rk.push_back(index[l]);
-    for (std::size_t t = 0; t + 1 < rk.size(); ++t) {
-      succ[rk[t]].push_back(rk[t + 1]);
-      ++indegree[rk[t + 1]];
+    for (const net::LinkId l : ctx.route_link_ids(id)) {
+      if (ps.key_of[l] != kNone) continue;
+      ps.key_of[l] = 0;
+      ps.keys.push_back(l);
+    }
+  }
+  std::sort(ps.keys.begin(), ps.keys.end(),
+            [&](net::LinkId a, net::LinkId b) {
+              return ctx.link_rank(a) < ctx.link_rank(b);
+            });
+  const auto n = static_cast<std::uint32_t>(ps.keys.size());
+  for (std::uint32_t v = 0; v < n; ++v) ps.key_of[ps.keys[v]] = v;
+
+  // Successor lists in CSR form, one edge per consecutive route pair.
+  ps.succ_begin.assign(n + 1, 0);
+  ps.indegree.assign(n, 0);
+  for (const FlowId id : iterated) {
+    const std::vector<net::LinkId>& route = ctx.route_link_ids(id);
+    for (std::size_t t = 0; t + 1 < route.size(); ++t) {
+      ++ps.succ_begin[ps.key_of[route[t]] + 1];
+      ++ps.indegree[ps.key_of[route[t + 1]]];
+    }
+  }
+  for (std::uint32_t v = 0; v < n; ++v) {
+    ps.succ_begin[v + 1] += ps.succ_begin[v];
+  }
+  ps.succ.resize(ps.succ_begin[n]);
+  ps.cursor.assign(ps.succ_begin.begin(), ps.succ_begin.end() - 1);
+  for (const FlowId id : iterated) {
+    const std::vector<net::LinkId>& route = ctx.route_link_ids(id);
+    for (std::size_t t = 0; t + 1 < route.size(); ++t) {
+      ps.succ[ps.cursor[ps.key_of[route[t]]]++] = ps.key_of[route[t + 1]];
     }
   }
 
-  std::vector<std::size_t> pos(n, 0);
-  std::vector<char> placed(n, 0);
-  std::priority_queue<std::size_t, std::vector<std::size_t>,
-                      std::greater<>>
-      ready;
-  for (std::size_t v = 0; v < n; ++v) {
-    if (indegree[v] == 0) ready.push(v);
+  SweepPlan& plan = ps.plan;
+  plan.cyclic = false;
+  ps.pos.assign(n, 0);
+  ps.placed.assign(n, 0);
+  ps.ready.clear();
+  // Ascending, so already a min-heap.
+  for (std::uint32_t v = 0; v < n; ++v) {
+    if (ps.indegree[v] == 0) ps.ready.push_back(v);
   }
-  std::size_t lowest = 0;
-  for (std::size_t p = 0; p < n; ++p) {
-    std::size_t v;
-    if (!ready.empty()) {
-      v = ready.top();
-      ready.pop();
+  std::uint32_t lowest = 0;
+  for (std::uint32_t p = 0; p < n; ++p) {
+    std::uint32_t v;
+    if (!ps.ready.empty()) {
+      std::pop_heap(ps.ready.begin(), ps.ready.end(), std::greater<>());
+      v = ps.ready.back();
+      ps.ready.pop_back();
     } else {
-      while (placed[lowest]) ++lowest;  // cycle: force the lowest key
+      while (ps.placed[lowest]) ++lowest;  // cycle: force the lowest key
       v = lowest;
       plan.cyclic = true;
     }
-    placed[v] = 1;
-    pos[v] = p;
-    for (const std::size_t w : succ[v]) {
-      if (!placed[w] && --indegree[w] == 0) ready.push(w);
-    }
-  }
-
-  std::vector<SweepGroup>& groups = plan.groups;
-  groups.resize(2 * n);
-  for (std::size_t v = 0; v < n; ++v) {
-    groups[2 * pos[v]].key = StageKey::link(keys[v]);
-    groups[2 * pos[v] + 1].key = StageKey::ingress(keys[v].dst);
-    groups[2 * pos[v]].link = groups[2 * pos[v] + 1].link = keys[v];
-  }
-  for (std::size_t f = 0; f < iterated.size(); ++f) {
-    const std::vector<std::size_t>& rk = route_keys[f];
-    for (std::size_t t = 0; t < rk.size(); ++t) {
-      const std::size_t frames = ctx.flow(iterated[f]).frame_count();
-      SweepGroup& link_group = groups[2 * pos[rk[t]]];
-      link_group.nodes.push_back({iterated[f], 2 * t, false});
-      link_group.frames += frames;
-      if (t + 1 < rk.size()) {
-        SweepGroup& ingress_group = groups[2 * pos[rk[t]] + 1];
-        ingress_group.nodes.push_back(
-            {iterated[f], 2 * t + 1, pos[rk[t + 1]] < pos[rk[t]]});
-        ingress_group.frames += frames;
+    ps.placed[v] = 1;
+    ps.pos[v] = p;
+    for (std::uint32_t e = ps.succ_begin[v]; e < ps.succ_begin[v + 1]; ++e) {
+      const std::uint32_t w = ps.succ[e];
+      if (!ps.placed[w] && --ps.indegree[w] == 0) {
+        ps.ready.push_back(w);
+        std::push_heap(ps.ready.begin(), ps.ready.end(), std::greater<>());
       }
     }
   }
-  std::erase_if(groups, [](const SweepGroup& g) { return g.nodes.empty(); });
+
+  // Groups in visiting order (link group 2p, ingress group 2p + 1 for the
+  // key at position p): count each group's nodes, then place the nodes
+  // flow by flow, so every group lists its nodes in flow order.
+  const auto link_group_of = [&](net::LinkId l) {
+    return 2 * std::size_t{ps.pos[ps.key_of[l]]};
+  };
+  std::vector<SweepGroup>& groups = plan.groups;
+  groups.assign(2 * std::size_t{n}, SweepGroup{});
+  for (const net::LinkId l : ps.keys) {
+    const net::Link& link = ctx.network().links()[l];
+    const LinkRef ref(link.src, link.dst);
+    SweepGroup& link_group = groups[link_group_of(l)];
+    SweepGroup& ingress_group = groups[link_group_of(l) + 1];
+    link_group.key = StageKey::link(ref);
+    ingress_group.key = StageKey::ingress(ref.dst);
+    link_group.link = ingress_group.link = ref;
+  }
+  ps.cursor.assign(groups.size() + 1, 0);
+  for (const FlowId id : iterated) {
+    const std::vector<net::LinkId>& route = ctx.route_link_ids(id);
+    for (std::size_t t = 0; t < route.size(); ++t) {
+      ++ps.cursor[link_group_of(route[t]) + 1];
+      if (t + 1 < route.size()) ++ps.cursor[link_group_of(route[t]) + 2];
+    }
+  }
+  for (std::size_t g = 0; g < groups.size(); ++g) {
+    ps.cursor[g + 1] += ps.cursor[g];
+    groups[g].begin = groups[g].end = ps.cursor[g];
+  }
+  plan.nodes.resize(ps.cursor[groups.size()]);
+  std::uint32_t due = 0;  // the flow's first node's jsum_due index
+  for (const FlowId id : iterated) {
+    const std::vector<net::LinkId>& route = ctx.route_link_ids(id);
+    const std::size_t frames = ctx.flow(id).frame_count();
+    for (std::size_t t = 0; t < route.size(); ++t) {
+      const auto stage = static_cast<std::uint32_t>(2 * t);
+      const std::size_t g = link_group_of(route[t]);
+      plan.nodes[groups[g].end++] = {id, stage, due + stage,
+                                     t + 1 == route.size(), false};
+      groups[g].frames += frames;
+      if (t + 1 < route.size()) {
+        plan.nodes[groups[g + 1].end++] = {
+            id, stage + 1, due + stage + 1, false,
+            link_group_of(route[t + 1]) < g};
+        groups[g + 1].frames += frames;
+      }
+    }
+    due += static_cast<std::uint32_t>(2 * route.size() - 1);
+  }
+  for (const net::LinkId l : ps.keys) ps.key_of[l] = kNone;
+  std::erase_if(groups, [](const SweepGroup& g) { return g.begin == g.end; });
+  // Every node's JSUM is due in the first sweep.
+  plan.jsum_due.assign(due, 1);
   return plan;
 }
 
@@ -387,26 +472,34 @@ struct SweepOutcome {
   std::size_t flows_analysed = 0;  ///< flows with >= 1 node analysed
   std::size_t hops_run = 0;        ///< per-frame analyze_stage calls
   std::size_t hops_shared = 0;     ///< per-frame results copied from a twin
+  std::size_t jsum_writes = 0;     ///< per-frame JSUMs recomputed
 };
 
-/// One link-ordered Gauss-Seidel sweep.  At each group, step 1 writes every
-/// node's per-frame JSUM (Figure 6 lines 8/13/17: the jitter at the
-/// previous stage plus that stage's response); step 2 analyses the nodes
-/// when the group is stale, and any frame never analysed at this stage.  A
-/// skipped node keeps its (possibly seeded) result in `flows`.  A frame
-/// whose hop diverges stops there.  `counted[f]` holds the last sweep flow
-/// f was counted in.
-SweepOutcome sweep_link_ordered(const AnalysisContext& ctx,
-                                std::vector<SweepGroup>& groups,
+/// One link-ordered Gauss-Seidel sweep.  At each group, step 1 writes the
+/// per-frame JSUM (Figure 6 lines 8/13/17: the jitter at the previous
+/// stage plus that stage's response) of every node whose JSUM is due (see
+/// holistic.hpp); step 2 analyses the nodes when the group is stale, and
+/// any frame never analysed at this stage.  A skipped node keeps its
+/// (possibly seeded) result in `flows`.  A frame whose hop diverges stops
+/// there.  `counted[f]` holds the last sweep flow f was counted in.
+SweepOutcome sweep_link_ordered(const AnalysisContext& ctx, SweepPlan& plan,
                                 JitterMap& jitters,
                                 std::vector<FlowResult>& flows,
                                 const HopOptions& opts,
                                 std::vector<int>& counted, int sweep) {
   SweepOutcome out;
   SharedHops& shared = SharedHops::local();
-  for (SweepGroup& g : groups) {
-    for (const SweepNode& nd : g.nodes) {
+  // The node after `nd` in its flow reads what `nd` writes.
+  const auto next_due = [&](const SweepNode& nd) {
+    if (!nd.last) plan.jsum_due[nd.due + 1] = 1;
+  };
+  for (SweepGroup& g : plan.groups) {
+    for (std::uint32_t n = g.begin; n < g.end; ++n) {
+      const SweepNode& nd = plan.nodes[n];
+      if (!plan.jsum_due[nd.due]) continue;
+      plan.jsum_due[nd.due] = 0;
       const FlowResult& fr = flows[static_cast<std::size_t>(nd.flow.v)];
+      bool moved = false;
       for (std::size_t k = 0; k < fr.frames.size(); ++k) {
         const HopResult* prev = nullptr;
         if (nd.stage > 0) {
@@ -415,15 +508,19 @@ SweepOutcome sweep_link_ordered(const AnalysisContext& ctx,
         }
         const gmfnet::Time jsum =
             stage_jitter_sum(ctx, jitters, nd.flow, nd.stage, k, prev);
-        if (jitters.set_jitter(nd.flow, g.key, k, jsum)) {
-          g.stale = true;
-          out.changed = true;
-        }
+        ++out.jsum_writes;
+        moved |= jitters.set_jitter(nd.flow, g.key, k, jsum);
+      }
+      if (moved) {
+        g.stale = true;
+        out.changed = true;
+        next_due(nd);
       }
     }
 
     shared.begin(g.frames);
-    for (const SweepNode& nd : g.nodes) {
+    for (std::uint32_t n = g.begin; n < g.end; ++n) {
+      const SweepNode& nd = plan.nodes[n];
       const auto f = static_cast<std::size_t>(nd.flow.v);
       FlowResult& fr = flows[f];
       NodeKey key;  // made when the node's first frame is analysed
@@ -463,9 +560,12 @@ SweepOutcome sweep_link_ordered(const AnalysisContext& ctx,
           out.diverged = true;
         }
       }
-      if (analysed && counted[f] != sweep) {
-        counted[f] = sweep;
-        ++out.flows_analysed;
+      if (analysed) {
+        next_due(nd);
+        if (counted[f] != sweep) {
+          counted[f] = sweep;
+          ++out.flows_analysed;
+        }
       }
     }
     g.stale = false;
@@ -518,7 +618,7 @@ HolisticResult solve_holistic(const AnalysisContext& ctx,
       dirty_ids.push_back(FlowId(static_cast<std::int32_t>(f)));
     }
   }
-  SweepPlan plan = link_ordered_groups(ctx, dirty_ids);
+  SweepPlan& plan = link_ordered_groups(ctx, dirty_ids);
 
   // A seed from above descends to the least fixed point only where the
   // fixed point is unique (an acyclic key graph); otherwise the dirty flows
@@ -547,7 +647,7 @@ HolisticResult solve_holistic(const AnalysisContext& ctx,
   std::vector<int> counted(ctx.flow_count(), -1);
 
   for (int sweep = 0; sweep < opts.max_sweeps; ++sweep) {
-    const SweepOutcome so = sweep_link_ordered(ctx, plan.groups, out.jitters,
+    const SweepOutcome so = sweep_link_ordered(ctx, plan, out.jitters,
                                                out.flows, opts.hop, counted,
                                                sweep);
     out.sweeps = sweep + 1;
@@ -556,6 +656,7 @@ HolisticResult solve_holistic(const AnalysisContext& ctx,
       stats->flow_analyses += so.flows_analysed;
       stats->hops_run += so.hops_run;
       stats->hops_shared += so.hops_shared;
+      stats->jsum_writes += so.jsum_writes;
     }
     // Any per-hop divergence means the jitters would grow without bound:
     // not converged, so unschedulable.

@@ -9,18 +9,36 @@
 // analyze_ingress only sees the flows arriving over that interface — so the
 // nodes of a key read exactly the jitters that key's nodes write.  Keys are
 // visited in topological order of the route-successor graph (l_t -> l_{t+1}
-// along every iterated route).  At each key a sweep first writes every
-// node's per-frame JSUM (Figure 6 lines 8/13/17), then analyses only the
-// nodes whose key changed since their last analysis; a skipped node keeps
-// its stage results.  On a feed-forward component (stars, trees) every
-// node is therefore analysed once, with final inputs, and a second sweep
-// that analyses nothing confirms the fixed point.  A cyclic key graph
+// along every iterated route).  At each key a sweep first writes the
+// per-frame JSUMs that are due (Figure 6 lines 8/13/17; see below), then
+// analyses only the nodes whose key changed since their last analysis; a
+// skipped node keeps its stage results.  On a feed-forward component
+// (stars, trees) every node is therefore analysed once, with final inputs,
+// and a second sweep that analyses nothing confirms the fixed point.  A cyclic key graph
 // (flows that together go all the way round a ring) is broken at its
 // lowest remaining key, and sweeps repeat in that order until one changes
 // no jitter.  Either way this is the monotone climb from below, which
 // reaches the same least fixed point in any visiting order.  The per-stage
 // rule itself (which hop analysis a stage runs, its JSUM, a frame's
 // verdict) comes from end_to_end.hpp, shared with analyze_frame_end_to_end.
+// The plan is built on flat arrays: keys numbered by their links' rank in
+// LinkRef order (AnalysisContext::link_rank), CSR successor lists, nodes
+// counted into their groups, all in per-thread buffers reused by the next
+// solve.
+//
+// Change-driven JSUM writes.  Node (f, s)'s JSUM is the jitter at (f, s-1)
+// plus that stage's response: a pure function of what node (f, s-1) holds,
+// its jitter entries and its stage results (and at s = 0 the constant
+// source jitter).  So step 1 recomputes it only when (f, s-1) was written
+// with a changed entry or analysed (run or shared) since (f, s)'s last
+// write.  Every node starts due, so the first sweep writes every JSUM as
+// before.  The rule is exact: a skipped write would store the value
+// already there, and set_jitter treats an equal write as a no-op (no
+// change, no stale key, no new version).  On a feed-forward component the
+// confirming sweep recomputes none; on a cyclic one the nodes behind a
+// back edge come due in the next sweep, because their previous stage is
+// analysed after them.  `IncrementalStats::jsum_writes` counts the per-frame
+// JSUMs recomputed.
 //
 // Change-driven restricted solves.  A restricted request may carry a seed:
 // the dirty flows' converged stage results from the previous fixed point,
@@ -162,6 +180,9 @@ struct IncrementalStats {
   /// A node served a shared result still counts in flow_analyses.
   std::size_t hops_run = 0;
   std::size_t hops_shared = 0;
+  /// Per-frame JSUMs the link-ordered sweep recomputed (step 1; see the
+  /// header).
+  std::size_t jsum_writes = 0;
 };
 
 /// One solve, described as a request.  This is the single solver entry

@@ -35,6 +35,9 @@ void LinkLevel::gather(const AnalysisContext& ctx, const JitterMap& jitters,
                        LinkRef link, const StageKey& stage) {
   members_ = ctx.flows_on_link(link);
   const std::size_t n = members_.size();
+  // Slots are reused in place: a new build rebuilds each slot's interferer
+  // envelope on its next use, and its self envelope checks its content.
+  slots_.resize(n);
   curves_.resize(n);
   versions_.resize(n);
   priorities_.resize(n);
@@ -67,11 +70,21 @@ void LinkLevel::gather(const AnalysisContext& ctx, const JitterMap& jitters,
   build_ = next_content_uid();
 }
 
+std::size_t LinkLevel::position(FlowId flow) const {
+  const auto it = std::lower_bound(members_.begin(), members_.end(), flow);
+  assert(it != members_.end() && *it == flow && "analysed flow not on link");
+  return static_cast<std::size_t>(it - members_.begin());
+}
+
+LevelSlot& LinkLevel::slot(FlowId flow) {
+  std::unique_ptr<LevelSlot>& s = slots_[position(flow)];
+  if (!s) s = std::make_unique<LevelSlot>();
+  return *s;
+}
+
 void LinkLevel::interferers(FlowId self, bool hep_only,
                             std::vector<gmf::EnvelopeSpec>& out) {
-  const auto it = std::find(members_.begin(), members_.end(), self);
-  assert(it != members_.end() && "analysed flow not on link");
-  const auto ms = static_cast<std::size_t>(it - members_.begin());
+  const std::size_t ms = position(self);
 
   counts_.assign(classes_.size(), 0);
   if (hep_only) {
@@ -96,21 +109,6 @@ void LinkLevel::interferers(FlowId self, bool hep_only,
 }
 
 namespace {
-
-/// The entry for `key`, evicting every other entry first when a new key
-/// would exceed `cap` (see HopScratch::kMaxEntries).
-template <typename Map>
-typename Map::mapped_type& bounded_entry(Map& map,
-                                         const typename Map::key_type& key,
-                                         std::size_t cap) {
-  if (map.size() >= cap && map.find(key) == map.end()) {
-    for (auto it = map.begin(); it != map.end();) {
-      it = map.erase(it);
-      if (it != map.end()) ++it;
-    }
-  }
-  return map[key];
-}
 
 StageKey stage_of(HopKind kind, LinkRef link) {
   return kind == HopKind::kIngress ? StageKey::ingress(link.dst)
@@ -156,17 +154,21 @@ HopResult solve_hop(const HopTerms& h, Level& level,
 LevelSlot& HopScratch::level(const AnalysisContext& ctx,
                              const JitterMap& jitters, HopKind kind,
                              LinkRef link, FlowId i) {
+  const std::size_t t = 2 * std::size_t{ctx.link_id(link)} +
+                        (kind == HopKind::kIngress ? 1 : 0);
+  if (t >= tables_.size()) tables_.resize(2 * ctx.network().link_count());
+  if (!tables_[t]) tables_[t] = std::make_unique<LinkLevel>();
+  LinkLevel& table = *tables_[t];
   const StageKey stage = stage_of(kind, link);
-  LinkLevel& table =
-      bounded_entry(tables_, TableKey{stage.kind, link}, kMaxEntries);
   if (table.ensure(ctx, jitters, link, stage, i)) ++gathers_;
 
-  LevelSlot& slot =
-      bounded_entry(slots_, SlotKey{kind, link, i.v}, kMaxEntries);
-  if (slot.table_build_ != table.build()) {
-    table.interferers(i, kind == HopKind::kEgress, specs_);
+  LevelSlot& slot = table.slot(i);
+  const bool hep_only = kind == HopKind::kEgress;
+  if (slot.table_build_ != table.build() || slot.hep_only_ != hep_only) {
+    table.interferers(i, hep_only, specs_);
     slot.env_.ensure(specs_.data(), specs_.size());
     slot.table_build_ = table.build();
+    slot.hep_only_ = hep_only;
   }
   const gmf::EnvelopeSpec self{&ctx.demand(i, link),
                                jitters.max_jitter(i, stage)};

@@ -33,13 +33,23 @@
 //     is paid once per change of the hop's inputs, not once per analysed
 //     flow.  In a link-ordered sweep (core/holistic.cpp) a group's analyses
 //     write no jitter, so the table is gathered at most once per group.
-//   * LevelSlot: per (hop kind, link, analysed flow), a gmf::LevelEnvelope
-//     of the analysed flow's interferer classes with multiplicities, plus
-//     the cursors of its fixed-point chains.  A first hop or ingress takes
-//     every class with the analysed flow's own class decremented by one; an
-//     egress counts hep(i) per class in one integer pass over the table's
-//     class ids.  The int64 sums are exact, so an entry of multiplicity m is
-//     bit-identical to m entries (gmf/envelope.hpp).
+//   * LevelSlot: one per member of a table, in link order — a
+//     gmf::LevelEnvelope of that flow's interferer classes with
+//     multiplicities, plus the cursors of its fixed-point chains.  A first
+//     hop or ingress takes every class with the analysed flow's own class
+//     decremented by one; an egress counts hep(i) per class in one integer
+//     pass over the table's class ids.  The int64 sums are exact, so an
+//     entry of multiplicity m is bit-identical to m entries
+//     (gmf/envelope.hpp).
+//
+// Both are index-addressed: a thread's tables sit in a vector indexed by
+// (stage kind, dense link id) and a slot is found by the analysed flow's
+// position among its table's members, so a hop analysis searches no map
+// before it reads demand.  A slot belongs to a position, not to a flow: it
+// rebuilds its interferer envelope whenever its table's build (or the hop
+// kind) differs from the one it was made from, and its self envelope
+// whenever the content fingerprint of LevelEnvelope::ensure (curve uid,
+// shift) differs.
 //
 // Revalidation evidence, cheapest first:
 //
@@ -78,7 +88,7 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
+#include <memory>
 #include <vector>
 
 #include "core/context.hpp"
@@ -89,53 +99,6 @@ namespace gmfnet::core {
 
 /// Which per-hop analysis a slot belongs to.
 enum class HopKind : std::uint8_t { kFirstHop = 0, kIngress = 1, kEgress = 2 };
-
-/// The interferer classes of one hop: every flow on a directed link, with
-/// its shift at one stage kind (the link stage for first hops and egress
-/// ports, the ingress stage at the link's destination for ingress FIFOs).
-class LinkLevel {
- public:
-  /// Makes the table describe the flows on `link` with their shifts at
-  /// `stage` (see the file comment for the evidence checked).  `self` is
-  /// the analysed flow, whose own jitter version is not checked.  Returns
-  /// true when it (re-)gathered.
-  bool ensure(const AnalysisContext& ctx, const JitterMap& jitters,
-              LinkRef link, const StageKey& stage, FlowId self);
-
-  /// The envelope entries of `self`'s interferers: every other member, or
-  /// with `hep_only` the members of priority >= self's (eq 2), counted per
-  /// class.  Classes with no such member are left out.
-  void interferers(FlowId self, bool hep_only,
-                   std::vector<gmf::EnvelopeSpec>& out);
-
-  [[nodiscard]] std::size_t class_count() const { return classes_.size(); }
-  /// Process-unique id of the current gather: a slot built from the same
-  /// build holds the same classes.
-  [[nodiscard]] std::uint64_t build() const { return build_; }
-
- private:
-  struct Class {
-    std::uint32_t rep;  ///< first member of the class (its curve)
-    gmfnet::Time shift;
-    std::int64_t mult;  ///< members
-  };
-
-  void gather(const AnalysisContext& ctx, const JitterMap& jitters,
-              LinkRef link, const StageKey& stage);
-
-  // Per member, in link order.
-  std::vector<FlowId> members_;
-  std::vector<const gmf::DemandCurve*> curves_;
-  std::vector<std::uint64_t> versions_;
-  std::vector<std::int64_t> priorities_;
-  std::vector<std::uint32_t> class_of_;
-
-  std::vector<Class> classes_;
-  std::vector<std::int64_t> counts_;  ///< interferers() scratch, per class
-  std::uint64_t ctx_stamp_ = 0;       ///< 0: nothing validated yet
-  std::uint64_t jitter_stamp_ = 0;
-  std::uint64_t build_ = 0;
-};
 
 /// One analysed flow's view of a hop, as a level source: the merged
 /// envelope of its interferer classes and the analysed flow's own
@@ -156,10 +119,66 @@ class LevelSlot {
   friend class HopScratch;
 
   std::uint64_t table_build_ = 0;  ///< LinkLevel::build() env_ was made from
+  bool hep_only_ = false;          ///< env_ holds hep(i) only (an egress)
   gmf::LevelEnvelope env_;
   gmf::EvalCursor cursor_;
   gmf::LevelEnvelope self_env_;
   gmf::EvalCursor self_cursor_;
+};
+
+/// The interferer classes of one hop: every flow on a directed link, with
+/// its shift at one stage kind (the link stage for first hops and egress
+/// ports, the ingress stage at the link's destination for ingress FIFOs).
+class LinkLevel {
+ public:
+  /// Makes the table describe the flows on `link` with their shifts at
+  /// `stage` (see the file comment for the evidence checked).  `self` is
+  /// the analysed flow, whose own jitter version is not checked.  Returns
+  /// true when it (re-)gathered.
+  bool ensure(const AnalysisContext& ctx, const JitterMap& jitters,
+              LinkRef link, const StageKey& stage, FlowId self);
+
+  /// The envelope entries of `self`'s interferers: every other member, or
+  /// with `hep_only` the members of priority >= self's (eq 2), counted per
+  /// class.  Classes with no such member are left out.
+  void interferers(FlowId self, bool hep_only,
+                   std::vector<gmf::EnvelopeSpec>& out);
+
+  /// The level slot of member `flow` (which must be on the link): one per
+  /// member, in link order, made on the member's first analysis and kept
+  /// across gathers.
+  [[nodiscard]] LevelSlot& slot(FlowId flow);
+
+  [[nodiscard]] std::size_t class_count() const { return classes_.size(); }
+  /// Process-unique id of the current gather: a slot built from the same
+  /// build holds the same classes.
+  [[nodiscard]] std::uint64_t build() const { return build_; }
+
+ private:
+  struct Class {
+    std::uint32_t rep;  ///< first member of the class (its curve)
+    gmfnet::Time shift;
+    std::int64_t mult;  ///< members
+  };
+
+  void gather(const AnalysisContext& ctx, const JitterMap& jitters,
+              LinkRef link, const StageKey& stage);
+  /// Position of member `flow` (members are in ascending id order).
+  [[nodiscard]] std::size_t position(FlowId flow) const;
+
+  // Per member, in link order.
+  std::vector<FlowId> members_;
+  std::vector<std::unique_ptr<LevelSlot>> slots_;  ///< null: never analysed
+  std::vector<const gmf::DemandCurve*> curves_;
+  std::vector<std::uint64_t> versions_;
+  std::vector<std::int64_t> priorities_;
+  std::vector<std::uint32_t> class_of_;
+
+  std::vector<Class> classes_;
+  std::vector<std::int64_t> counts_;  ///< interferers() scratch, per class
+  std::uint64_t ctx_stamp_ = 0;       ///< 0: nothing validated yet
+  std::uint64_t jitter_stamp_ = 0;
+  std::uint64_t build_ = 0;
 };
 
 /// The reference level source: the interferers gathered afresh for each
@@ -186,8 +205,8 @@ class NaiveLevel {
   gmf::EnvelopeSpec self_;
 };
 
-/// Per-thread arena for the per-hop analyses: the link tables, the
-/// per-flow slots and the naive source's gather buffer.
+/// Per-thread arena for the per-hop analyses: the link tables (each with
+/// its members' level slots) and the naive source's gather buffer.
 class HopScratch {
  public:
   /// The calling thread's arena.
@@ -197,7 +216,9 @@ class HopScratch {
   /// for an ingress), current against (ctx, jitters): the link's table
   /// revalidated or re-gathered, the slot's interferer envelope rebuilt
   /// only when the table was re-gathered since, its self envelope only when
-  /// the analysed flow's own shift changed.
+  /// the analysed flow's own shift changed.  The table is found by index —
+  /// (stage kind, dense link id) — and the slot by the flow's position
+  /// among the table's members, so no map is searched.
   LevelSlot& level(const AnalysisContext& ctx, const JitterMap& jitters,
                    HopKind kind, LinkRef link, FlowId i);
 
@@ -210,28 +231,14 @@ class HopScratch {
   [[nodiscard]] std::uint64_t gathers() const { return gathers_; }
 
  private:
-  struct TableKey {
-    StageKey::Kind kind;
-    LinkRef link;
-    auto operator<=>(const TableKey&) const = default;
-  };
-  struct SlotKey {
-    HopKind kind;
-    LinkRef link;
-    std::int32_t flow;
-    auto operator<=>(const SlotKey&) const = default;
-  };
-
-  /// Generous for any one scenario (kinds x hops x flows actually analysed
-  /// concurrently on a thread), small against process memory.  When a new
-  /// key would exceed the cap, every other entry (in key order) is evicted
-  /// and rebuilds on next use, so a long-lived thread that churns through
-  /// many engines/networks stays bounded, and a working set above the cap
-  /// keeps about half its entries per round.
-  static constexpr std::size_t kMaxEntries = 4096;
-
-  std::map<TableKey, LinkLevel> tables_;
-  std::map<SlotKey, LevelSlot> slots_;
+  /// tables_[2 * link id + (ingress ? 1 : 0)], grown to the largest
+  /// network this thread has analysed; a table is made on its link's
+  /// first analysis.  A table of another context (or another network,
+  /// whose link ids mean other links) fails the context stamp check and
+  /// re-gathers in place, so the arena holds at most two tables per link
+  /// of the largest network this thread has analysed, however many
+  /// engines and networks it serves.
+  std::vector<std::unique_ptr<LinkLevel>> tables_;
   std::vector<gmf::EnvelopeSpec> specs_;  ///< interferers() buffer
   NaiveLevel naive_;
   std::uint64_t gathers_ = 0;

@@ -36,6 +36,7 @@ EngineStats AnalysisEngine::stats() const {
   out.sweeps = stats_.sweeps.v.load(std::memory_order_relaxed);
   out.hops_run = stats_.hops_run.v.load(std::memory_order_relaxed);
   out.hops_shared = stats_.hops_shared.v.load(std::memory_order_relaxed);
+  out.jsum_writes = stats_.jsum_writes.v.load(std::memory_order_relaxed);
   return out;
 }
 
@@ -48,6 +49,7 @@ void AnalysisEngine::reset_stats() {
   stats_.sweeps.v.store(0, std::memory_order_relaxed);
   stats_.hops_run.v.store(0, std::memory_order_relaxed);
   stats_.hops_shared.v.store(0, std::memory_order_relaxed);
+  stats_.jsum_writes.v.store(0, std::memory_order_relaxed);
 }
 
 void AnalysisEngine::record_run(const RunStats& rs) {
@@ -65,6 +67,7 @@ void AnalysisEngine::record_run(const RunStats& rs) {
   stats_.sweeps.v.fetch_add(rs.sweeps, std::memory_order_relaxed);
   stats_.hops_run.v.fetch_add(rs.hops_run, std::memory_order_relaxed);
   stats_.hops_shared.v.fetch_add(rs.hops_shared, std::memory_order_relaxed);
+  stats_.jsum_writes.v.fetch_add(rs.jsum_writes, std::memory_order_relaxed);
 }
 
 std::vector<std::uint32_t> AnalysisEngine::touched_shards(

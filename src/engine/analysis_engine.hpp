@@ -98,6 +98,9 @@ struct EngineStats {
   /// wire, so a client reads 0.
   std::size_t hops_run = 0;
   std::size_t hops_shared = 0;
+  /// Per-frame JSUMs recomputed (core::IncrementalStats::jsum_writes).
+  /// In-process only, like hops_run.
+  std::size_t jsum_writes = 0;
 };
 
 class AnalysisEngine {
@@ -290,6 +293,7 @@ class AnalysisEngine {
     PaddedCounter sweeps;
     PaddedCounter hops_run;
     PaddedCounter hops_shared;
+    PaddedCounter jsum_writes;
   };
 
   /// Shard indices (ascending, deduped) owning the given route links; all

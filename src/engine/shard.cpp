@@ -44,27 +44,35 @@ std::vector<bool> dirty_closure(const core::AnalysisContext& ctx,
   // reuses cache entries for clean flows.
   for (std::size_t f = cached_flows; f < n; ++f) dirty[f] = true;
 
+  // Per link id: 1 = a dirty link, 2 = its flows already joined the
+  // worklist.
+  std::vector<std::uint8_t> mark(ctx.network().link_count(), 0);
+  for (const net::LinkRef l : dirty_links) {
+    const net::LinkId id = ctx.link_id(l);
+    if (id != net::kNoLink) mark[id] = 1;
+  }
   std::vector<net::FlowId> worklist;
   for (std::size_t f = 0; f < n; ++f) {
-    if (dirty[f]) {
-      worklist.push_back(net::FlowId(static_cast<std::int32_t>(f)));
-      continue;
-    }
-    for (const net::LinkRef l :
-         ctx.route_links(net::FlowId(static_cast<std::int32_t>(f)))) {
-      if (dirty_links.count(l) != 0) {
-        dirty[f] = true;
-        worklist.push_back(net::FlowId(static_cast<std::int32_t>(f)));
-        break;
+    const net::FlowId id(static_cast<std::int32_t>(f));
+    if (!dirty[f]) {
+      for (const net::LinkId l : ctx.route_link_ids(id)) {
+        if (mark[l] == 1) {
+          dirty[f] = true;
+          break;
+        }
       }
     }
+    if (dirty[f]) worklist.push_back(id);
   }
   // Transitive closure over link sharing: interference only travels across
   // shared links, so everything outside the closure keeps its fixed point.
+  // Each link's flows are scanned once.
   while (!worklist.empty()) {
     const net::FlowId i = worklist.back();
     worklist.pop_back();
-    for (const net::LinkRef l : ctx.route_links(i)) {
+    for (const net::LinkId l : ctx.route_link_ids(i)) {
+      if (mark[l] == 2) continue;
+      mark[l] = 2;
       for (const net::FlowId j : ctx.flows_on_link(l)) {
         const auto jf = static_cast<std::size_t>(j.v);
         if (!dirty[jf]) {
@@ -126,6 +134,7 @@ RunStats Shard::run(const core::HolisticOptions& opts) {
   rs.flow_results_reused = is.results_kept;
   rs.hops_run = is.hops_run;
   rs.hops_shared = is.hops_shared;
+  rs.jsum_writes = is.jsum_writes;
 
   // Clean flows keep their converged results verbatim.
   for (std::size_t f = 0; f < n; ++f) {

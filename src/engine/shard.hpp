@@ -39,6 +39,7 @@ struct RunStats {
   std::size_t flow_results_reused = 0;
   std::size_t hops_run = 0;     ///< core::IncrementalStats::hops_run
   std::size_t hops_shared = 0;  ///< core::IncrementalStats::hops_shared
+  std::size_t jsum_writes = 0;  ///< core::IncrementalStats::jsum_writes
 };
 
 /// Where one global flow id lives: which shard, and at which shard-local id.

@@ -362,6 +362,7 @@ EngineSnapshot::Probe EngineSnapshot::run_probe(const gmf::Flow& candidate,
     p.rs.flow_results_reused = is.results_kept;
     p.rs.hops_run = is.hops_run;
     p.rs.hops_shared = is.hops_shared;
+    p.rs.jsum_writes = is.jsum_writes;
     for (std::size_t pos = 0; pos < residents; ++pos) {
       if (!p.dirty[pos]) ++p.rs.flow_results_reused;
     }

@@ -26,6 +26,12 @@ struct FlowId {
   constexpr auto operator<=>(const FlowId&) const = default;
 };
 
+/// Dense index of a directed link within its Network: the position of the
+/// link in Network::links(), assigned in insertion order.
+using LinkId = std::uint32_t;
+/// LinkId of a link the network does not have.
+inline constexpr LinkId kNoLink = ~LinkId{0};
+
 /// A directed link, identified by its endpoints.  The paper writes
 /// link(N1,N2); each physical full-duplex Ethernet cable is two of these.
 struct LinkRef {
@@ -53,11 +59,3 @@ struct std::hash<gmfnet::net::FlowId> {
   }
 };
 
-template <>
-struct std::hash<gmfnet::net::LinkRef> {
-  std::size_t operator()(const gmfnet::net::LinkRef& l) const noexcept {
-    const auto a = static_cast<std::uint64_t>(static_cast<std::uint32_t>(l.src.v));
-    const auto b = static_cast<std::uint64_t>(static_cast<std::uint32_t>(l.dst.v));
-    return std::hash<std::uint64_t>{}((a << 32) | b);
-  }
-};

@@ -13,6 +13,7 @@ NodeId Network::add_node(NodeKind kind, std::string name) {
   nodes_.push_back(std::move(n));
   succ_.emplace_back();
   pred_.emplace_back();
+  out_.emplace_back();
   return id;
 }
 
@@ -36,11 +37,12 @@ void Network::add_link(NodeId src, NodeId dst,
   if (prop < gmfnet::Time::zero()) {
     throw std::invalid_argument("add_link: negative propagation delay");
   }
-  const LinkRef ref(src, dst);
-  if (link_index_.contains(ref)) {
+  std::vector<OutLink>& out = out_[static_cast<std::size_t>(src.v)];
+  const auto at = lower_bound_dst(out, dst);
+  if (at != out.end() && at->dst == dst) {
     throw std::invalid_argument("add_link: duplicate link");
   }
-  link_index_[ref] = links_.size();
+  out.insert(at, OutLink{dst, static_cast<LinkId>(links_.size())});
   links_.push_back(Link{src, dst, speed_bps, prop});
   succ_[static_cast<std::size_t>(src.v)].push_back(dst);
   pred_[static_cast<std::size_t>(dst.v)].push_back(src);
@@ -63,17 +65,29 @@ Node& Network::node(NodeId id) {
   return nodes_[static_cast<std::size_t>(id.v)];
 }
 
-bool Network::has_link(NodeId src, NodeId dst) const {
-  return link_index_.contains(LinkRef(src, dst));
+LinkId Network::link_id(NodeId src, NodeId dst) const {
+  if (!has_node(src)) return kNoLink;
+  const std::vector<OutLink>& out = out_[static_cast<std::size_t>(src.v)];
+  const auto at = lower_bound_dst(out, dst);
+  return at != out.end() && at->dst == dst ? at->id : kNoLink;
+}
+
+std::vector<LinkId> Network::link_ids_in_ref_order() const {
+  std::vector<LinkId> ids;
+  ids.reserve(links_.size());
+  for (const std::vector<OutLink>& out : out_) {
+    for (const OutLink& o : out) ids.push_back(o.id);
+  }
+  return ids;
 }
 
 const Link& Network::link(NodeId src, NodeId dst) const {
-  const auto it = link_index_.find(LinkRef(src, dst));
-  if (it == link_index_.end()) {
+  const LinkId id = link_id(src, dst);
+  if (id == kNoLink) {
     throw std::out_of_range("link: no such link " + std::to_string(src.v) +
                             "->" + std::to_string(dst.v));
   }
-  return links_[it->second];
+  return links_[id];
 }
 
 const std::vector<NodeId>& Network::successors(NodeId id) const {

@@ -1,9 +1,9 @@
 // The modelled network: a directed graph of nodes and links.
 #pragma once
 
+#include <algorithm>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "net/ids.hpp"
@@ -46,7 +46,18 @@ class Network {
     return id.v >= 0 && static_cast<std::size_t>(id.v) < nodes_.size();
   }
 
-  [[nodiscard]] bool has_link(NodeId src, NodeId dst) const;
+  [[nodiscard]] bool has_link(NodeId src, NodeId dst) const {
+    return link_id(src, dst) != kNoLink;
+  }
+  /// The dense id of link (src, dst) — its index in links() — or kNoLink.
+  /// A search of src's outgoing links sorted by destination: no hashing.
+  [[nodiscard]] LinkId link_id(NodeId src, NodeId dst) const;
+  [[nodiscard]] LinkId link_id(LinkRef ref) const {
+    return link_id(ref.src, ref.dst);
+  }
+  /// Every link id in LinkRef order (source, then destination), built in
+  /// O(links) from the sorted adjacency.
+  [[nodiscard]] std::vector<LinkId> link_ids_in_ref_order() const;
   [[nodiscard]] const Link& link(NodeId src, NodeId dst) const;
   [[nodiscard]] const Link& link(LinkRef ref) const {
     return link(ref.src, ref.dst);
@@ -81,7 +92,20 @@ class Network {
  private:
   std::vector<Node> nodes_;
   std::vector<Link> links_;
-  std::unordered_map<LinkRef, std::size_t> link_index_;
+  /// Per source node: its outgoing links as (destination, id), sorted by
+  /// destination.
+  struct OutLink {
+    NodeId dst;
+    LinkId id;
+  };
+  /// The first entry of `out` whose destination is not below `dst`.
+  template <typename Vec>
+  static auto lower_bound_dst(Vec& out, NodeId dst) {
+    return std::lower_bound(
+        out.begin(), out.end(), dst,
+        [](const OutLink& o, NodeId d) { return o.dst < d; });
+  }
+  std::vector<std::vector<OutLink>> out_;
   std::vector<std::vector<NodeId>> succ_;
   std::vector<std::vector<NodeId>> pred_;
 };

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <map>
+#include <thread>
+#include <vector>
+
 #include "gmf/mpeg.hpp"
 #include "workload/scenario.hpp"
 
@@ -350,6 +355,227 @@ TEST(JitterMap, EqualityAndAdoptFlow) {
   EXPECT_NE(a, b);
   a.adopt_flow(b, FlowId(1));
   EXPECT_EQ(a, b);
+}
+
+// ------------------------------------------------------------------------
+// A flow's entries are one flat row sorted by StageKey.  These pin what
+// the row must keep of the value semantics: absent against zero entries,
+// stage order, copy-on-write and the cached maximum.
+
+TEST(JitterMapRow, AbsentAndZeroEntriesDiffer) {
+  const StageKey st = StageKey::link(NodeId(1), NodeId(2));
+  JitterMap a;
+  a.resize_slots(1);
+  JitterMap b = a;
+  EXPECT_TRUE(b.set_jitter(FlowId(0), st, 0, gmfnet::Time::zero()));
+  // Both read zero, but b holds an entry and a does not.
+  EXPECT_EQ(a.jitter(FlowId(0), st, 0), b.jitter(FlowId(0), st, 0));
+  EXPECT_FALSE(a.has_entries(FlowId(0)));
+  EXPECT_TRUE(b.has_entries(FlowId(0)));
+  EXPECT_FALSE(a.flow_equals(b, FlowId(0)));
+  EXPECT_NE(a, b);
+  ASSERT_EQ(b.stage_entries(FlowId(0)).size(), 1u);
+  EXPECT_EQ(b.stage_entries(FlowId(0))[0].second,
+            std::vector<gmfnet::Time>{gmfnet::Time::zero()});
+
+  // A write past the last frame pads with explicit zeros; a read past the
+  // frames stored reads zero without creating anything.
+  EXPECT_TRUE(b.set_jitter(FlowId(0), st, 3, gmfnet::Time::us(5)));
+  EXPECT_EQ(b.stage_entries(FlowId(0))[0].second.size(), 4u);
+  EXPECT_EQ(b.jitter(FlowId(0), st, 2), gmfnet::Time::zero());
+  EXPECT_EQ(b.jitter(FlowId(0), st, 9), gmfnet::Time::zero());
+  EXPECT_EQ(b.stage_entries(FlowId(0))[0].second.size(), 4u);
+  // Another stage of the same row is still absent.
+  EXPECT_EQ(b.max_jitter(FlowId(0), StageKey::ingress(NodeId(2))),
+            gmfnet::Time::zero());
+  EXPECT_EQ(b.stage_entries(FlowId(0)).size(), 1u);
+}
+
+TEST(JitterMapRow, StageEntriesInStageKeyOrder) {
+  // Keys installed out of order, across both kinds and node ids of both
+  // signs (a checkpoint may carry any int32), frame vectors of different
+  // lengths, and one stage replaced with a shorter vector.
+  const std::vector<StageKey> keys = {
+      StageKey::ingress(NodeId(7)),
+      StageKey::link(NodeId(3), NodeId(1)),
+      StageKey{StageKey::Kind::kLink, NodeId(-5), NodeId(2)},
+      StageKey::link(NodeId(3), NodeId(0)),
+      StageKey::ingress(NodeId(2)),
+      StageKey{StageKey::Kind::kLink, NodeId(2147483647),
+               NodeId(-2147483647 - 1)},
+      StageKey::link(NodeId(0), NodeId(9)),
+  };
+  JitterMap m;
+  std::map<StageKey, std::vector<gmfnet::Time>> expect;
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    std::vector<gmfnet::Time> frames;
+    for (std::size_t k = 0; k <= i % 3; ++k) {
+      frames.push_back(gmfnet::Time::us(static_cast<std::int64_t>(10 * i + k)));
+    }
+    expect[keys[i]] = frames;
+    m.set_stage_frames(FlowId(0), keys[i], std::move(frames));
+  }
+  m.set_stage_frames(FlowId(0), keys[3], {gmfnet::Time::us(99)});
+  expect[keys[3]] = {gmfnet::Time::us(99)};
+  m.set_jitter(FlowId(0), keys[0], 4, gmfnet::Time::us(44));
+  expect[keys[0]].resize(5, gmfnet::Time::zero());
+  expect[keys[0]][4] = gmfnet::Time::us(44);
+
+  const JitterMap::StageEntries entries = m.stage_entries(FlowId(0));
+  ASSERT_EQ(entries.size(), expect.size());
+  auto it = expect.begin();
+  for (const auto& [key, frames] : entries) {
+    EXPECT_EQ(key, it->first);
+    EXPECT_EQ(frames, it->second);
+    for (std::size_t k = 0; k < frames.size(); ++k) {
+      EXPECT_EQ(m.jitter(FlowId(0), key, k), frames[k]);
+    }
+    gmfnet::Time max = gmfnet::Time::zero();
+    for (const gmfnet::Time t : frames) max = gmfnet::max(max, t);
+    EXPECT_EQ(m.max_jitter(FlowId(0), key), max);
+    ++it;
+  }
+
+  // Rebuilt from its entries (the checkpoint restore path), the map is
+  // value-equal.
+  JitterMap restored;
+  restored.resize_slots(m.flow_slots());
+  for (const auto& [key, frames] : entries) {
+    restored.set_stage_frames(FlowId(0), key, frames);
+  }
+  EXPECT_EQ(restored, m);
+}
+
+TEST(JitterMapRow, CopyOnWriteLeavesTheOtherCopyAlone) {
+  const StageKey s0 = StageKey::link(NodeId(0), NodeId(1));
+  const StageKey s1 = StageKey::ingress(NodeId(1));
+  JitterMap a;
+  a.set_jitter(FlowId(0), s0, 0, gmfnet::Time::us(1));
+  a.set_jitter(FlowId(0), s0, 1, gmfnet::Time::us(2));
+  a.set_jitter(FlowId(0), s1, 0, gmfnet::Time::us(3));
+  a.set_jitter(FlowId(1), s0, 0, gmfnet::Time::us(4));
+  const JitterMap::StageEntries before = a.stage_entries(FlowId(0));
+  const std::uint64_t v0 = a.flow_version(FlowId(0));
+  const std::uint64_t v1 = a.flow_version(FlowId(1));
+
+  JitterMap b = a;
+  // Every kind of write on the shared row: overwrite, grow a stage, add a
+  // stage before the others (link keys order before ingress keys, then by
+  // node ids), replace a stage's frames.
+  EXPECT_TRUE(b.set_jitter(FlowId(0), s0, 0, gmfnet::Time::us(8)));
+  EXPECT_TRUE(b.set_jitter(FlowId(0), s1, 2, gmfnet::Time::us(9)));
+  b.set_stage_frames(FlowId(0), StageKey::link(NodeId(-1), NodeId(0)),
+                     {gmfnet::Time::us(7)});
+  b.set_stage_frames(FlowId(0), s0, {});
+
+  EXPECT_EQ(a.stage_entries(FlowId(0)), before);
+  EXPECT_EQ(a.flow_version(FlowId(0)), v0);
+  EXPECT_EQ(a.max_jitter(FlowId(0), s0), gmfnet::Time::us(2));
+  EXPECT_EQ(a.max_jitter(FlowId(0), s1), gmfnet::Time::us(3));
+  EXPECT_NE(b.flow_version(FlowId(0)), v0);
+  // The untouched flow is still shared: same version, equal by identity.
+  EXPECT_EQ(b.flow_version(FlowId(1)), v1);
+  EXPECT_TRUE(a.flow_equals(b, FlowId(1)));
+  EXPECT_FALSE(a.flow_equals(b, FlowId(0)));
+
+  const JitterMap::StageEntries after = b.stage_entries(FlowId(0));
+  ASSERT_EQ(after.size(), 3u);
+  EXPECT_EQ(after[0].first, StageKey::link(NodeId(-1), NodeId(0)));
+  EXPECT_EQ(after[1].first, s0);
+  EXPECT_TRUE(after[1].second.empty());  // an empty stage is still present
+  EXPECT_EQ(after[2].first, s1);
+  EXPECT_EQ(after[2].second,
+            (std::vector<gmfnet::Time>{gmfnet::Time::us(3),
+                                       gmfnet::Time::zero(),
+                                       gmfnet::Time::us(9)}));
+  EXPECT_EQ(b.max_jitter(FlowId(0), s0), gmfnet::Time::zero());
+}
+
+TEST(JitterMapRow, MaxIsExactAfterOverwritingTheMaximum) {
+  const StageKey st = StageKey::ingress(NodeId(3));
+  JitterMap m;
+  const std::vector<std::int64_t> frames_us = {4, 9, 2, 9, 6};
+  for (std::size_t k = 0; k < frames_us.size(); ++k) {
+    m.set_jitter(FlowId(0), st, k, gmfnet::Time::us(frames_us[k]));
+  }
+  EXPECT_EQ(m.max_jitter(FlowId(0), st), gmfnet::Time::us(9));
+  // One of two maxima lowered: still 9.
+  m.set_jitter(FlowId(0), st, 1, gmfnet::Time::us(1));
+  EXPECT_EQ(m.max_jitter(FlowId(0), st), gmfnet::Time::us(9));
+  // The other one lowered: the rescan finds 6.
+  m.set_jitter(FlowId(0), st, 3, gmfnet::Time::us(5));
+  EXPECT_EQ(m.max_jitter(FlowId(0), st), gmfnet::Time::us(6));
+  // Raised above, then lowered to below every other frame.
+  m.set_jitter(FlowId(0), st, 2, gmfnet::Time::us(12));
+  EXPECT_EQ(m.max_jitter(FlowId(0), st), gmfnet::Time::us(12));
+  m.set_jitter(FlowId(0), st, 2, gmfnet::Time::zero());
+  EXPECT_EQ(m.max_jitter(FlowId(0), st), gmfnet::Time::us(6));
+  // A neighbouring stage's writes never move this stage's maximum.
+  m.set_jitter(FlowId(0), StageKey::ingress(NodeId(2)), 0,
+               gmfnet::Time::us(50));
+  m.set_jitter(FlowId(0), StageKey::ingress(NodeId(4)), 7,
+               gmfnet::Time::us(60));
+  EXPECT_EQ(m.max_jitter(FlowId(0), st), gmfnet::Time::us(6));
+  EXPECT_EQ(m.jitter(FlowId(0), st, 4), gmfnet::Time::us(6));
+}
+
+// Readers hold copies of a published map and read them while a writer
+// keeps cloning rows shared with those copies: no reader ever sees a
+// write (the copy-on-write contract the snapshot probes rely on).
+TEST(JitterMapRow, ReadersOfCopiesNeverSeeTheWriterClone) {
+  constexpr int kFlows = 8;
+  constexpr std::size_t kFrames = 4;
+  const StageKey stages[] = {StageKey::link(NodeId(0), NodeId(1)),
+                             StageKey::ingress(NodeId(1)),
+                             StageKey::link(NodeId(1), NodeId(2))};
+  JitterMap writer;
+  for (int f = 0; f < kFlows; ++f) {
+    for (const StageKey& st : stages) {
+      for (std::size_t k = 0; k < kFrames; ++k) {
+        writer.set_jitter(FlowId(f), st, k, gmfnet::Time::us(f + 1));
+      }
+    }
+  }
+  const JitterMap published = writer;
+
+  std::atomic<bool> stop{false};
+  std::atomic<int> bad{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 3; ++r) {
+    readers.emplace_back([&] {
+      while (!stop.load(std::memory_order_relaxed)) {
+        const JitterMap copy = published;  // a reader's own copy
+        for (int f = 0; f < kFlows; ++f) {
+          for (const StageKey& st : stages) {
+            for (std::size_t k = 0; k < kFrames; ++k) {
+              if (copy.jitter(FlowId(f), st, k) != gmfnet::Time::us(f + 1)) {
+                bad.fetch_add(1);
+              }
+            }
+            if (copy.max_jitter(FlowId(f), st) != gmfnet::Time::us(f + 1)) {
+              bad.fetch_add(1);
+            }
+          }
+          if (copy.stage_entries(FlowId(f)).size() != 3u) bad.fetch_add(1);
+        }
+        if (!(copy == published)) bad.fetch_add(1);
+      }
+    });
+  }
+  for (int round = 0; round < 300; ++round) {
+    JitterMap w = published;  // shares every row with the readers
+    for (int f = 0; f < kFlows; ++f) {
+      w.set_jitter(FlowId(f), stages[round % 3], round % kFrames,
+                   gmfnet::Time::us(1000 + round));
+      w.set_stage_frames(FlowId(f), StageKey::ingress(NodeId(9)),
+                         {gmfnet::Time::us(round)});
+    }
+    writer = std::move(w);
+  }
+  stop = true;
+  for (std::thread& t : readers) t.join();
+  EXPECT_EQ(bad.load(), 0);
+  EXPECT_NE(writer, published);
 }
 
 }  // namespace

@@ -126,6 +126,8 @@ TEST(Engine, HubProbeAnalysesEachFlowOnce) {
   // the same 5, the calls and cameras there split by priority (35).
   EXPECT_EQ(after.hops_run - before.hops_run, 45u);
   EXPECT_EQ(after.hops_shared - before.hops_shared, 294u);
+  // Each of the 339 per-frame JSUMs is written once, in the first sweep.
+  EXPECT_EQ(after.jsum_writes - before.jsum_writes, 339u);
 }
 
 // Change-driven re-solves on a two-leaf tree (root R, leaf S1 with hosts
@@ -166,6 +168,10 @@ TEST(Engine, TreeProbeAndRemovalReanalyseOnlyChangedNodes) {
   // arrives at S2 with a larger shift.
   EXPECT_EQ(after.hops_run - before.hops_run, 4u);
   EXPECT_EQ(after.hops_shared - before.hops_shared, 0u);
+  // Every node of the component writes its (one-frame) JSUM once, in the
+  // first sweep: a 7 + b 3 + c 7 + d 3 stages.  Nothing upstream of a
+  // node changes after that, so the confirming sweep recomputes none.
+  EXPECT_EQ(after.jsum_writes - before.jsum_writes, 20u);
 
   // The commit of d re-solves the same way.
   eng.add_flow(d);
@@ -174,6 +180,7 @@ TEST(Engine, TreeProbeAndRemovalReanalyseOnlyChangedNodes) {
   after = eng.stats();
   EXPECT_EQ(after.flow_analyses - before.flow_analyses, 2u);
   EXPECT_EQ(after.flow_results_reused - before.flow_results_reused, 2u);
+  EXPECT_EQ(after.jsum_writes - before.jsum_writes, 20u);
 
   // Removing d again: the tree's key graph is acyclic, so the solve
   // descends from the seed.  Only a's egress onto S2->h2 is re-analysed; it
@@ -186,6 +193,8 @@ TEST(Engine, TreeProbeAndRemovalReanalyseOnlyChangedNodes) {
   EXPECT_EQ(r.sweeps, 1);
   EXPECT_EQ(after.flow_analyses - before.flow_analyses, 1u);
   EXPECT_EQ(after.flow_results_reused - before.flow_results_reused, 2u);
+  // One sweep writes every node's JSUM once: a, b and c, 17 stages.
+  EXPECT_EQ(after.jsum_writes - before.jsum_writes, 17u);
 }
 
 TEST(Engine, RemoveFlowShiftsIndicesAndFreesCapacity) {

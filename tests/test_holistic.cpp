@@ -340,10 +340,20 @@ TEST(HolisticOrder, CyclicRingMatchesJacobi) {
   for (const std::int64_t sep_us : {400, 205}) {
     const std::vector<gmf::Flow> flows = ring_flows(ring, sep_us);
     const AnalysisContext ctx(ring.net, flows);
-    const HolisticResult r = analyze_holistic(ctx);
+    IncrementalStats stats;
+    const HolisticResult r =
+        solve_holistic(ctx, SolveRequest{}, HolisticOptions{}, &stats);
     EXPECT_TRUE(r.converged) << sep_us;
     EXPECT_GT(r.sweeps, 2) << "a cyclic key graph needs repeated passes";
     EXPECT_EQ(r.sweeps, sep_us == 400 ? 4 : 38) << sep_us;
+    // 22 one-frame nodes (11 stages per flow).  The first sweep writes
+    // every JSUM; later sweeps rewrite only the nodes whose previous stage
+    // moved or was re-analysed, starting with the stages behind a back
+    // edge — never all 22 per sweep.
+    EXPECT_EQ(stats.jsum_writes, sep_us == 400 ? 48u : 592u) << sep_us;
+    EXPECT_GT(stats.jsum_writes, 22u) << sep_us;
+    EXPECT_LT(stats.jsum_writes, 22u * static_cast<std::size_t>(r.sweeps))
+        << sep_us;
     expect_order_independent(ctx, "ring " + std::to_string(sep_us) + "us",
                              512);
 

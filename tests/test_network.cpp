@@ -138,5 +138,35 @@ TEST(Network, OutOfRangeAccessThrows) {
   EXPECT_THROW((void)n.successors(NodeId(9)), std::out_of_range);
 }
 
+TEST(Network, LinkIdsAreInsertionIndicesAndRankInRefOrder) {
+  Network n;
+  const NodeId a = n.add_endhost("a");
+  const NodeId b = n.add_switch("b");
+  const NodeId c = n.add_endhost("c");
+  // Added out of LinkRef order on purpose.
+  n.add_link(b, c, 1'000'000);  // id 0
+  n.add_link(a, b, 1'000'000);  // id 1
+  n.add_link(b, a, 1'000'000);  // id 2
+  n.add_link(c, b, 1'000'000);  // id 3
+  EXPECT_EQ(n.link_id(b, c), 0u);
+  EXPECT_EQ(n.link_id(LinkRef(a, b)), 1u);
+  EXPECT_EQ(n.link_id(b, a), 2u);
+  EXPECT_EQ(n.link_id(c, b), 3u);
+  for (LinkId id = 0; id < n.link_count(); ++id) {
+    const Link& l = n.links()[id];
+    EXPECT_EQ(n.link_id(l.src, l.dst), id);
+  }
+  EXPECT_EQ(n.link_id(a, c), kNoLink);
+  EXPECT_EQ(n.link_id(c, a), kNoLink);
+  EXPECT_EQ(n.link_id(NodeId(7), a), kNoLink);
+  EXPECT_FALSE(n.has_link(a, c));
+  EXPECT_TRUE(n.has_link(c, b));
+
+  // (a,b) < (b,a) < (b,c) < (c,b).
+  EXPECT_EQ(n.link_ids_in_ref_order(), (std::vector<LinkId>{1, 2, 0, 3}));
+  // Successors keep insertion order; only the lookup index is sorted.
+  EXPECT_EQ(n.successors(b), (std::vector<NodeId>{c, a}));
+}
+
 }  // namespace
 }  // namespace gmfnet::net
