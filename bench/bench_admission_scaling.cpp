@@ -1,8 +1,8 @@
 // Experiment E10: admission-decision cost as the resident flow set grows —
 // the seed's from-scratch controller (rebuild AnalysisContext + cold
 // holistic fixed point per query) vs the incremental sharded AnalysisEngine
-// (per-domain contexts, route-based dirty tracking, warm-started fixed
-// point, published snapshots).
+// (one context per link-sharing component, route-based dirty tracking,
+// warm-started fixed point, published snapshots).
 //
 // Two scenarios:
 //
@@ -16,10 +16,7 @@
 //    the engine discovers exactly 4 locality domains of 64 flows each at
 //    256 residents.  Domains this large are the hard case for incremental
 //    admission (the touched component is a quarter of the world), which is
-//    what the >= 3x single-admission bar is measured on.  The
-//    single-domain engine (shard_by_domain = false, the pre-shard
-//    architecture) is timed alongside to isolate what the per-shard
-//    context buys on top of warm incremental re-analysis.
+//    what the >= 3x single-admission bar is measured on.
 //
 //   $ ./bench_admission_scaling [probes_per_size]
 //
@@ -120,7 +117,7 @@ int main(int argc, char** argv) {
         cold = core::analyze_holistic(ctx);
       }));
 
-      // Engine behaviour: copy of the touched shard only, dirty component
+      // Engine behaviour: copy of the touched shard only, its component
       // only, warm start from the published fixed point.
       engine::WhatIfResult warm;
       incremental_samples.push_back(wall_us([&] { warm = eng.what_if(cand); }));
@@ -176,26 +173,18 @@ int main(int argc, char** argv) {
     hub_flows.push_back(hub_flow(hub, kFourCells, n));
   }
   engine::AnalysisEngine sharded(hub.net);
-  engine::AnalysisEngine mono(hub.net, {}, /*shard_by_domain=*/false);
-  for (const gmf::Flow& f : hub_flows) {
-    sharded.add_flow(f);
-    mono.add_flow(f);
-  }
+  for (const gmf::Flow& f : hub_flows) sharded.add_flow(f);
   (void)sharded.evaluate();
-  (void)mono.evaluate();
   std::printf("engine discovered %zu locality domains\n",
               sharded.shard_count());
 
   // Untimed warm-up: the first probe against each locality domain builds
-  // the engine's writer scratch entry (mono has one domain, sharded four);
-  // timing those builds would charge the sharded path 4x the one-off setup.
+  // the engine's writer scratch entry, a one-off setup per domain.
   for (int p = 0; p < kFourCells; ++p) {
-    const gmf::Flow warm = hub_flow(hub, kFourCells, kFourResidents + p);
-    (void)mono.what_if(warm);
-    (void)sharded.what_if(warm);
+    (void)sharded.what_if(hub_flow(hub, kFourCells, kFourResidents + p));
   }
 
-  std::vector<double> fs_s, mono_s, shard_s;
+  std::vector<double> fs_s, shard_s;
   bool hub_agree = true;
   const engine::EngineStats hub_before = sharded.stats();
   const int fs_probes = std::min(probes, 8);  // from-scratch is slow here
@@ -210,10 +199,8 @@ int main(int argc, char** argv) {
         cold = core::analyze_holistic(ctx);
       }));
     }
-    engine::WhatIfResult wm, ws;
-    mono_s.push_back(wall_us([&] { wm = mono.what_if(cand); }));
+    engine::WhatIfResult ws;
     shard_s.push_back(wall_us([&] { ws = sharded.what_if(cand); }));
-    hub_agree &= wm.admissible == ws.admissible;
     if (p < fs_probes) hub_agree &= ws.admissible == cold.schedulable;
   }
   verdicts_agree &= hub_agree;
@@ -224,33 +211,17 @@ int main(int argc, char** argv) {
       static_cast<double>(hub_after.hops_shared - hub_before.hops_shared) /
       probes;
   const double fs_us = median(fs_s);
-  const double mono_us = median(mono_s);
   const double shard_us = median(shard_s);
   const double hub_speedup = fs_us / shard_us;
-  // The two engine paths are within a few percent of each other here (the
-  // 65-flow component solve dominates both), so the gated ratio uses each
-  // path's best-case sample — the standard low-noise estimator of a
-  // deterministic cost — rather than medians, whose scheduler jitter would
-  // swamp a ~1.0 ratio.
-  const double vs_mono =
-      *std::min_element(mono_s.begin(), mono_s.end()) /
-      *std::min_element(shard_s.begin(), shard_s.end());
   const bool hub_bar = hub_speedup >= 3.0;
   bar_met &= hub_bar;
 
   Table t4("4-domain 256-resident single-admission cost (median)");
   t4.set_columns({"path", "us", "speedup vs from-scratch"});
   t4.add_row({"from-scratch", Table::fixed(fs_us, 1), "1.0x"});
-  t4.add_row({"single-domain engine", Table::fixed(mono_us, 1),
-              Table::fixed(fs_us / mono_us, 1) + "x"});
   t4.add_row({"sharded engine", Table::fixed(shard_us, 1),
               Table::fixed(hub_speedup, 1) + "x"});
   t4.print();
-  std::printf("sharded vs single-domain engine: %.2fx — on domains this "
-              "large the 65-flow component solve dominates both paths "
-              "(expect ~1.0x within noise); the touched-shard copy/closure "
-              "win shows in the many-small-domains campus table above\n",
-              vs_mono);
   std::printf("sharded engine per probe: %.1f hop analyses run, %.1f served "
               "from an identical node's result\n",
               hub_hops_run, hub_hops_shared);
@@ -265,9 +236,7 @@ int main(int argc, char** argv) {
   json.add("residents", kFourResidents);
   json.add("scratch_us", fs_us);
   json.add("incremental_us", shard_us);
-  json.add("mono_us", mono_us);
   json.add("speedup", hub_speedup);
-  json.add("speedup_vs_mono", vs_mono);
   json.add("hops_run_per_probe", hub_hops_run);
   json.add("hops_shared_per_probe", hub_hops_shared);
   json.add("verdicts_agree", hub_agree);

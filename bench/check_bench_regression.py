@@ -18,10 +18,6 @@ Two kinds of gate:
    restricts the floor to rows satisfying numeric preconditions — e.g. the
    8-reader scaling floor only applies on runners that actually have >= 8
    hardware threads (`hw_threads` is emitted per row by the bench).
-   `min_slack` (a fraction, default 0) widens the floor for bars that sit
-   exactly at the metric's true value: a "must be >= 1.0x" par-bar measured
-   with a few percent of scheduler jitter needs a few percent of allowance,
-   or the gate is a coin flip on a true pass.
 
 Metric specs are either the legacy string form ("higher") or a dict:
     {"direction": "higher", "min": 4.0, "min_if": {"hw_threads": 8}}
@@ -51,20 +47,7 @@ CHECKS = {
         "file": "BENCH_admission_scaling.json",
         "key": ["section", "residents"],
         "filter": {},
-        "metrics": {
-            "speedup": "higher",
-            # The sharded engine must not lose to the single-domain engine
-            # on the four-domain world (the only section emitting this
-            # ratio): materially under 1.0 means sharding costs more than
-            # it saves.  The two paths are truly at par there (the
-            # component solve dominates both), so the floor carries a 5%
-            # measurement-noise allowance.
-            "speedup_vs_mono": {
-                "direction": "higher",
-                "min": 1.0,
-                "min_slack": 0.05,
-            },
-        },
+        "metrics": {"speedup": "higher"},
     },
     "demand_eval": {
         "file": "BENCH_demand_eval.json",
@@ -255,8 +238,7 @@ def main():
                 if not min_if_holds(row, spec.get("min_if", {})):
                     continue
                 cur_v = float(row[metric])
-                floor = float(spec["min"]) * (
-                    1.0 - float(spec.get("min_slack", 0.0)))
+                floor = float(spec["min"])
                 checked += 1
                 ok = cur_v >= floor
                 verdict = "OK" if ok else "BELOW FLOOR"

@@ -88,7 +88,17 @@ bool sweep_jacobi(const AnalysisContext& ctx, JitterMap& jitters,
   return ok;
 }
 
-/// Whole-set Jacobi solve (kept separate: its sweeps are pool-parallel).
+/// Sets `r.schedulable`: converged, and every frame of every flow meets
+/// its deadline.
+void finalize_schedulable(HolisticResult& r) {
+  r.schedulable =
+      r.converged && std::all_of(r.flows.begin(), r.flows.end(),
+                                 [](const FlowResult& fr) {
+                                   return fr.schedulable();
+                                 });
+}
+
+/// Jacobi solve (kept separate: its sweeps are pool-parallel).
 /// Bit-identical to the historical Jacobi analyze_holistic.
 HolisticResult solve_jacobi(const AnalysisContext& ctx,
                             const HolisticOptions& opts, HolisticResult out,
@@ -102,28 +112,14 @@ HolisticResult solve_jacobi(const AnalysisContext& ctx,
                                  sweep == 0, changed, out.flows, pool);
     out.sweeps = sweep + 1;
     if (stats != nullptr) ++stats->sweeps;
-    if (!ok) {
-      out.converged = false;
-      out.schedulable = false;
-      return out;
-    }
+    if (!ok) break;  // a hop diverged: not converged
     if (std::none_of(changed.begin(), changed.end(),
                      [](char c) { return c != 0; })) {
       out.converged = true;
       break;
     }
   }
-  if (!out.converged) {
-    out.schedulable = false;
-    return out;
-  }
-  out.schedulable = true;
-  for (const FlowResult& fr : out.flows) {
-    if (!fr.schedulable()) {
-      out.schedulable = false;
-      break;
-    }
-  }
+  finalize_schedulable(out);
   return out;
 }
 
@@ -591,12 +587,6 @@ HolisticResult solve_holistic(const AnalysisContext& ctx,
                               const SolveRequest& req,
                               const HolisticOptions& opts,
                               IncrementalStats* stats) {
-  const bool whole_set = req.dirty == nullptr;
-  if (!whole_set && !req.start.engaged()) {
-    throw std::logic_error(
-        "solve_holistic: a restricted request needs an engaged warm start "
-        "(clean flows' fixed points cannot be conjured from nothing)");
-  }
   if (req.seed != nullptr && req.changed_links == nullptr) {
     throw std::logic_error(
         "solve_holistic: a seeded request must name its changed links");
@@ -607,32 +597,29 @@ HolisticResult solve_holistic(const AnalysisContext& ctx,
       req.start.engaged() ? req.start.map() : JitterMap::initial(ctx);
   out.flows.resize(ctx.flow_count());
 
-  if (whole_set && opts.order == SweepOrder::kJacobi) {
+  if (opts.order == SweepOrder::kJacobi) {
     return solve_jacobi(ctx, opts, std::move(out), stats);
   }
 
-  // The iterated (dirty) flows, ascending.
-  std::vector<FlowId> dirty_ids;
-  for (std::size_t f = 0; f < ctx.flow_count(); ++f) {
-    if (whole_set || (f < req.dirty->size() && (*req.dirty)[f])) {
-      dirty_ids.push_back(FlowId(static_cast<std::int32_t>(f)));
-    }
+  std::vector<FlowId> ids(ctx.flow_count());
+  for (std::size_t f = 0; f < ids.size(); ++f) {
+    ids[f] = FlowId(static_cast<std::int32_t>(f));
   }
-  SweepPlan& plan = link_ordered_groups(ctx, dirty_ids);
+  SweepPlan& plan = link_ordered_groups(ctx, ids);
 
   // A seed from above descends to the least fixed point only where the
-  // fixed point is unique (an acyclic key graph); otherwise the dirty flows
-  // climb from their source jitters instead.
+  // fixed point is unique (an acyclic key graph); otherwise every flow
+  // climbs from its source jitters instead.
   const bool seeded = req.seed != nullptr && !(req.seed_above && plan.cyclic);
   if (req.seed_above && !seeded) {
-    for (const FlowId id : dirty_ids) out.jitters.reset_to_source(ctx, id);
+    for (const FlowId id : ids) out.jitters.reset_to_source(ctx, id);
   }
   if (seeded) {
     for (SweepGroup& g : plan.groups) {
       g.stale = req.changed_links->contains(g.link);
     }
   }
-  for (const FlowId id : dirty_ids) {
+  for (const FlowId id : ids) {
     const auto f = static_cast<std::size_t>(id.v);
     FlowResult& fr = out.flows[f];
     const FlowResult* s =
@@ -666,34 +653,15 @@ HolisticResult solve_holistic(const AnalysisContext& ctx,
       break;
     }
   }
-  finalize_frames(ctx, dirty_ids, out.flows);
+  finalize_frames(ctx, ids, out.flows);
   if (stats != nullptr) {
     // Every unseeded flow has its source stage analysed in the first sweep,
     // so a flow never counted kept its seed.
-    for (const FlowId id : dirty_ids) {
-      if (counted[static_cast<std::size_t>(id.v)] < 0) ++stats->results_kept;
+    for (const int c : counted) {
+      if (c < 0) ++stats->results_kept;
     }
   }
-
-  if (!out.converged) {
-    // Divergence, or the sweep cap reached without a fixed point (the
-    // monotone jitters were still growing): unschedulable.
-    out.schedulable = false;
-    return out;
-  }
-
-  if (whole_set) {
-    out.schedulable = true;
-    for (const FlowResult& fr : out.flows) {
-      if (!fr.schedulable()) {
-        out.schedulable = false;
-        break;
-      }
-    }
-  }
-  // Restricted solves leave schedulable false: the caller adopts its cached
-  // FlowResults for the clean flows and finalizes the verdict over the
-  // complete vector.
+  finalize_schedulable(out);
   return out;
 }
 

@@ -40,17 +40,17 @@
 // analysed after them.  `IncrementalStats::jsum_writes` counts the per-frame
 // JSUMs recomputed.
 //
-// Change-driven restricted solves.  A restricted request may carry a seed:
-// the dirty flows' converged stage results from the previous fixed point,
-// plus the links whose flow set changed since (see SolveRequest).  Seeded
-// flows start with those results, and only the keys on changed links start
-// stale; from there a key turns stale only when one of its JSUM entries
-// moves.  A seeded node whose key never turns stale keeps its result.
-// That is exact: a stage analysis is a deterministic function of its key's
-// jitter entries and of the flows on its link, and a key that saw neither
-// change reads exactly the inputs its seeded result was computed from.  So
-// a probe re-analyses the candidate, the nodes on its route links, and
-// whatever lies downstream of a jitter the candidate moved; the rest of its
+// Change-driven seeded solves.  A request may carry a seed: the flows'
+// converged stage results from the previous fixed point, plus the links
+// whose flow set changed since (see SolveRequest).  Seeded flows start
+// with those results, and only the keys on changed links start stale; from
+// there a key turns stale only when one of its JSUM entries moves.  A
+// seeded node whose key never turns stale keeps its result.  That is
+// exact: a stage analysis is a deterministic function of its key's jitter
+// entries and of the flows on its link, and a key that saw neither change
+// reads exactly the inputs its seeded result was computed from.  So a probe
+// re-analyses the candidate, the nodes on its route links, and whatever
+// lies downstream of a jitter the candidate moved; the rest of its
 // component is kept verbatim.  A seed from below (the fixed point before
 // flows were added) climbs to the least fixed point on any key graph.  A
 // seed from above (the fixed point before flows were removed) descends,
@@ -58,7 +58,13 @@
 // unique: on an acyclic key graph, where one topological sweep computes
 // every node from final inputs.  On a cyclic one (an equal-priority ring
 // may have several fixed points) the solve drops a seed from above and
-// restarts the dirty flows from their source jitters.
+// restarts every flow from its source jitters.
+//
+// A solve always iterates every flow of its context.  The engine gives
+// each solve a context holding exactly one link-sharing component (a shard,
+// or the shards a probe candidate touches plus the candidate), so nothing
+// outside the component is ever iterated, and every flow a change can
+// reach is.
 //
 // Shared hop results.  Besides its key's jitter entries and the flows on
 // its link, which every node of a group visit reads alike, a stage
@@ -87,9 +93,9 @@
 // the seeded flows that finished with none, and `hops_run` / `hops_shared`
 // the per-frame analyses run and copied.
 //
-// A whole-set solve may instead ask for Jacobi sweeps (SweepOrder::kJacobi):
-// whole flows analysed against a frozen snapshot, embarrassingly parallel
-// over a thread pool.  It reaches the same fixed point and serves as the
+// A solve may instead ask for Jacobi sweeps (SweepOrder::kJacobi): whole
+// flows analysed against a frozen snapshot, embarrassingly parallel over a
+// thread pool, with no seed.  It reaches the same fixed point and serves as the
 // parallel path and the test oracle of the link-ordered sweep.  There is no
 // acceleration: a feed-forward component already settles in two sweeps.
 #pragma once
@@ -119,12 +125,12 @@ enum class SweepOrder { kGaussSeidel, kJacobi };
 /// the least fixed point of the sweep operator — e.g. the converged map of
 /// the same flow set minus some flows (interference only grew, so the old
 /// fixed point is a valid under-approximation and the iteration converges
-/// to the *same* least fixed point, in far fewer sweeps).  A restricted
+/// to the *same* least fixed point, in far fewer sweeps).  A seeded
 /// request may also start from above — the converged map of the same flow
 /// set plus some flows — if it says so (SolveRequest::seed_above): the
-/// solve then keeps the map only on an acyclic dirty key graph, where the
-/// fixed point is unique, and restarts the dirty flows from their source
-/// jitters otherwise.
+/// solve then keeps the map only on an acyclic key graph, where the fixed
+/// point is unique, and restarts every flow from its source jitters
+/// otherwise.
 class WarmStartView {
  public:
   /// Disengaged: the solve starts from JitterMap::initial(ctx).
@@ -145,7 +151,7 @@ struct HolisticOptions {
   int max_sweeps = 64;            ///< fixed-point sweep cap
   SweepOrder order = SweepOrder::kGaussSeidel;
   std::size_t threads = 0;        ///< Jacobi worker threads (0 = hardware)
-  /// Warm start for whole-set solves (see WarmStartView for the lifetime
+  /// Warm start for analyze_holistic (see WarmStartView for the lifetime
   /// and soundness contracts).  Disengaged: start from the initial map.
   WarmStartView warm_start;
 };
@@ -186,30 +192,21 @@ struct IncrementalStats {
 };
 
 /// One solve, described as a request.  This is the single solver entry
-/// point: whole-set analyses and the engine's restricted shard/probe solves
-/// are the same request with different dirty sets, so every caller runs the
-/// same sweep loop (solve_holistic).
+/// point: whole-set analyses and the engine's shard and probe solves are
+/// the same request over every flow of a context, seeded or not, so every
+/// caller runs the same sweep loop (solve_holistic).
 struct SolveRequest {
-  /// Flows to (re-)analyse, indexed by flow id; null means every flow of
-  /// the context (a whole-set solve).  When non-null, clean (false) flows
-  /// are never analysed or written — their entries in `start` must already
-  /// sit at the (unchanged) fixed point, which makes the run bit-identical
-  /// to a whole-set solve on the same context (both reach the unique least
-  /// fixed point; see WarmStartView).  Borrowed; must outlive the call.
-  const std::vector<bool>* dirty = nullptr;
-  /// Seed map.  Whole-set requests may leave it disengaged (the initial
-  /// map); restricted requests must engage it (std::logic_error otherwise —
-  /// clean flows' fixed points cannot be conjured from nothing).
+  /// Seed map; disengaged: the initial map.
   WarmStartView start;
-  /// Seed results, indexed by flow id: a dirty flow whose entry is non-null
-  /// and has frames starts with these stage results instead of none (flows
+  /// Seed results, indexed by flow id: a flow whose entry is non-null and
+  /// has frames starts with these stage results instead of none (flows
   /// past the end start with none).  Contract: each seeded result is what
   /// the stage analyses compute from `start`'s entries on the context's
   /// flow sets, except on `changed_links` — in practice, the converged
   /// results that come with `start`'s converged entries, from the world
   /// before the flows on `changed_links` were added or removed.  Unseeded
-  /// dirty flows may only ride changed links.  Null: no seed, every dirty
-  /// node is analysed at least once.  Borrowed; must outlive the call.
+  /// flows may only ride changed links.  Null: no seed, every node is
+  /// analysed at least once.  Borrowed; must outlive the call.
   const std::vector<const FlowResult*>* seed = nullptr;
   /// The links whose flow set changed since the seed was computed (the
   /// route links of added and removed flows).  Their keys start stale; every
@@ -217,31 +214,28 @@ struct SolveRequest {
   /// JSUM entries moves.  Required with a seed (std::logic_error otherwise).
   /// Borrowed; must outlive the call.
   const std::set<LinkRef>* changed_links = nullptr;
-  /// True when `start`'s dirty entries and the seed come from *above* the
-  /// least fixed point (flows were removed).  The descent is exact only on
-  /// an acyclic dirty key graph; on a cyclic one the solve ignores the seed
-  /// and restarts every dirty flow from its source jitters.  False: they
-  /// lie at or below it (flows were added), valid on any key graph.
+  /// True when `start` and the seed come from *above* the least fixed
+  /// point (flows were removed).  The descent is exact only on an acyclic
+  /// key graph; on a cyclic one the solve ignores the seed and restarts
+  /// every flow from its source jitters.  False: they lie at or below it
+  /// (flows were added), valid on any key graph.
   bool seed_above = false;
 };
 
-/// Runs the holistic fixed point described by `req` under `opts`.
-///
-/// Whole-set requests (`req.dirty == nullptr`) honor `opts.order` and
-/// finalize `schedulable` over all flows.  Restricted requests force
-/// Gauss-Seidel sweeps, leave clean flows' `flows` entries
-/// default-constructed and `schedulable` false: the caller owns adopting
-/// its cached FlowResults for clean flows and finalizing the verdict
-/// (skipped when `converged` is false).  `opts.warm_start` is ignored in
-/// favour of `req.start`.  Sweeps, flow analyses and kept seeded results
-/// are counted in `stats` when provided.
+/// Runs the holistic fixed point described by `req` under `opts` over every
+/// flow of `ctx`, and finalizes `schedulable` (converged and every flow
+/// meets its deadlines).  Gauss-Seidel honours the whole request; Jacobi
+/// (`opts.order`), the unseeded oracle, starts from `req.start` and
+/// ignores `seed`, `changed_links` and `seed_above`.
+/// `opts.warm_start` is ignored in favour of `req.start`.  Sweeps, flow
+/// analyses and kept seeded results are counted in `stats` when provided.
 [[nodiscard]] HolisticResult solve_holistic(const AnalysisContext& ctx,
                                             const SolveRequest& req,
                                             const HolisticOptions& opts,
                                             IncrementalStats* stats = nullptr);
 
-/// Whole-set convenience wrapper: solve_holistic with every flow dirty,
-/// seeded from `opts.warm_start`.
+/// Convenience wrapper: an unseeded solve_holistic starting from
+/// `opts.warm_start`.
 [[nodiscard]] HolisticResult analyze_holistic(const AnalysisContext& ctx,
                                               const HolisticOptions& opts = {});
 

@@ -8,14 +8,19 @@
 
 namespace gmfnet::engine {
 
-AnalysisEngine::AnalysisEngine(net::Network network, core::HolisticOptions opts,
-                               bool shard_by_domain)
+AnalysisEngine::AnalysisEngine(net::Network network, core::HolisticOptions opts)
     : empty_ctx_(std::make_shared<const core::AnalysisContext>(
           std::move(network))),
-      opts_(opts),
-      shard_by_domain_(shard_by_domain) {
+      opts_(opts) {
+  pin_options();
+  publish();  // publish the (empty) world
+}
+
+void AnalysisEngine::pin_options() {
   opts_.warm_start = {};  // the engine owns warm starting
-  publish();              // publish the (empty) world
+  // Shard and probe solves may run on pool workers, where a Jacobi solve
+  // would build a nested pool per solve.
+  opts_.order = core::SweepOrder::kGaussSeidel;
 }
 
 const gmf::Flow& AnalysisEngine::flow(std::size_t index) const {
@@ -73,11 +78,6 @@ void AnalysisEngine::record_run(const RunStats& rs) {
 std::vector<std::uint32_t> AnalysisEngine::touched_shards(
     const std::vector<net::LinkRef>& links) const {
   std::vector<std::uint32_t> out;
-  if (!shard_by_domain_) {
-    // Single-domain mode: everything lives in shard 0.
-    for (std::uint32_t i = 0; i < shards_.size(); ++i) out.push_back(i);
-    return out;
-  }
   for (const net::LinkRef l : links) {
     const auto it = link_shard_.find(l);
     if (it != link_shard_.end()) out.push_back(it->second);
@@ -97,10 +97,10 @@ std::uint32_t AnalysisEngine::merge_shards(
   // uncovered flows — parts never solved, or flows added since a part's
   // last solve — get a padded entry seeded with the holistic initial state
   // and their route links dirtied, so the next run restarts exactly them
-  // (plus closure) instead of the whole merged domain going cold.  A part
-  // whose cache exists but did not converge invalidates the merge (its
-  // entries are mid-iteration): the merged shard then solves cold, the same
-  // as the pre-shard engine's invalid cache.
+  // (and what their jitters move) instead of the whole merged domain going
+  // cold.  A part whose cache exists but did not converge invalidates the
+  // merge (its entries are mid-iteration): the merged shard then solves
+  // cold, the same as the pre-shard engine's invalid cache.
   bool converged = true;
   bool sched = true;
   for (const std::uint32_t pi : parts) {
@@ -384,15 +384,13 @@ bool AnalysisEngine::remove_flow(std::size_t index) {
       locs_[static_cast<std::size_t>(shards_[loc.shard].to_global[l].v)] =
           FlowLoc{loc.shard, l};
     }
-    if (shard_by_domain_) {
-      // Rebuild-on-remove: the removal may have disconnected the domain.
-      const std::size_t before_split = shards_.size();
-      if (split_if_disconnected(loc.shard)) {
-        index_shard(loc.shard);
-        for (auto k = static_cast<std::uint32_t>(before_split);
-             k < shards_.size(); ++k) {
-          index_shard(k);
-        }
+    // Rebuild-on-remove: the removal may have disconnected the domain.
+    const std::size_t before_split = shards_.size();
+    if (split_if_disconnected(loc.shard)) {
+      index_shard(loc.shard);
+      for (auto k = static_cast<std::uint32_t>(before_split);
+           k < shards_.size(); ++k) {
+        index_shard(k);
       }
     }
   }
@@ -420,7 +418,6 @@ std::shared_ptr<EngineSnapshot> AnalysisEngine::build_snapshot() const {
   auto snap = std::shared_ptr<EngineSnapshot>(new EngineSnapshot());
   snap->empty_ctx_ = empty_ctx_;
   snap->opts_ = opts_;
-  snap->sharded_ = shard_by_domain_;
   snap->shards_.reserve(shards_.size());
   for (const Shard& s : shards_) {
     snap->shards_.push_back(
@@ -493,7 +490,7 @@ WhatIfResult AnalysisEngine::what_if(const gmf::Flow& candidate) {
   EngineSnapshot::Probe probe =
       snap->run_probe(candidate, writer_scratch_, /*retain_ctx=*/false);
   // Untouched shards' flows enter the full result verbatim: count them as
-  // reused alongside the clean flows of the probed component.
+  // reused alongside the probe's kept seeded flows.
   probe.rs.flow_results_reused += flow_count() + 1 - probe.to_global.size();
   record_run(probe.rs);
   return snap->finish_probe(std::move(probe));

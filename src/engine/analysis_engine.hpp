@@ -5,16 +5,19 @@
 // link-sharing component, so disjoint locality domains are analytically
 // independent.  The engine exploits that twice over:
 //
-//  * Locality-domain sharding.  The resident set is partitioned into the
-//    connected components of the link-sharing graph, maintained
-//    incrementally as flows come and go: an add unions the domains its
-//    route touches (merging shards when it bridges them), a removal
-//    rebuilds the touched shard's partition and splits it when the
-//    component fell apart.  Each shard owns its own AnalysisContext, dirty
-//    set and warm JitterMap (engine/shard.hpp), so an admission touching
-//    one domain re-analyses only that shard — the work is proportional to
-//    the touched domain, not the resident count — and a full-set
-//    evaluation fans the dirty shards over a thread pool.
+//  * One shard per link-sharing component.  This is the engine's single
+//    structural rule: the resident set is partitioned into the connected
+//    components of the link-sharing graph, maintained incrementally as
+//    flows come and go.  An add unions the shards its route touches
+//    (merging them when it bridges several), a removal rebuilds the
+//    touched shard's partition and splits it when the component fell
+//    apart.  Each shard owns its own AnalysisContext, dirty-link set and
+//    warm JitterMap (engine/shard.hpp), and every solve — a shard run or a
+//    probe over the shards a candidate touches — iterates exactly one
+//    component.  An admission touching one domain re-analyses only that
+//    shard, so the work is proportional to the touched domain, not the
+//    resident count, and a full-set evaluation fans the dirty shards over
+//    a thread pool.
 //
 //  * RCU-style published snapshots.  After every committed mutation the
 //    engine publishes an immutable EngineSnapshot (engine/snapshot.hpp) by
@@ -35,10 +38,10 @@
 //    new one and the iteration reaches the *same* least fixed point in
 //    near-minimal sweeps (a one-flow delta typically converges in 2).
 //    After a removal the old fixed point lies above the new one: the solve
-//    descends from it where the dirty key graph is acyclic (the fixed point
-//    is unique there) and restarts the dirty flows from their source
-//    jitters where it is cyclic.  Unaffected components keep their
-//    converged state either way.
+//    descends from it where the shard's key graph is acyclic (the fixed point
+//    is unique there) and restarts the component's flows from their source
+//    jitters where it is cyclic.  Other components keep their converged
+//    state either way.
 //
 // Results are bit-identical to a from-scratch AnalysisContext +
 // analyze_holistic run on the same flow set: both iterations converge to
@@ -109,12 +112,9 @@ class AnalysisEngine {
   /// `opts.order` is also ignored: every shard/probe solve is Gauss-Seidel
   /// (the engine's parallelism comes from fanning shards and batch probes
   /// over the pool, not from Jacobi sweeps; results are the same unique
-  /// least fixed point either way).  `shard_by_domain = false` forces the
-  /// whole resident set into a single shard (the pre-shard behaviour; kept
-  /// for benchmarking the sharded path against it).
+  /// least fixed point either way).
   explicit AnalysisEngine(net::Network network,
-                          core::HolisticOptions opts = {},
-                          bool shard_by_domain = true);
+                          core::HolisticOptions opts = {});
 
   // -- resident-set mutation (lazy: no analysis happens here) ---------------
 
@@ -264,7 +264,6 @@ class AnalysisEngine {
   };
   struct RestoredState {
     net::Network network;
-    bool shard_by_domain = true;
     std::vector<gmf::Flow> flows;  ///< resident set, global-id order
     std::vector<RestoredShard> shards;
   };
@@ -296,8 +295,7 @@ class AnalysisEngine {
     PaddedCounter jsum_writes;
   };
 
-  /// Shard indices (ascending, deduped) owning the given route links; all
-  /// shards in single-domain mode.
+  /// Shard indices (ascending, deduped) owning the given route links.
   [[nodiscard]] std::vector<std::uint32_t> touched_shards(
       const std::vector<net::LinkRef>& links) const;
 
@@ -346,6 +344,10 @@ class AnalysisEngine {
   /// Folds one run's counters into the stats (relaxed atomics).
   void record_run(const RunStats& rs);
 
+  /// Clears the options the engine owns (warm start, sweep order); both
+  /// constructors call it.
+  void pin_options();
+
   /// Worker count a pool for this engine would have (without creating one).
   [[nodiscard]] std::size_t effective_threads() const;
 
@@ -353,7 +355,6 @@ class AnalysisEngine {
 
   std::shared_ptr<const core::AnalysisContext> empty_ctx_;
   core::HolisticOptions opts_;
-  bool shard_by_domain_;
   std::vector<Shard> shards_;
   std::vector<FlowLoc> locs_;  ///< global flow id -> (shard, local)
   std::map<net::LinkRef, std::uint32_t> link_shard_;

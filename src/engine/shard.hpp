@@ -1,13 +1,15 @@
-// EngineShard: one locality domain of the resident set.
+// EngineShard: one link-sharing component of the resident set.
 //
 // The holistic fixed point decomposes over the connected components of the
 // link-sharing graph: interference only travels across shared links, so two
 // flows whose routes are link-disjoint (transitively) have independent
-// fixed points.  A Shard owns one such component — its own AnalysisContext
-// (shard-local flow ids), its own converged HolisticResult, and its own
-// dirty-link set — so an admission touching one domain re-analyses only
-// that shard, and a full-set evaluation fans the dirty shards over a
-// thread pool.
+// fixed points.  The engine keeps one rule: a shard is exactly one such
+// component — its own AnalysisContext (shard-local flow ids), its own
+// converged HolisticResult and its own dirty-link set.  An add that bridges
+// shards merges them, a removal that disconnects one splits it, so a solve
+// of a shard (or a probe of the shards a candidate touches) iterates every
+// flow it holds, and an admission touching one domain re-analyses only that
+// shard.  A full-set evaluation fans the dirty shards over a thread pool.
 //
 // Committed state (`ctx`, `cache`) is immutable and reference-counted:
 // publishing an EngineSnapshot shares the pointers with concurrent readers
@@ -34,8 +36,8 @@ struct RunStats {
   bool full = false;  ///< cold run (no usable warm cache) vs incremental
   std::size_t flow_analyses = 0;
   std::size_t sweeps = 0;
-  /// FlowResults carried over with no node analysed: clean flows, and
-  /// seeded dirty flows the solve kept.
+  /// FlowResults carried over with no node analysed: seeded flows the
+  /// solve kept.
   std::size_t flow_results_reused = 0;
   std::size_t hops_run = 0;     ///< core::IncrementalStats::hops_run
   std::size_t hops_shared = 0;  ///< core::IncrementalStats::hops_shared
@@ -47,14 +49,6 @@ struct FlowLoc {
   std::uint32_t shard = 0;
   std::uint32_t local = 0;
 };
-
-/// Marks every flow of `ctx` sharing a link (transitively) with a seed
-/// flow.  Seeds: the flows already set in `dirty`, flows touching
-/// `dirty_links`, and flows with id >= `cached_flows` (no reusable
-/// FlowResult, e.g. added since the last evaluation).
-[[nodiscard]] std::vector<bool> dirty_closure(
-    const core::AnalysisContext& ctx, std::vector<bool> dirty,
-    const std::set<net::LinkRef>& dirty_links, std::size_t cached_flows);
 
 /// One entry of a multi-shard merge, in global-id order.
 struct MergeEnt {
@@ -75,14 +69,10 @@ struct MergeEnt {
     const std::function<const std::vector<net::FlowId>&(std::uint32_t)>&
         to_global_of);
 
-/// Finalizes `r.schedulable` after its `flows` vector is complete (fresh
-/// dirty results + adopted clean ones): all flows meet deadlines, and only
-/// a converged result can be schedulable.
-void finalize_schedulable(core::HolisticResult& r);
-
-/// One locality domain.  Mutations (performed by AnalysisEngine) follow the
-/// copy-and-swap discipline described above; `run` re-solves the shard's
-/// fixed point incrementally and installs the fresh result as `cache`.
+/// One link-sharing component.  Mutations (performed by AnalysisEngine)
+/// follow the copy-and-swap discipline described above; `run` re-solves the
+/// shard's fixed point incrementally and installs the fresh result as
+/// `cache`.
 struct Shard {
   /// Committed context over this shard's flows (shard-local ids), shared
   /// with published snapshots.  Never mutated in place.
@@ -114,11 +104,11 @@ struct Shard {
            cache->flows.size() != flow_count();
   }
 
-  /// Solves the shard: no-op when clean, warm-started dirty-component run
-  /// when the cache is usable, cold Gauss-Seidel run otherwise.  Installs
-  /// the complete result (clean flows adopted from the old cache) as the
-  /// new `cache` and clears the dirty bookkeeping.  Bit-identical to a
-  /// from-scratch analyze_holistic over the shard's flow set.
+  /// Solves the shard: no-op unless needs_run(), a warm-started run seeded
+  /// from the cache when it is usable, a cold Gauss-Seidel run otherwise.
+  /// Installs the result as the new `cache` and clears the dirty
+  /// bookkeeping.  Bit-identical to a from-scratch analyze_holistic over the
+  /// shard's flow set.
   RunStats run(const core::HolisticOptions& opts);
 };
 

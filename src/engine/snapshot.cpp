@@ -66,10 +66,7 @@ const core::FlowResult& WhatIfResult::flow_result(net::FlowId global) const {
       std::lower_bound(to_global_.begin(), to_global_.end(), global,
                        [](net::FlowId a, net::FlowId b) { return a.v < b.v; });
   if (it != to_global_.end() && it->v == global.v) {
-    const auto f = static_cast<std::size_t>(it - to_global_.begin());
-    // Clean probe flows are identical to the published entries; only the
-    // dirty component carries probe-fresh results.
-    if (dirty_[f]) return local_.flows[f];
+    return local_.flows[static_cast<std::size_t>(it - to_global_.begin())];
   }
   return base_->flow_result(static_cast<std::size_t>(global.v));
 }
@@ -97,7 +94,6 @@ const core::HolisticResult& WhatIfResult::result() const {
   r.flows.resize(total_flows_);
   r.jitters = base.jitters;
   for (std::size_t f = 0; f < to_global_.size(); ++f) {
-    if (!dirty_[f]) continue;
     const auto g = static_cast<std::size_t>(to_global_[f].v);
     r.flows[g] = local_.flows[f];
     r.jitters.adopt_flow(local_.jitters,
@@ -247,9 +243,7 @@ EngineSnapshot::Probe EngineSnapshot::run_probe(const gmf::Flow& candidate,
   if (!base_converged) {
     // Some component never converged: there is no fixed point to warm-start
     // from, so run the whole set + candidate cold, in global order —
-    // bit-identical to the from-scratch analysis.  (Gauss-Seidel is forced:
-    // probes may run inside a thread-pool worker, and a Jacobi run would
-    // build a nested pool per probe.)
+    // bit-identical to the from-scratch analysis.
     p.base_converged = false;
     p.rs.full = true;
     core::AnalysisContext full =
@@ -266,29 +260,22 @@ EngineSnapshot::Probe EngineSnapshot::run_probe(const gmf::Flow& candidate,
     for (std::size_t s = 0; s < shards_.size(); ++s) {
       p.touched.push_back(static_cast<std::uint32_t>(s));
     }
-    core::HolisticOptions cold = opts_;
-    cold.order = core::SweepOrder::kGaussSeidel;
-    cold.warm_start = {};
-    p.local = core::solve_holistic(full, core::SolveRequest{}, cold);
+    p.local = core::solve_holistic(full, core::SolveRequest{}, opts_);
     p.rs.sweeps = static_cast<std::size_t>(p.local.sweeps);
-    p.dirty.assign(full.flow_count(), true);
     p.ctx = std::move(full);
     return p;
   }
 
   // The shards the candidate's route links already belong to; the probe
-  // world is exactly their union + the candidate.
-  if (!sharded_ && !shards_.empty()) {
-    p.touched.push_back(0);
-  } else {
-    for (const net::LinkRef l : candidate.route().links()) {
-      const auto it = link_shard_.find(l);
-      if (it != link_shard_.end()) p.touched.push_back(it->second);
-    }
-    std::sort(p.touched.begin(), p.touched.end());
-    p.touched.erase(std::unique(p.touched.begin(), p.touched.end()),
-                    p.touched.end());
+  // world is exactly their union + the candidate: one link-sharing
+  // component, since the candidate shares a link with every part.
+  for (const net::LinkRef l : candidate.route().links()) {
+    const auto it = link_shard_.find(l);
+    if (it != link_shard_.end()) p.touched.push_back(it->second);
   }
+  std::sort(p.touched.begin(), p.touched.end());
+  p.touched.erase(std::unique(p.touched.begin(), p.touched.end()),
+                  p.touched.end());
 
   ProbeScratch::Entry* entry = find_entry(scratch, p.touched);
   if (entry == nullptr) entry = &build_entry(scratch, p.touched);
@@ -323,26 +310,22 @@ EngineSnapshot::Probe EngineSnapshot::run_probe(const gmf::Flow& candidate,
   }
 
   // The probe mutates the cached base in place: add the candidate, solve
-  // the dirty component, then restore the residents-only world (or hand the
+  // the component, then restore the residents-only world (or hand the
   // candidate-bearing context to the commit path).  Any failure mid-probe
   // drops the entry — a half-mutated base must never be reused.
   const std::size_t entry_idx =
       static_cast<std::size_t>(entry - scratch.entries_.data());
   core::AnalysisContext& ctx = *entry->base;
   try {
-    const std::size_t residents = ctx.flow_count();
     const net::FlowId cand_local = ctx.add_flow(candidate);
     p.to_global.push_back(
         net::FlowId(static_cast<std::int32_t>(locs_.size())));
 
-    // Warm start: every resident sits at its converged fixed point; only
-    // the candidate (and transitively its component) is dirty.  Copying the
-    // cached map costs one shared pointer per resident.
+    // Warm start: every resident sits at its converged fixed point, the
+    // candidate at its source jitters.  Copying the cached map costs one
+    // shared pointer per resident.
     core::JitterMap start = entry->base_start;
     start.reset_to_source(ctx, cand_local);
-
-    p.dirty = dirty_closure(ctx, std::vector<bool>(ctx.flow_count(), false),
-                            {}, residents);
 
     // Residents also start from their converged stage results, climbing
     // from below: only the candidate's route links gained a flow, so the
@@ -352,7 +335,6 @@ EngineSnapshot::Probe EngineSnapshot::run_probe(const gmf::Flow& candidate,
     const std::set<net::LinkRef> changed(route.begin(), route.end());
     core::IncrementalStats is;
     core::SolveRequest req;
-    req.dirty = &p.dirty;
     req.start = core::WarmStartView(start);
     req.seed = &entry->base_seed;
     req.changed_links = &changed;
@@ -363,21 +345,8 @@ EngineSnapshot::Probe EngineSnapshot::run_probe(const gmf::Flow& candidate,
     p.rs.hops_run = is.hops_run;
     p.rs.hops_shared = is.hops_shared;
     p.rs.jsum_writes = is.jsum_writes;
-    for (std::size_t pos = 0; pos < residents; ++pos) {
-      if (!p.dirty[pos]) ++p.rs.flow_results_reused;
-    }
 
-    if (retain_ctx) {
-      // The commit path installs the probe as a merged shard, so its local
-      // result must be complete: adopt the clean residents' converged
-      // FlowResults verbatim and finalize the verdict.
-      for (std::size_t pos = 0; pos < entry->srcs.size(); ++pos) {
-        if (p.dirty[pos]) continue;
-        const MergeEnt& m = entry->srcs[pos];
-        p.local.flows[pos] = entry->results[m.shard]->flows[m.local];
-      }
-      finalize_schedulable(p.local);
-    } else {
+    if (!retain_ctx) {
       // Restore the base to the residents-only world for the next probe:
       // removing the (last-id) candidate erases its derived entry, drops it
       // from its route links (erasing links it alone introduced) and
@@ -399,10 +368,10 @@ EngineSnapshot::Probe EngineSnapshot::run_probe(const gmf::Flow& candidate,
 }
 
 bool EngineSnapshot::probe_admissible(const Probe& p) const {
-  if (!p.base_converged) return p.local.schedulable;
-  if (!p.local.converged) return false;
-  // Untouched shards keep their published verdicts; p.touched is ascending,
-  // so one two-pointer sweep covers all shards.
+  // The probed component's verdict, then the untouched shards' published
+  // ones; p.touched is ascending, so one two-pointer sweep covers all
+  // shards (a cold probe touched every shard).
+  if (!p.local.schedulable) return false;
   std::size_t t = 0;
   for (std::size_t s = 0; s < shards_.size(); ++s) {
     if (t < p.touched.size() &&
@@ -411,19 +380,6 @@ bool EngineSnapshot::probe_admissible(const Probe& p) const {
       continue;
     }
     if (!shards_[s].result->schedulable) return false;
-  }
-  // The probed component: dirty flows from the probe's solve, clean flows
-  // from their shard's committed result — flag reads only, no copies.  The
-  // candidate (last, always dirty) takes the first branch.
-  for (std::size_t f = 0; f < p.to_global.size(); ++f) {
-    if (p.dirty[f]) {
-      if (!p.local.flows[f].schedulable()) return false;
-    } else {
-      const FlowLoc& loc = locs_[static_cast<std::size_t>(p.to_global[f].v)];
-      if (!shards_[loc.shard].result->flows[loc.local].schedulable()) {
-        return false;
-      }
-    }
   }
   return true;
 }
@@ -441,7 +397,6 @@ WhatIfResult EngineSnapshot::finish_probe(Probe&& p) const {
   out.sweeps_ = p.local.sweeps;
   out.local_ = std::move(p.local);
   out.to_global_ = std::move(p.to_global);
-  out.dirty_ = std::move(p.dirty);
   out.total_flows_ = locs_.size() + 1;
   return out;
 }

@@ -15,11 +15,13 @@
 // is consistent-but-possibly-stale: it sees the resident set as of the
 // last publication, never a half-applied mutation.
 //
-// A probe touches only the shards the candidate's route links belong to:
-// it assembles a probe context from those shards (adopting their immutable
-// derived state, O(touched) not O(residents)), warm-starts from their
-// converged jitters and stage results, and solves just the candidate's
-// dirty component — re-analysing only the nodes on the candidate's route
+// A probe touches only the shards the candidate's route links belong to.
+// Each shard is one link-sharing component and the candidate shares a link
+// with each of them, so their union plus the candidate is exactly the
+// candidate's component.  The probe assembles a context from those shards
+// (adopting their immutable derived state, O(touched) not O(residents)),
+// warm-starts from their converged jitters and stage results, and solves
+// that component — re-analysing only the nodes on the candidate's route
 // links and downstream of a jitter the candidate moves.
 // Results are bit-identical to a from-scratch whole-set analysis
 // (tests/test_engine_shard.cpp).
@@ -182,8 +184,8 @@ class WhatIfResult {
   [[nodiscard]] std::size_t flow_count() const { return total_flows_; }
 
   /// Per-flow result by global flow id, without materializing the full
-  /// result: flows in the probe's dirty component come from the probe's
-  /// solve, everything else from the shared published state.
+  /// result: flows in the probed component come from the probe's solve,
+  /// everything else from the shared published state.
   [[nodiscard]] const core::FlowResult& flow_result(net::FlowId global) const;
   /// Worst end-to-end bound of a flow (Time::max() if it diverged).
   [[nodiscard]] gmfnet::Time worst_response(net::FlowId global) const {
@@ -222,8 +224,6 @@ class WhatIfResult {
   core::HolisticResult local_;
   /// Probe-local id -> global id, ascending (candidate last).
   std::vector<net::FlowId> to_global_;
-  /// Probe-local dirty flags (true for the candidate's component).
-  std::vector<bool> dirty_;
   std::size_t total_flows_ = 0;
   bool converged_ = false;
   int sweeps_ = 0;
@@ -288,16 +288,12 @@ class EngineSnapshot : public std::enable_shared_from_this<EngineSnapshot> {
     /// only on the cold path or when run_probe ran with retain_ctx (the
     /// commit path); plain what-ifs leave the context in the scratch.
     std::optional<core::AnalysisContext> ctx;
-    /// The probe's solve.  Complete (clean flows adopted) only when ctx is
-    /// engaged; otherwise clean entries stay default-constructed — the
-    /// schedulable verdict already accounts for them.
+    /// The probe's solve of the component, schedulable verdict included.
     core::HolisticResult local;
     /// Probe-local id -> global id (candidate maps to flow_count()).
     std::vector<net::FlowId> to_global;
     /// Snapshot shard indices the candidate's route touched (ascending).
     std::vector<std::uint32_t> touched;
-    /// Probe-local dirty closure (true for the candidate's component).
-    std::vector<bool> dirty;
     /// False when some shard's base was not converged: `local` is then a
     /// cold whole-set run in global order and `touched` covers every shard.
     bool base_converged = true;
@@ -305,14 +301,14 @@ class EngineSnapshot : public std::enable_shared_from_this<EngineSnapshot> {
   };
 
   /// Runs the probe against `scratch` (building/reusing a cached base).
-  /// With `retain_ctx`, the candidate-bearing context and the complete
-  /// local result are moved into the returned Probe (evicting the scratch
-  /// entry) — required by the commit path; without it, the scratch base is
-  /// restored to the residents-only world for the next probe.
+  /// With `retain_ctx`, the candidate-bearing context is moved into the
+  /// returned Probe (evicting the scratch entry) — required by the commit
+  /// path; without it, the scratch base is restored to the residents-only
+  /// world for the next probe.
   [[nodiscard]] Probe run_probe(const gmf::Flow& candidate,
                                 ProbeScratch& scratch, bool retain_ctx) const;
-  /// The admission verdict of a finished probe (converged, every untouched
-  /// shard schedulable, probed component schedulable).
+  /// The admission verdict of a finished probe (probed component
+  /// schedulable, every untouched shard schedulable).
   [[nodiscard]] bool probe_admissible(const Probe& p) const;
   /// Wraps a finished probe into the copy-free WhatIfResult.
   [[nodiscard]] WhatIfResult finish_probe(Probe&& probe) const;
@@ -330,8 +326,6 @@ class EngineSnapshot : public std::enable_shared_from_this<EngineSnapshot> {
   /// Template context sharing the network + CIRC table (cheap empty clone).
   std::shared_ptr<const core::AnalysisContext> empty_ctx_;
   core::HolisticOptions opts_;
-  /// False = single-domain mode: probes always touch every shard.
-  bool sharded_ = true;
   std::vector<ShardView> shards_;
   std::vector<FlowLoc> locs_;
   /// Directed link -> owning shard (links with at least one resident flow).

@@ -68,7 +68,10 @@ void AnalysisEngine::save(std::ostream& os) {
   (void)snapshot();
 
   io::ByteWriter engine_sec;
-  engine_sec.u8(shard_by_domain_ ? 1 : 0);
+  // Engine mode byte: always 1, one shard per link-sharing component.
+  // Streams written by the removed single-domain mode carry 0 and are
+  // rejected on restore.
+  engine_sec.u8(1);
   engine_sec.u64(locs_.size());
   engine_sec.u64(shards_.size());
   // Analysis-option fingerprint: every field the persisted fixed points
@@ -166,7 +169,7 @@ AnalysisEngine::RestoredState AnalysisEngine::parse_checkpoint(
   try {
     io::ByteReader engine_sec =
         io::read_section(payload, io::kSecEngine, "engine section");
-    st.shard_by_domain = engine_sec.u8() != 0;
+    const std::uint8_t mode_byte = engine_sec.u8();
     const std::size_t flow_count = engine_sec.u64();
     const std::size_t shard_count = engine_sec.u64();
     const gmfnet::Time horizon = engine_sec.time();
@@ -181,6 +184,13 @@ AnalysisEngine::RestoredState AnalysisEngine::parse_checkpoint(
           "solved under different hop.horizon / hop.charge_self_circ / "
           "max_sweeps — restore with the options the checkpoint was saved "
           "with");
+    }
+    if (mode_byte != 1) {
+      throw CheckpointError(
+          "engine mode byte " + std::to_string(mode_byte) +
+          ": restore reads only 1 (one shard per link-sharing component); "
+          "0 marks a stream of the removed single-domain engine mode — "
+          "re-solve the world from its scenario");
     }
     if (solver_byte != 0) {
       throw CheckpointError(
@@ -275,9 +285,8 @@ std::unique_ptr<AnalysisEngine> AnalysisEngine::restore_unique(
 AnalysisEngine::AnalysisEngine(RestoredState&& st, core::HolisticOptions opts)
     : empty_ctx_(std::make_shared<const core::AnalysisContext>(
           std::move(st.network))),
-      opts_(opts),
-      shard_by_domain_(st.shard_by_domain) {
-  opts_.warm_start = {};  // the engine owns warm starting
+      opts_(opts) {
+  pin_options();
 
   // Rebuild every shard's context directly from the persisted partition:
   // adding the shard's flows in local order reproduces the exact per-link

@@ -225,23 +225,6 @@ TEST(Checkpoint, EmptyEngineRoundTrips) {
   EXPECT_TRUE(restored.published()->what_if(cand).admissible);
 }
 
-TEST(Checkpoint, SingleDomainModeRoundTrips) {
-  const auto star = net::make_star_network(6, kSpeed);
-  AnalysisEngine eng(star.net, {}, /*shard_by_domain=*/false);
-  for (int n = 0; n < 4; ++n) {
-    eng.add_flow(workload::make_voip_flow(
-        "c" + std::to_string(n),
-        net::Route({star.hosts[static_cast<std::size_t>(2 * (n % 2))],
-                    star.sw,
-                    star.hosts[static_cast<std::size_t>(2 * (n % 2) + 1)]})));
-  }
-  const core::HolisticResult before = eng.evaluate();
-  AnalysisEngine restored = restore_from(checkpoint_of(eng));
-  EXPECT_EQ(restored.shard_count(), 1u);
-  expect_bit_identical(restored.evaluate(), before, "single-domain");
-  EXPECT_EQ(restored.stats().evaluations, 0u);
-}
-
 // ---------------------------------------------------- malformed streams --
 
 class CheckpointMalformed : public ::testing::Test {
@@ -256,6 +239,34 @@ class CheckpointMalformed : public ::testing::Test {
                       star.hosts[static_cast<std::size_t>(n + 1)]})));
     }
     blob_ = checkpoint_of(eng);
+  }
+
+  /// Offset of the engine section's body (section framing: u32 id, u64
+  /// body length, body) and the body's length.
+  [[nodiscard]] std::size_t engine_body_at() const {
+    return io::ckpt::kHeaderSize + 4 + 8;
+  }
+  [[nodiscard]] std::size_t engine_body_len() const {
+    std::uint64_t len = 0;
+    for (std::size_t b = 0; b < 8; ++b) {
+      len |= static_cast<std::uint64_t>(static_cast<unsigned char>(
+                 blob_[io::ckpt::kHeaderSize + 4 + b]))
+             << (8 * b);
+    }
+    return static_cast<std::size_t>(len);
+  }
+
+  /// blob_ with the byte at `at` set to `v` and the checksum fixed up, so
+  /// only the engine's own validation can reject it.
+  [[nodiscard]] std::string with_byte(std::size_t at, char v) const {
+    std::string bad = blob_;
+    bad[at] = v;
+    const std::uint64_t sum =
+        io::ckpt::fnv1a(std::string_view(bad).substr(io::ckpt::kHeaderSize));
+    for (std::size_t b = 0; b < 8; ++b) {
+      bad[io::ckpt::kChecksumOffset + b] = static_cast<char>(sum >> (8 * b));
+    }
+    return bad;
   }
 
   std::string blob_;
@@ -344,32 +355,33 @@ TEST_F(CheckpointMalformed, AndersonSolverByteRejected) {
   // 0.  A nonzero byte marks a stream saved under the removed Anderson
   // solver strategy: restore must refuse it loudly, naming the solver,
   // rather than adopt fixed points the plain sweep did not produce.
-  // Section framing: u32 id, u64 body length, body.
-  const std::size_t len_at = io::ckpt::kHeaderSize + 4;
-  std::uint64_t engine_len = 0;
-  for (std::size_t b = 0; b < 8; ++b) {
-    engine_len |= static_cast<std::uint64_t>(
-                      static_cast<unsigned char>(blob_[len_at + b]))
-                  << (8 * b);
-  }
-  const std::size_t solver_at = len_at + 8 + engine_len - 1;
+  const std::size_t solver_at = engine_body_at() + engine_body_len() - 1;
   ASSERT_LT(solver_at, blob_.size());
   ASSERT_EQ(blob_[solver_at], '\0');
-
-  std::string bad = blob_;
-  bad[solver_at] = 1;
-  const std::uint64_t sum =
-      io::ckpt::fnv1a(std::string_view(bad).substr(io::ckpt::kHeaderSize));
-  for (std::size_t b = 0; b < 8; ++b) {
-    bad[io::ckpt::kChecksumOffset + b] = static_cast<char>(sum >> (8 * b));
-  }
   try {
-    (void)restore_from(bad);
+    (void)restore_from(with_byte(solver_at, 1));
     FAIL() << "expected CheckpointError";
   } catch (const io::CheckpointError& e) {
     const std::string what = e.what();
     EXPECT_NE(what.find("solver"), std::string::npos) << what;
     EXPECT_NE(what.find("Anderson"), std::string::npos) << what;
+  }
+  EXPECT_NO_THROW((void)restore_from(blob_));
+}
+
+TEST_F(CheckpointMalformed, SingleDomainModeByteRejected) {
+  // The engine section starts with an engine mode byte that save always
+  // writes as 1 (one shard per link-sharing component).  A 0 marks a
+  // stream saved under the removed single-domain mode, whose one shard may
+  // hold several components: restore must refuse it, naming the mode.
+  const std::size_t mode_at = engine_body_at();
+  ASSERT_EQ(blob_[mode_at], '\1');
+  try {
+    (void)restore_from(with_byte(mode_at, 0));
+    FAIL() << "expected CheckpointError";
+  } catch (const io::CheckpointError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("single-domain"), std::string::npos) << what;
   }
   EXPECT_NO_THROW((void)restore_from(blob_));
 }

@@ -78,7 +78,7 @@ TEST(Engine, HubProbeAnalysesEachFlowOnce) {
   // An AV hub: 64 residents share one uplink (host 0 -> switch) near 80%
   // utilisation — every 4th a 25 fps camera feed (16 kB I-frame + three
   // 3 kB P-frames) above the VoIP legs.  A candidate call on the same
-  // uplink puts all 65 flows in the probe's dirty component.  The component
+  // uplink puts all 65 flows in the probe's component.  The component
   // is feed-forward (uplink, switch ingress, downlink), so the link-ordered
   // sweep analyses every flow once with final inputs and a second sweep
   // confirms the fixed point: exactly 2 sweeps and 65 flow analyses.  (A

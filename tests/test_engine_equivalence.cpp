@@ -174,8 +174,8 @@ INSTANTIATE_TEST_SUITE_P(Scenarios, EngineEquivalence,
 // Equal-priority rings: the one family whose key graph (directed links,
 // edges l_t -> l_{t+1} along every route) can be cyclic, so the fixed
 // point need not be unique and the engine's removal path must not descend
-// from the old fixed point there (it restarts the dirty flows from their
-// source jitters instead).  Each world is a ring of 4..6 switches with one
+// from the old fixed point there (it restarts the component's flows from
+// their source jitters instead).  Each world is a ring of 4..6 switches with one
 // host per switch.  The generator draws the frames; each flow then runs
 // clockwise from a random switch over 2..n-1 ring links (shortest routes
 // rarely chain all the way round), all flows at one priority.

@@ -1,17 +1,20 @@
 // The sharded engine's contracts:
 //
-//  * Partition correctness: at every point, two resident flows live in the
-//    same shard iff their routes share links transitively (checked against
-//    a reference union-find over the global flow set), shards merge when a
-//    flow bridges domains and split again when a removal disconnects one
-//    (rebuild-on-remove).
+//  * Partition correctness: a shard is exactly one link-sharing component.
+//    After every mutation path — add_flow, remove_flow, try_admit, lean
+//    batch admissions and their end_batch, checkpoint restore — two
+//    resident flows live in the same shard iff their routes share links
+//    transitively (checked against a reference union-find over the global
+//    flow set): shards merge when a flow bridges domains and split again
+//    when a removal disconnects one (rebuild-on-remove).  Every solve
+//    iterates all flows of its context, so this rule is what keeps a solve
+//    proportional to one component.
 //
 //  * Bit-identical results: evaluate(), what_if() and snapshot probes match
 //    a from-scratch AnalysisContext + analyze_holistic run on the same
 //    global flow set — same verdicts, same per-frame responses, same
 //    fixed-point jitters — across randomized multi-domain scenarios and
-//    mutation orders, and the sharded engine matches the single-domain
-//    (shard_by_domain = false) engine.
+//    mutation orders.
 //
 //  * Snapshot consistency under concurrency: reader threads probing
 //    published snapshots while the writer admits/removes always observe a
@@ -29,6 +32,7 @@
 #include <cstdint>
 #include <memory>
 #include <numeric>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -161,10 +165,37 @@ TEST(EngineShard, BridgeFlowMergesAndRemovalResplits) {
   EXPECT_TRUE(eng.evaluate().schedulable);
 }
 
+TEST(EngineShard, LeanBatchBridgeMergesShards) {
+  // Lean admissions commit their shard surgery without publishing: the
+  // partition must hold after each commit, before the batch publishes.
+  const auto star = net::make_star_network(8, kSpeed);
+  AnalysisEngine eng(star.net);
+  std::vector<gmf::Flow> mirror = {voip_between(star, 0, 1, "a"),
+                                   voip_between(star, 2, 3, "b"),
+                                   voip_between(star, 4, 5, "c")};
+  for (const gmf::Flow& f : mirror) eng.add_flow(f);
+  (void)eng.evaluate();
+  ASSERT_EQ(eng.shard_count(), 3u);
+
+  eng.begin_batch();
+  // 0 -> 3 bridges the shards of "a" and "b"; 6 -> 7 opens a fourth.
+  for (const gmf::Flow& cand :
+       {voip_between(star, 0, 3, "bridge"), voip_between(star, 6, 7, "d")}) {
+    ASSERT_TRUE(eng.try_admit_lean(cand)) << cand.name();
+    mirror.push_back(cand);
+    expect_partition_matches(eng, star.net, mirror,
+                             "after lean admit of " + cand.name());
+  }
+  EXPECT_EQ(eng.shard_count(), 3u);
+  expect_bit_identical(eng.end_batch(), from_scratch(star.net, mirror),
+                       "lean batch");
+  expect_partition_matches(eng, star.net, mirror, "after end_batch");
+}
+
 TEST(EngineShard, MergeKeepsWarmStateOfEvaluatedParts) {
   // Bridging two domains while one of them holds a flow added since its
   // last solve must not go cold: covered flows warm-start, only the
-  // uncovered ones (plus closure) restart.
+  // uncovered ones (and what their jitters move) restart.
   const auto star = net::make_star_network(8, kSpeed);
   AnalysisEngine eng(star.net);
   eng.add_flow(voip_between(star, 0, 1, "a"));
@@ -231,23 +262,20 @@ TEST_P(EngineShardEquivalence, RandomMultiDomainScenarios) {
   core::assign_priorities(ts->flows, core::PriorityScheme::kDeadlineMonotonic);
 
   AnalysisEngine eng(campus.net);
-  AnalysisEngine mono(campus.net, {}, /*shard_by_domain=*/false);
   std::vector<gmf::Flow> mirror;
+  const std::string at = "seed " + std::to_string(seed) + " ";
 
-  const auto check = [&](const std::string& where) {
-    const core::HolisticResult cold = from_scratch(campus.net, mirror);
-    expect_bit_identical(eng.evaluate(), cold, where + " (sharded)");
-    expect_bit_identical(mono.evaluate(), cold, where + " (single-domain)");
-    expect_partition_matches(eng, campus.net, mirror, where);
-    EXPECT_LE(mono.shard_count(), 1u) << where;
+  const auto check = [&](AnalysisEngine& e, const std::string& where) {
+    expect_bit_identical(e.evaluate(), from_scratch(campus.net, mirror),
+                         where);
+    expect_partition_matches(e, campus.net, mirror, where);
   };
 
   // Incremental adds across domains.
   for (std::size_t i = 0; i < ts->flows.size(); ++i) {
     eng.add_flow(ts->flows[i]);
-    mono.add_flow(ts->flows[i]);
     mirror.push_back(ts->flows[i]);
-    check("seed " + std::to_string(seed) + " after add " + std::to_string(i));
+    check(eng, at + "after add " + std::to_string(i));
   }
 
   // Random removals (exercises split-on-remove and cache reindexing).
@@ -255,18 +283,15 @@ TEST_P(EngineShardEquivalence, RandomMultiDomainScenarios) {
   for (std::size_t r = 0; r < removals && !mirror.empty(); ++r) {
     const auto idx = static_cast<std::size_t>(rng.next_below(mirror.size()));
     ASSERT_TRUE(eng.remove_flow(idx));
-    ASSERT_TRUE(mono.remove_flow(idx));
     mirror.erase(mirror.begin() + static_cast<std::ptrdiff_t>(idx));
     if (mirror.empty()) break;
-    check("seed " + std::to_string(seed) + " after remove " +
-          std::to_string(idx));
+    check(eng, at + "after remove " + std::to_string(idx));
   }
 
   // Re-add after removal (warm start over a shrunk fixed point).
   eng.add_flow(ts->flows[0]);
-  mono.add_flow(ts->flows[0]);
   mirror.push_back(ts->flows[0]);
-  check("seed " + std::to_string(seed) + " after re-add");
+  check(eng, at + "after re-add");
 
   // Snapshot probes: lock-free reader path vs cold truth, full result.
   const auto snap = eng.snapshot();
@@ -277,11 +302,31 @@ TEST_P(EngineShardEquivalence, RandomMultiDomainScenarios) {
     std::vector<gmf::Flow> with = mirror;
     with.push_back(cands[i]);
     expect_bit_identical(probe.result(), from_scratch(campus.net, with),
-                         "seed " + std::to_string(seed) +
-                             " snapshot candidate " + std::to_string(i));
+                         at + "snapshot candidate " + std::to_string(i));
     EXPECT_EQ(probe.admissible, probe.result().schedulable);
   }
   EXPECT_EQ(eng.flow_count(), mirror.size());  // probes committed nothing
+
+  // Gated admission: an accepted probe is committed as one merged shard.
+  if (eng.try_admit(cands[0])) mirror.push_back(cands[0]);
+  check(eng, at + "after try_admit");
+
+  // A lean batch: commits without publishing, then one publication.
+  eng.begin_batch();
+  for (std::size_t i = 1; i < ts->flows.size(); i += 2) {
+    if (!eng.try_admit_lean(ts->flows[i])) continue;
+    mirror.push_back(ts->flows[i]);
+    expect_partition_matches(eng, campus.net, mirror,
+                             at + "after lean admit " + std::to_string(i));
+  }
+  (void)eng.end_batch();
+  check(eng, at + "after end_batch");
+
+  // Checkpoint restore rebuilds the partition from the stream.
+  std::stringstream blob;
+  eng.save(blob);
+  AnalysisEngine restored = AnalysisEngine::restore(blob);
+  check(restored, at + "after restore");
 }
 
 INSTANTIATE_TEST_SUITE_P(Scenarios, EngineShardEquivalence,

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <set>
@@ -12,7 +13,6 @@
 #include "core/egress.hpp"
 #include "core/priority.hpp"
 #include "engine/analysis_engine.hpp"
-#include "engine/shard.hpp"
 #include "net/topology.hpp"
 #include "util/rng.hpp"
 #include "workload/scenario.hpp"
@@ -360,22 +360,15 @@ TEST(HolisticOrder, CyclicRingMatchesJacobi) {
     // Re-solved from its own fixed point, the first sweep changes no
     // jitter, yet the stages behind the broken back edge still need their
     // first analysis: the solve must not stop before they have it.
-    const std::vector<bool> all(flows.size(), true);
     SolveRequest warm;
-    warm.dirty = &all;
     warm.start = WarmStartView(r.jitters);
-    HolisticResult again = solve_holistic(ctx, warm, HolisticOptions{});
-    // Restricted solves leave the verdict to the caller.
-    again.schedulable = again.converged;
-    for (const FlowResult& fr : again.flows) {
-      again.schedulable = again.schedulable && fr.schedulable();
-    }
+    const HolisticResult again = solve_holistic(ctx, warm, HolisticOptions{});
     expect_same_results(again, r, "ring re-solve " + std::to_string(sep_us));
   }
 }
 
-// An incremental what-if probe on a tree (a warm-started restricted solve
-// over the candidate's component) lands on the from-scratch fixed point
+// An incremental what-if probe on a tree (a warm-started seeded solve over
+// the candidate's component) lands on the from-scratch fixed point
 // with the same per-stage hop results.
 TEST(HolisticOrder, TreeProbeMatchesFromScratch) {
   const auto tree = net::make_tree_network(3, 2, 100'000'000);
@@ -397,8 +390,8 @@ TEST(HolisticOrder, TreeProbeMatchesFromScratch) {
 }
 
 // ------------------------------------------------------------------------
-// Seeded restricted solves.  After an add or a removal, the engine re-solves
-// the dirty component from the old fixed point's jitters *and* stage
+// Seeded solves.  After an add or a removal, the engine re-solves the
+// changed flow's component from the old fixed point's jitters *and* stage
 // results, with only the keys on the changed links stale.  The seeded solve
 // must match the same request without a seed and the cold Jacobi oracle,
 // bit for bit — from below (an add) on any key graph, from above (a
@@ -454,21 +447,62 @@ std::optional<Change> remove_change(const net::Network& net,
   return c;
 }
 
-/// The engine's restricted re-solve of `c` over its dirty closure, with or
-/// without the seed; clean flows adopt their old results and the verdict
-/// is finalized, as Shard::run does.  `seed_above` defaults to the
-/// change's direction.
+/// The flows of the world after `c` that share a link, transitively, with
+/// a changed link or with a flow that has no old result: the changed flow's
+/// component (after a removal, what is left of it), in ascending id order.
+std::vector<FlowId> change_component(const AnalysisContext& ctx,
+                                     const Change& c) {
+  std::vector<bool> in(ctx.flow_count(), false);
+  std::vector<FlowId> work;
+  for (std::size_t f = 0; f < ctx.flow_count(); ++f) {
+    const FlowId id(static_cast<std::int32_t>(f));
+    const std::vector<LinkRef>& route = ctx.route_links(id);
+    if (f >= c.old.size() ||
+        std::any_of(route.begin(), route.end(),
+                    [&](LinkRef l) { return c.changed.contains(l); })) {
+      in[f] = true;
+      work.push_back(id);
+    }
+  }
+  while (!work.empty()) {
+    const FlowId i = work.back();
+    work.pop_back();
+    for (const LinkRef l : ctx.route_links(i)) {
+      for (const FlowId j : ctx.flows_on_link(l)) {
+        if (!in[static_cast<std::size_t>(j.v)]) {
+          in[static_cast<std::size_t>(j.v)] = true;
+          work.push_back(j);
+        }
+      }
+    }
+  }
+  std::vector<FlowId> out;
+  for (std::size_t f = 0; f < in.size(); ++f) {
+    if (in[f]) out.push_back(FlowId(static_cast<std::int32_t>(f)));
+  }
+  return out;
+}
+
+/// The engine's re-solve of `c`, as a shard runs it: over a context that
+/// holds only the changed flow's component, with or without the seed.  The
+/// result is mapped back onto the whole world, where every other flow keeps
+/// its old result.  `seed_above` defaults to the change's direction.
 HolisticResult solve_change(const AnalysisContext& ctx, const Change& c,
                             bool seeded, IncrementalStats* stats,
                             std::optional<bool> seed_above = std::nullopt) {
-  const std::vector<bool> dirty = engine::dirty_closure(
-      ctx, std::vector<bool>(ctx.flow_count(), false), c.changed,
-      c.old.size());
+  const std::vector<FlowId> comp = change_component(ctx, c);
+  std::vector<gmf::Flow> flows;
+  JitterMap start;
   std::vector<const FlowResult*> seed;
-  for (const FlowResult& fr : c.old) seed.push_back(&fr);
+  for (std::size_t k = 0; k < comp.size(); ++k) {
+    const auto g = static_cast<std::size_t>(comp[k].v);
+    flows.push_back(ctx.flow(comp[k]));
+    start.adopt_flow(c.start, comp[k], FlowId(static_cast<std::int32_t>(k)));
+    if (g < c.old.size()) seed.push_back(&c.old[g]);
+  }
+  const AnalysisContext component(ctx.network(), std::move(flows));
   SolveRequest req;
-  req.dirty = &dirty;
-  req.start = WarmStartView(c.start);
+  req.start = WarmStartView(start);
   if (seeded) {
     req.seed = &seed;
     req.changed_links = &c.changed;
@@ -476,11 +510,24 @@ HolisticResult solve_change(const AnalysisContext& ctx, const Change& c,
   req.seed_above = seed_above.value_or(c.above);
   HolisticOptions opts;
   opts.max_sweeps = 512;
-  HolisticResult r = solve_holistic(ctx, req, opts, stats);
-  for (std::size_t f = 0; f < c.old.size(); ++f) {
-    if (!dirty[f]) r.flows[f] = c.old[f];
+  const HolisticResult part = solve_holistic(component, req, opts, stats);
+
+  HolisticResult r;
+  r.converged = part.converged;
+  r.sweeps = part.sweeps;
+  r.flows = c.old;
+  r.flows.resize(ctx.flow_count());
+  r.jitters = c.start;
+  for (std::size_t k = 0; k < comp.size(); ++k) {
+    r.flows[static_cast<std::size_t>(comp[k].v)] = part.flows[k];
+    r.jitters.adopt_flow(part.jitters, FlowId(static_cast<std::int32_t>(k)),
+                         comp[k]);
   }
-  engine::finalize_schedulable(r);
+  r.schedulable = part.schedulable &&
+                  std::all_of(r.flows.begin(), r.flows.end(),
+                              [](const FlowResult& fr) {
+                                return fr.schedulable();
+                              });
   return r;
 }
 
@@ -576,7 +623,8 @@ TEST(SeededSolve, GeneratedRemovalsMatchUnseededAndJacobi) {
 // leaves the cyclic pair A, B.  Seeding from below is exact on the cycle.
 // Seeding from above is not: the descent from the three-flow fixed point
 // stops on a higher fixed point of the pair, so the removal must restart
-// the dirty flows from their source jitters — exactly the unseeded solve.
+// the component's flows from their source jitters — exactly the unseeded
+// solve.
 TEST(SeededSolve, CyclicRingSeedsFromBelowAndFallsBackFromAbove) {
   const RingWorld ring = make_ring();
   std::vector<gmf::Flow> flows = ring_flows(ring, 400);
@@ -637,7 +685,6 @@ TEST(SeededSolve, ReanalysedBackEdgeKeepsTheSolveGoing) {
   const HolisticResult fixed = analyze_holistic(ctx);
   ASSERT_TRUE(fixed.converged);
 
-  const std::vector<bool> all(flows.size(), true);
   std::vector<const FlowResult*> seed;
   for (const FlowResult& fr : fixed.flows) seed.push_back(&fr);
   std::set<LinkRef> changed;
@@ -646,13 +693,12 @@ TEST(SeededSolve, ReanalysedBackEdgeKeepsTheSolveGoing) {
     for (const LinkRef l : ctx.route_links(id)) changed.insert(l);
   }
   SolveRequest req;
-  req.dirty = &all;
   req.start = WarmStartView(fixed.jitters);
   req.seed = &seed;
   req.changed_links = &changed;
   IncrementalStats stats;
-  HolisticResult again = solve_holistic(ctx, req, HolisticOptions{}, &stats);
-  engine::finalize_schedulable(again);
+  const HolisticResult again =
+      solve_holistic(ctx, req, HolisticOptions{}, &stats);
   expect_same_results(again, fixed, "seeded ring re-solve");
   EXPECT_EQ(again.sweeps, 2);
   EXPECT_EQ(stats.flow_analyses, 2u);  // both flows in sweep 1, none after

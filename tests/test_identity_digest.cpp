@@ -2,18 +2,19 @@
 // produce on a fixed set of generated worlds: every verdict, every
 // per-stage HopResult field, every jitter map entry (slot count, which
 // slots hold entries, each stage's frames in stage order), sweep counts and
-// the engine's work counters.  The expected value was recorded before the
-// sweep bookkeeping moved to index-addressed state, so any change to a
-// result, to the Gauss-Seidel visiting order or to the work the solve does
-// (flow analyses, hops run and shared) moves the digest.
+// the engine's work counters.  The expected value was recorded just before
+// the single-domain engine mode was removed (without that mode's leg), so
+// any change to a result, to the Gauss-Seidel visiting order or to the
+// work the solve does (flow analyses, hops run and shared) moves the
+// digest.
 //
 // Worlds: generated stars, trees and equal-priority rings
 // (workload::generate_taskset, fixed seeds), the near-critical
 // equal-priority ring of the order tests and a 65-flow AV hub.  Paths:
 // whole-set Gauss-Seidel and Jacobi (with the naive level source and the
-// paper's literal self-CIRC terms as well), then sharded and single-shard
-// engines running evaluate, what_if (engine and lock-free snapshot with a
-// held ProbeScratch), evaluate_batch, try_admit, lean batches and removals.
+// paper's literal self-CIRC terms as well), then the engine running
+// evaluate, what_if (engine and lock-free snapshot with a held
+// ProbeScratch), evaluate_batch, try_admit, lean batches and removals.
 //
 // When a change is meant to move results, re-record the value and say why
 // in the changelog; a digest that moves by accident is a regression.
@@ -301,12 +302,12 @@ void fold_whole_set(Digest& d, const World& w) {
 
 /// The engine paths over the world's flows: the last flow is the
 /// candidate, the rest are residents.
-void fold_engine(Digest& d, const World& w, bool sharded) {
+void fold_engine(Digest& d, const World& w) {
   if (w.flows.size() < 2) return;
   const std::vector<gmf::Flow> residents(w.flows.begin(), w.flows.end() - 1);
   const gmf::Flow& candidate = w.flows.back();
 
-  engine::AnalysisEngine eng(w.net, core::HolisticOptions{}, sharded);
+  engine::AnalysisEngine eng(w.net);
   for (const gmf::Flow& f : residents) eng.add_flow(f);
   d.add(eng.evaluate());
   d.add(eng.stats());
@@ -348,9 +349,9 @@ TEST(IdentityDigest, SolvesAndEnginePathsMatchRecordedValue) {
   for (const World& w : worlds()) {
     d.add(w.flows.size());
     fold_whole_set(d, w);
-    for (const bool sharded : {true, false}) fold_engine(d, w, sharded);
+    fold_engine(d, w);
   }
-  EXPECT_EQ(d.value(), 0x9C37E6A3E5A06E99ull)
+  EXPECT_EQ(d.value(), 0x6C353F575023790Eull)
       << std::hex << "digest 0x" << d.value();
 }
 
