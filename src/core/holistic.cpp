@@ -1,8 +1,8 @@
 #include "core/holistic.hpp"
 
 #include <algorithm>
-#include <functional>
 #include <stdexcept>
+#include <utility>
 
 #include "core/egress.hpp"
 #include "core/hop_level.hpp"
@@ -134,10 +134,6 @@ struct SweepNode {
   /// there is one, has the flag after it.
   std::uint32_t due = 0;
   bool last = false;  ///< the flow's last stage
-  /// The flow's next stage lives in a group visited earlier in the sweep
-  /// (cyclic key graph): a result here reaches that stage's jitter only in
-  /// the next sweep.
-  bool back_edge = false;
 };
 
 /// The nodes of one key.  A stage is keyed by its directed link L: a link
@@ -146,7 +142,7 @@ struct SweepNode {
 /// ingress analysis only sees flows on its incoming interface).  Every
 /// node of a group reads exactly the group's own stage jitters of flows on
 /// L, so writing them all first and then analysing gives each node its
-/// final inputs for the sweep.
+/// final inputs for the pass.
 struct SweepGroup {
   StageKey key;
   LinkRef link;  ///< L
@@ -155,20 +151,34 @@ struct SweepGroup {
   std::size_t frames = 0;  ///< per-frame hops of the nodes (an upper bound
                            ///< on one visit's analyses)
   /// Inputs changed since the nodes' last analysis: a written entry, or
-  /// (before the first sweep of a seeded solve) L's flow set.
+  /// (before the first pass of a seeded solve) L's flow set.
   bool stale = true;
 };
 
 /// The visiting order of one solve.
 struct SweepPlan {
+  /// Grouped by strongly connected component of the key graph, components
+  /// in topological order: component c holds groups [scc_end[c-1],
+  /// scc_end[c]).
   std::vector<SweepGroup> groups;
+  std::vector<std::uint32_t> scc_end;
   std::vector<SweepNode> nodes;  ///< grouped, each group in flow order
   /// Per node, flow-major (a flow's stages in route order): the node's
   /// JSUM must be recomputed.  Set when the flow's previous stage was
   /// written with a changed entry or analysed since the node's last write.
   std::vector<char> jsum_due;
-  /// The key graph has a cycle (some node sits on a back edge).
+  /// Some component holds more than one key (the key graph has a cycle).
   bool cyclic = false;
+
+  /// True when a node of groups [gb, ge) has its JSUM due.  A pass leaves
+  /// no group stale, so a component is quiescent exactly when this is
+  /// false after a pass over it.
+  [[nodiscard]] bool due(std::size_t gb, std::size_t ge) const {
+    for (std::uint32_t n = groups[gb].begin; n < groups[ge - 1].end; ++n) {
+      if (jsum_due[nodes[n].due]) return true;
+    }
+    return false;
+  }
 };
 
 /// Per-thread buffers of link_ordered_groups, reused across solves so a
@@ -186,22 +196,79 @@ struct PlanScratch {
   std::vector<net::LinkId> keys;      ///< key -> link id, in LinkRef order
   std::vector<std::uint32_t> succ_begin;  ///< CSR successor lists by key
   std::vector<std::uint32_t> succ;
-  std::vector<std::uint32_t> indegree;
-  std::vector<std::uint32_t> pos;  ///< key -> visiting position
-  std::vector<char> placed;
-  std::vector<std::uint32_t> ready;  ///< min-heap of ready keys
   std::vector<std::uint32_t> cursor;
+  // Tarjan: preorder number (kNone: unvisited) and low link (kNone once
+  // the key's component is emitted) per key, the key stack and the DFS
+  // path as (key, next edge) frames.
+  std::vector<std::uint32_t> num;
+  std::vector<std::uint32_t> low;
+  std::vector<std::uint32_t> stack;
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> path;
+  std::vector<std::uint32_t> pos;       ///< key -> visiting position
+  std::vector<std::uint32_t> scc_size;  ///< component sizes, in order
   SweepPlan plan;
 };
 
-/// The groups of `iterated` in visiting order.  Keys are ordered
-/// topologically over the route-successor graph (edge l_t -> l_{t+1} for
-/// consecutive links of an iterated route), lowest LinkRef first among the
-/// ready keys; on a cycle the lowest remaining key is forced next.  Each
-/// key contributes its link group, then its ingress group.  On a
-/// feed-forward component every node's upstream stages are therefore
-/// analysed before it in the same sweep.  Keys are numbered in LinkRef
-/// order (by link rank), so "lowest" compares key numbers.
+/// Condenses the key graph (CSR in `ps`) with an iterative Tarjan.  It
+/// emits components sinks first, each as the stack above its root, so
+/// handing out visiting positions (ps.pos) from the back lays the
+/// components out in topological order, each one's keys in DFS preorder
+/// from the first one reached.  ps.scc_size gets their sizes in that order.
+void condense(PlanScratch& ps, std::uint32_t n) {
+  constexpr std::uint32_t kNone = PlanScratch::kNone;
+  ps.num.assign(n, kNone);
+  ps.low.assign(n, kNone);
+  ps.pos.resize(n);
+  ps.scc_size.clear();
+  std::uint32_t next = 0;
+  std::uint32_t left = n;
+  const auto enter = [&](std::uint32_t v) {
+    ps.num[v] = ps.low[v] = next++;
+    ps.stack.push_back(v);
+    ps.path.emplace_back(v, ps.succ_begin[v]);
+  };
+  for (std::uint32_t root = 0; root < n; ++root) {
+    if (ps.num[root] != kNone) continue;
+    enter(root);
+    while (!ps.path.empty()) {
+      const auto [v, e] = ps.path.back();
+      if (e < ps.succ_begin[v + 1]) {
+        ++ps.path.back().second;
+        const std::uint32_t w = ps.succ[e];
+        if (ps.num[w] == kNone) {
+          enter(w);
+        } else if (ps.low[w] != kNone) {  // on the stack
+          ps.low[v] = std::min(ps.low[v], ps.num[w]);
+        }
+        continue;
+      }
+      ps.path.pop_back();
+      if (!ps.path.empty()) {
+        const std::uint32_t u = ps.path.back().first;
+        ps.low[u] = std::min(ps.low[u], ps.low[v]);
+      }
+      if (ps.low[v] != ps.num[v]) continue;
+      const std::uint32_t top = left;  // v roots a component
+      std::uint32_t w;
+      do {
+        w = ps.stack.back();
+        ps.stack.pop_back();
+        ps.low[w] = kNone;
+        ps.pos[w] = --left;
+      } while (w != v);
+      ps.scc_size.push_back(top - left);
+    }
+  }
+  std::reverse(ps.scc_size.begin(), ps.scc_size.end());
+}
+
+/// The groups of `iterated` in visiting order.  Keys are the directed
+/// links of the iterated routes, numbered in LinkRef order (by link rank);
+/// the key graph has an edge l_t -> l_{t+1} for consecutive links of every
+/// iterated route.  Its strongly connected components are visited in
+/// topological order (condense), and each key contributes its link group,
+/// then its ingress group.  So every node's upstream stages in other
+/// components are final before it is first analysed.
 SweepPlan& link_ordered_groups(const AnalysisContext& ctx,
                                const std::vector<FlowId>& iterated) {
   constexpr std::uint32_t kNone = PlanScratch::kNone;
@@ -227,12 +294,10 @@ SweepPlan& link_ordered_groups(const AnalysisContext& ctx,
 
   // Successor lists in CSR form, one edge per consecutive route pair.
   ps.succ_begin.assign(n + 1, 0);
-  ps.indegree.assign(n, 0);
   for (const FlowId id : iterated) {
     const std::vector<net::LinkId>& route = ctx.route_link_ids(id);
     for (std::size_t t = 0; t + 1 < route.size(); ++t) {
       ++ps.succ_begin[ps.key_of[route[t]] + 1];
-      ++ps.indegree[ps.key_of[route[t + 1]]];
     }
   }
   for (std::uint32_t v = 0; v < n; ++v) {
@@ -247,37 +312,8 @@ SweepPlan& link_ordered_groups(const AnalysisContext& ctx,
     }
   }
 
+  condense(ps, n);
   SweepPlan& plan = ps.plan;
-  plan.cyclic = false;
-  ps.pos.assign(n, 0);
-  ps.placed.assign(n, 0);
-  ps.ready.clear();
-  // Ascending, so already a min-heap.
-  for (std::uint32_t v = 0; v < n; ++v) {
-    if (ps.indegree[v] == 0) ps.ready.push_back(v);
-  }
-  std::uint32_t lowest = 0;
-  for (std::uint32_t p = 0; p < n; ++p) {
-    std::uint32_t v;
-    if (!ps.ready.empty()) {
-      std::pop_heap(ps.ready.begin(), ps.ready.end(), std::greater<>());
-      v = ps.ready.back();
-      ps.ready.pop_back();
-    } else {
-      while (ps.placed[lowest]) ++lowest;  // cycle: force the lowest key
-      v = lowest;
-      plan.cyclic = true;
-    }
-    ps.placed[v] = 1;
-    ps.pos[v] = p;
-    for (std::uint32_t e = ps.succ_begin[v]; e < ps.succ_begin[v + 1]; ++e) {
-      const std::uint32_t w = ps.succ[e];
-      if (!ps.placed[w] && --ps.indegree[w] == 0) {
-        ps.ready.push_back(w);
-        std::push_heap(ps.ready.begin(), ps.ready.end(), std::greater<>());
-      }
-    }
-  }
 
   // Groups in visiting order (link group 2p, ingress group 2p + 1 for the
   // key at position p): count each group's nodes, then place the nodes
@@ -317,20 +353,35 @@ SweepPlan& link_ordered_groups(const AnalysisContext& ctx,
       const auto stage = static_cast<std::uint32_t>(2 * t);
       const std::size_t g = link_group_of(route[t]);
       plan.nodes[groups[g].end++] = {id, stage, due + stage,
-                                     t + 1 == route.size(), false};
+                                     t + 1 == route.size()};
       groups[g].frames += frames;
       if (t + 1 < route.size()) {
-        plan.nodes[groups[g + 1].end++] = {
-            id, stage + 1, due + stage + 1, false,
-            link_group_of(route[t + 1]) < g};
+        plan.nodes[groups[g + 1].end++] = {id, stage + 1, due + stage + 1,
+                                           false};
         groups[g + 1].frames += frames;
       }
     }
     due += static_cast<std::uint32_t>(2 * route.size() - 1);
   }
   for (const net::LinkId l : ps.keys) ps.key_of[l] = kNone;
-  std::erase_if(groups, [](const SweepGroup& g) { return g.begin == g.end; });
-  // Every node's JSUM is due in the first sweep.
+
+  // Drop the empty ingress groups (keys that end every route on them) and
+  // note where each component's groups end.  A component's first link
+  // group is never empty.
+  plan.cyclic = false;
+  plan.scc_end.clear();
+  std::size_t kept = 0;
+  std::size_t g = 0;
+  for (const std::uint32_t size : ps.scc_size) {
+    plan.cyclic |= size > 1;  // a route never repeats a link back to back,
+                              // so no key has an edge to itself
+    for (const std::size_t ge = g + 2 * std::size_t{size}; g < ge; ++g) {
+      if (groups[g].begin != groups[g].end) groups[kept++] = groups[g];
+    }
+    plan.scc_end.push_back(static_cast<std::uint32_t>(kept));
+  }
+  groups.resize(kept);
+  // Every node's JSUM is due in the first pass.
   plan.jsum_due.assign(due, 1);
   return plan;
 }
@@ -460,36 +511,35 @@ class SharedHops {
   std::uint64_t visit_ = 0;
 };
 
-struct SweepOutcome {
-  /// A jitter entry changed, or a back-edge node was analysed (its
-  /// successor is written next sweep): not a fixed point yet.
-  bool changed = false;
+struct PassOutcome {
   bool diverged = false;  ///< some frame's hop analysis diverged
-  std::size_t flows_analysed = 0;  ///< flows with >= 1 node analysed
-  std::size_t hops_run = 0;        ///< per-frame analyze_stage calls
-  std::size_t hops_shared = 0;     ///< per-frame results copied from a twin
-  std::size_t jsum_writes = 0;     ///< per-frame JSUMs recomputed
+  std::size_t hops_run = 0;     ///< per-frame analyze_stage calls
+  std::size_t hops_shared = 0;  ///< per-frame results copied from a twin
+  std::size_t jsum_writes = 0;  ///< per-frame JSUMs recomputed
 };
 
-/// One link-ordered Gauss-Seidel sweep.  At each group, step 1 writes the
-/// per-frame JSUM (Figure 6 lines 8/13/17: the jitter at the previous
-/// stage plus that stage's response) of every node whose JSUM is due (see
-/// holistic.hpp); step 2 analyses the nodes when the group is stale, and
-/// any frame never analysed at this stage.  A skipped node keeps its
-/// (possibly seeded) result in `flows`.  A frame whose hop diverges stops
-/// there.  `counted[f]` holds the last sweep flow f was counted in.
-SweepOutcome sweep_link_ordered(const AnalysisContext& ctx, SweepPlan& plan,
-                                JitterMap& jitters,
-                                std::vector<FlowResult>& flows,
-                                const HopOptions& opts,
-                                std::vector<int>& counted, int sweep) {
-  SweepOutcome out;
+/// One link-ordered Gauss-Seidel pass over groups [gb, ge) (one
+/// component).  At each group, step 1 writes the per-frame JSUM (Figure 6
+/// lines 8/13/17: the jitter at the previous stage plus that stage's
+/// response) of every node whose JSUM is due (see holistic.hpp); step 2
+/// analyses the nodes when the group is stale, and any frame never
+/// analysed at this stage.  A skipped node keeps its (possibly seeded)
+/// result in `flows`.  A frame whose hop diverges stops there.
+/// `last_pass[f]` is raised to `pass` when a node of flow f is analysed.
+PassOutcome pass_link_ordered(const AnalysisContext& ctx, SweepPlan& plan,
+                              std::size_t gb, std::size_t ge,
+                              JitterMap& jitters,
+                              std::vector<FlowResult>& flows,
+                              const HopOptions& opts,
+                              std::vector<int>& last_pass, int pass) {
+  PassOutcome out;
   SharedHops& shared = SharedHops::local();
   // The node after `nd` in its flow reads what `nd` writes.
   const auto next_due = [&](const SweepNode& nd) {
     if (!nd.last) plan.jsum_due[nd.due + 1] = 1;
   };
-  for (SweepGroup& g : plan.groups) {
+  for (std::size_t gi = gb; gi < ge; ++gi) {
+    SweepGroup& g = plan.groups[gi];
     for (std::uint32_t n = g.begin; n < g.end; ++n) {
       const SweepNode& nd = plan.nodes[n];
       if (!plan.jsum_due[nd.due]) continue;
@@ -509,7 +559,6 @@ SweepOutcome sweep_link_ordered(const AnalysisContext& ctx, SweepPlan& plan,
       }
       if (moved) {
         g.stale = true;
-        out.changed = true;
         next_due(nd);
       }
     }
@@ -545,12 +594,6 @@ SweepOutcome sweep_link_ordered(const AnalysisContext& ctx, SweepPlan& plan,
         } else {
           fk.stages.push_back(StageResponse{g.key, hop});
         }
-        // A result on a back edge: the next stage, visited earlier in the
-        // sweep, has not been analysed against it yet.  Without a seed only
-        // a first result needs this (any other re-analysis follows a jitter
-        // change); a seeded node may be re-analysed for a changed flow set
-        // alone.
-        out.changed |= nd.back_edge;
         if (!hop.converged) {
           fk.stages.resize(nd.stage + 1);
           out.diverged = true;
@@ -558,10 +601,7 @@ SweepOutcome sweep_link_ordered(const AnalysisContext& ctx, SweepPlan& plan,
       }
       if (analysed) {
         next_due(nd);
-        if (counted[f] != sweep) {
-          counted[f] = sweep;
-          ++out.flows_analysed;
-        }
+        last_pass[f] = std::max(last_pass[f], pass);
       }
     }
     g.stale = false;
@@ -631,34 +671,49 @@ HolisticResult solve_holistic(const AnalysisContext& ctx,
     fr.frames.resize(ctx.flow(id).frame_count());
     for (FrameResult& fk : fr.frames) fk.stages.reserve(ctx.stages(id).size());
   }
-  std::vector<int> counted(ctx.flow_count(), -1);
+  std::vector<int> last_pass(ctx.flow_count(), -1);
 
-  for (int sweep = 0; sweep < opts.max_sweeps; ++sweep) {
-    const SweepOutcome so = sweep_link_ordered(ctx, plan, out.jitters,
-                                               out.flows, opts.hop, counted,
-                                               sweep);
-    out.sweeps = sweep + 1;
-    if (stats != nullptr) {
-      ++stats->sweeps;
-      stats->flow_analyses += so.flows_analysed;
-      stats->hops_run += so.hops_run;
-      stats->hops_shared += so.hops_shared;
-      stats->jsum_writes += so.jsum_writes;
+  // Components in topological order, each iterated to quiescence: its
+  // upstream is final, so nothing outside it can make one of its JSUMs due
+  // again.  Once a hop diverges or a component reaches the pass cap, the
+  // solve cannot converge and each remaining component gets one pass.
+  bool stopped = false;
+  std::size_t gb = 0;
+  for (const std::uint32_t ge : plan.scc_end) {
+    int passes = 0;
+    for (;;) {
+      const PassOutcome po =
+          pass_link_ordered(ctx, plan, gb, ge, out.jitters, out.flows,
+                            opts.hop, last_pass, passes++);
+      if (stats != nullptr) {
+        stats->hops_run += po.hops_run;
+        stats->hops_shared += po.hops_shared;
+        stats->jsum_writes += po.jsum_writes;
+      }
+      // Any per-hop divergence means the jitters would grow without bound:
+      // not converged, so unschedulable.
+      stopped |= po.diverged;
+      if (stopped || !plan.due(gb, ge)) break;
+      if (passes >= opts.max_sweeps) {
+        stopped = true;
+        break;
+      }
     }
-    // Any per-hop divergence means the jitters would grow without bound:
-    // not converged, so unschedulable.
-    if (so.diverged) break;
-    if (!so.changed) {
-      out.converged = true;
-      break;
-    }
+    out.sweeps = std::max(out.sweeps, passes);
+    gb = ge;
   }
+  out.converged = !stopped;
   finalize_frames(ctx, ids, out.flows);
   if (stats != nullptr) {
-    // Every unseeded flow has its source stage analysed in the first sweep,
-    // so a flow never counted kept its seed.
-    for (const int c : counted) {
-      if (c < 0) ++stats->results_kept;
+    stats->sweeps += static_cast<std::size_t>(out.sweeps);
+    // Every unseeded flow has its source stage analysed in its first
+    // component's first pass, so a flow never analysed kept its seed.
+    for (const int p : last_pass) {
+      if (p < 0) {
+        ++stats->results_kept;
+      } else {
+        stats->flow_analyses += static_cast<std::size_t>(p) + 1;
+      }
     }
   }
   finalize_schedulable(out);

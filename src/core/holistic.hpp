@@ -7,24 +7,38 @@
 // keyed by a directed link — a first-hop or egress stage by the link it
 // transmits on, an ingress stage by its *incoming* link, because
 // analyze_ingress only sees the flows arriving over that interface — so the
-// nodes of a key read exactly the jitters that key's nodes write.  Keys are
-// visited in topological order of the route-successor graph (l_t -> l_{t+1}
-// along every iterated route).  At each key a sweep first writes the
-// per-frame JSUMs that are due (Figure 6 lines 8/13/17; see below), then
-// analyses only the nodes whose key changed since their last analysis; a
-// skipped node keeps its stage results.  On a feed-forward component
-// (stars, trees) every node is therefore analysed once, with final inputs,
-// and a second sweep that analyses nothing confirms the fixed point.  A cyclic key graph
-// (flows that together go all the way round a ring) is broken at its
-// lowest remaining key, and sweeps repeat in that order until one changes
-// no jitter.  Either way this is the monotone climb from below, which
-// reaches the same least fixed point in any visiting order.  The per-stage
-// rule itself (which hop analysis a stage runs, its JSUM, a frame's
-// verdict) comes from end_to_end.hpp, shared with analyze_frame_end_to_end.
-// The plan is built on flat arrays: keys numbered by their links' rank in
-// LinkRef order (AnalysisContext::link_rank), CSR successor lists, nodes
-// counted into their groups, all in per-thread buffers reused by the next
-// solve.
+// nodes of a key read exactly the jitters that key's nodes write.  The key
+// graph has an edge l_t -> l_{t+1} along every iterated route.  A Tarjan
+// condensation splits it into strongly connected components, visited once
+// each in topological order; each key contributes its link group, then its
+// ingress group.  At each group a pass first writes the per-frame JSUMs
+// that are due (Figure 6 lines 8/13/17; see below), then analyses only the
+// nodes whose key changed since their last analysis; a skipped node keeps
+// its stage results.  A component is iterated locally, pass after pass,
+// until none of its nodes has a JSUM due; then control moves downstream.
+//
+// Why this reaches the least fixed point.  The sweep operator is monotone
+// and the iteration climbs from below.  A node reads only its own key's
+// jitters, and a JSUM only the flow's previous stage, so a component's
+// inputs from outside it all come from upstream components, which are
+// final before it starts: nothing downstream can make one of its JSUMs due
+// again.  Iterated locally to quiescence, a component with final inputs
+// reaches the least fixed point of its own restriction, which is where any
+// fair (chaotic) order of the whole operator ends as well — the property
+// equal-priority rings need, where the fixed point is not unique.  A
+// single key is never cyclic (a route never repeats a link back to back),
+// and inside it a link-group node's successor is the same key's ingress
+// node, while an ingress node's successor lives in another component.  So
+// on a feed-forward component (stars, trees) every key takes exactly one
+// pass, with final inputs, and no pass confirms anything.  A cyclic
+// component (flows that together go all the way round a ring) repeats
+// passes over its own groups only; the acyclic spurs upstream and
+// downstream of it are analysed once.  The per-stage rule itself (which
+// hop analysis a stage runs, its JSUM, a frame's verdict) comes from
+// end_to_end.hpp, shared with analyze_frame_end_to_end.  The plan is built
+// on flat arrays: keys numbered by their links' rank in LinkRef order
+// (AnalysisContext::link_rank), CSR successor lists, nodes counted into
+// their groups, all in per-thread buffers reused by the next solve.
 //
 // Change-driven JSUM writes.  Node (f, s)'s JSUM is the jitter at (f, s-1)
 // plus that stage's response: a pure function of what node (f, s-1) holds,
@@ -34,11 +48,11 @@
 // write.  Every node starts due, so the first sweep writes every JSUM as
 // before.  The rule is exact: a skipped write would store the value
 // already there, and set_jitter treats an equal write as a no-op (no
-// change, no stale key, no new version).  On a feed-forward component the
-// confirming sweep recomputes none; on a cyclic one the nodes behind a
-// back edge come due in the next sweep, because their previous stage is
-// analysed after them.  `IncrementalStats::jsum_writes` counts the per-frame
-// JSUMs recomputed.
+// change, no stale key, no new version).  Inside a cyclic component the
+// nodes behind a back edge come due in the next pass, because their
+// previous stage is analysed after them; that is what keeps the component
+// iterating.  `IncrementalStats::jsum_writes` counts the per-frame JSUMs
+// recomputed.
 //
 // Change-driven seeded solves.  A request may carry a seed: the flows'
 // converged stage results from the previous fixed point, plus the links
@@ -55,10 +69,10 @@
 // flows were added) climbs to the least fixed point on any key graph.  A
 // seed from above (the fixed point before flows were removed) descends,
 // which reaches the least fixed point only where the fixed point is
-// unique: on an acyclic key graph, where one topological sweep computes
-// every node from final inputs.  On a cyclic one (an equal-priority ring
-// may have several fixed points) the solve drops a seed from above and
-// restarts every flow from its source jitters.
+// unique: on an acyclic key graph, where one pass per key computes every
+// node from final inputs.  When any component is cyclic (an equal-priority
+// ring may have several fixed points) the solve drops a seed from above
+// and restarts every flow from its source jitters.
 //
 // A solve always iterates every flow of its context.  The engine gives
 // each solve a context holding exactly one link-sharing component (a shard,
@@ -87,17 +101,21 @@
 // that a group visit resets in O(1), so keying allocates nothing in the
 // steady state.
 //
-// `HolisticResult::sweeps` counts these passes; `IncrementalStats::
-// flow_analyses` counts, per sweep, the flows with at least one node
-// analysed (run or served from a twin), `IncrementalStats::results_kept`
-// the seeded flows that finished with none, and `hops_run` / `hops_shared`
-// the per-frame analyses run and copied.
+// `HolisticResult::sweeps` is the most passes any component took: 1 on a
+// feed-forward component.  `max_sweeps` caps the passes per component; once
+// a hop diverges or a component reaches the cap, the solve is not
+// converged and every remaining component gets one pass.
+// `IncrementalStats::flow_analyses` counts, per flow with at least one node
+// analysed (run or served from a twin), the passes up to the last one that
+// analysed it (counted within its component; 1 on a feed-forward
+// component), `results_kept` the seeded flows that finished with none, and
+// `hops_run` / `hops_shared` the per-frame analyses run and copied.
 //
 // A solve may instead ask for Jacobi sweeps (SweepOrder::kJacobi): whole
 // flows analysed against a frozen snapshot, embarrassingly parallel over a
 // thread pool, with no seed.  It reaches the same fixed point and serves as the
 // parallel path and the test oracle of the link-ordered sweep.  There is no
-// acceleration: a feed-forward component already settles in two sweeps.
+// acceleration: a feed-forward component already settles in one pass.
 #pragma once
 
 #include <cstddef>
@@ -148,7 +166,8 @@ class WarmStartView {
 
 struct HolisticOptions {
   HopOptions hop;                 ///< per-hop options (horizon, ablations)
-  int max_sweeps = 64;            ///< fixed-point sweep cap
+  int max_sweeps = 64;            ///< cap on the passes per component
+                                  ///< (Jacobi: on the sweeps)
   SweepOrder order = SweepOrder::kGaussSeidel;
   std::size_t threads = 0;        ///< Jacobi worker threads (0 = hardware)
   /// Warm start for analyze_holistic (see WarmStartView for the lifetime
@@ -163,8 +182,10 @@ struct HolisticResult {
   /// True when `converged` and every frame of every flow meets its deadline
   /// — the admission controller's verdict.
   bool schedulable = false;
-  int sweeps = 0;                 ///< sweeps executed (including the last,
-                                  ///< unchanged one when converged)
+  /// Gauss-Seidel: the most passes any strongly connected component of the
+  /// key graph took (1 on a feed-forward component, 0 with no flows).
+  /// Jacobi: sweeps executed, including the last, unchanged one.
+  int sweeps = 0;
   std::vector<FlowResult> flows;  ///< per-flow results at the fixed point
   JitterMap jitters;              ///< the fixed-point jitter map
 
@@ -176,9 +197,10 @@ struct HolisticResult {
 
 /// Counters of one solve (engine instrumentation).
 struct IncrementalStats {
-  std::size_t flow_analyses = 0;  ///< flows with >= 1 (flow, stage) node
-                                  ///< analysed, summed over sweeps
-  std::size_t sweeps = 0;         ///< sweeps executed
+  /// Gauss-Seidel: per flow with >= 1 (flow, stage) node analysed, the
+  /// passes up to the last one that analysed it (see the header).
+  std::size_t flow_analyses = 0;
+  std::size_t sweeps = 0;         ///< HolisticResult::sweeps, summed
   std::size_t results_kept = 0;   ///< seeded flows that finished with no
                                   ///< node analysed
   /// Per-frame hop analyses of the link-ordered sweep: run, and served from

@@ -35,13 +35,12 @@
 //    on the changed links and downstream of a jitter that moves (see
 //    core/holistic.hpp).  The sweep operator is monotone and adding a flow
 //    only adds interference, so the old fixed point under-approximates the
-//    new one and the iteration reaches the *same* least fixed point in
-//    near-minimal sweeps (a one-flow delta typically converges in 2).
-//    After a removal the old fixed point lies above the new one: the solve
-//    descends from it where the shard's key graph is acyclic (the fixed point
-//    is unique there) and restarts the component's flows from their source
-//    jitters where it is cyclic.  Other components keep their converged
-//    state either way.
+//    new one and the iteration reaches the *same* least fixed point (on a
+//    feed-forward shard in one pass per key).  After a removal the old
+//    fixed point lies above the new one: the solve descends from it where
+//    the shard's key graph is acyclic (the fixed point is unique there) and
+//    restarts the component's flows from their source jitters where it is
+//    cyclic.  Other components keep their converged state either way.
 //
 // Results are bit-identical to a from-scratch AnalysisContext +
 // analyze_holistic run on the same flow set: both iterations converge to
@@ -85,12 +84,14 @@ struct EngineStats {
   std::size_t evaluations = 0;       ///< solver runs executed (shards+probes)
   std::size_t full_runs = 0;         ///< cold runs (no usable warm cache)
   std::size_t incremental_runs = 0;  ///< warm dirty-component runs
-  std::size_t flow_analyses = 0;     ///< flows analysed, summed over sweeps
+  std::size_t flow_analyses = 0;     ///< IncrementalStats::flow_analyses,
+                                     ///< summed over solves
   /// FlowResults reused without any node analysed: flows outside the
   /// solved shards or probed component, and solved flows whose seeded
   /// stage results were all kept.
   std::size_t flow_results_reused = 0;
-  std::size_t sweeps = 0;            ///< total sweeps executed
+  std::size_t sweeps = 0;            ///< HolisticResult::sweeps (passes of
+                                     ///< the busiest component), summed
   /// Always 0.  Frozen wire fields of the removed Anderson solver strategy:
   /// kept so the STATS layout is unchanged until StatsResponse moves to a
   /// tagged key/value section.

@@ -962,54 +962,10 @@ void Server::exec_group(std::vector<PendingOp>&& ops) {
         out.push_back(Completion{op.conn_id, op.seq,
                                  encode_response(Response{np})});
       }
-    } else if (ops.size() == 1 &&
-               std::holds_alternative<AdmitRequest>(ops.front().req)) {
-      // Solo ADMIT: the classic path, bit-identical journal + response.
-      PendingOp& op = ops.front();
-      auto& m = std::get<AdmitRequest>(op.req);
-      Response resp;
-      try {
-        // try_admit consumes the flow; the journal needs its bytes.
-        gmf::Flow journal_flow = m.flow;
-        AdmitResponse admit{engine()->try_admit(std::move(m.flow))};
-        if (admit.result.has_value()) {
-          DeltaResponse delta;
-          delta.kind = DeltaKind::kAdmit;
-          delta.flow = std::move(journal_flow);
-          journal_commit_locked(std::move(delta));
-          note_mutation_locked();
-        }
-        resp = std::move(admit);
-      } catch (const std::exception& e) {
-        resp = ErrorResponse{e.what()};
-      }
-      out.push_back(Completion{op.conn_id, op.seq, encode_response(resp)});
-    } else if (ops.size() == 1 &&
-               std::holds_alternative<RemoveRequest>(ops.front().req)) {
-      // Solo REMOVE: classic path — remove, re-evaluate, journal.
-      PendingOp& op = ops.front();
-      const auto& m = std::get<RemoveRequest>(op.req);
-      Response resp;
-      try {
-        const std::shared_ptr<engine::AnalysisEngine> eng = engine();
-        const bool removed =
-            eng->remove_flow(static_cast<std::size_t>(m.index));
-        if (removed) {
-          (void)eng->snapshot();
-          DeltaResponse delta;
-          delta.kind = DeltaKind::kRemove;
-          delta.index = m.index;
-          journal_commit_locked(std::move(delta));
-          note_mutation_locked();
-        }
-        resp = RemoveResponse{removed};
-      } catch (const std::exception& e) {
-        resp = ErrorResponse{e.what()};
-      }
-      out.push_back(Completion{op.conn_id, op.seq, encode_response(resp)});
     } else {
-      // Coalesced group (or a single ADMIT_BATCH, which IS a group): one
-      // engine commit group, one snapshot publish, one journal frame.
+      // One engine commit group (a single ADMIT or REMOVE is a group of
+      // one, an ADMIT_BATCH a group of its flows): one snapshot publish,
+      // one journal frame.
       struct OpResult {
         enum class Kind { kAdmit, kRemove, kBatch, kError } kind =
             Kind::kError;
@@ -1063,7 +1019,7 @@ void Server::exec_group(std::vector<PendingOp>&& ops) {
           r.error = e.what();
         }
       }
-      // One publication for the group.  Only an admitted solo ADMIT reply
+      // One publication for the group.  Only an admitted ADMIT's reply
       // carries the whole-set result, so only then is it assembled.
       std::shared_ptr<const engine::EngineSnapshot> final_snap;
       std::string end_error;
@@ -1382,7 +1338,9 @@ ApplyResult Server::replica_apply(const DeltaResponse& delta) {
   const std::shared_ptr<engine::AnalysisEngine> eng = engine();
   switch (delta.kind) {
     case DeltaKind::kAdmit:
-      // The primary only journals flows try_admit COMMITTED, and the
+      // Single-op deltas come from older primaries' journals (a lone
+      // mutation now travels as a one-op kBatch).  The primary only
+      // journals flows try_admit COMMITTED, and the
       // engine is deterministic: add_flow + evaluate reproduces the
       // primary's post-admission world bit for bit (the equivalence
       // guarantee the engine test suite holds it to).

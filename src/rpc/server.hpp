@@ -35,7 +35,9 @@
 //    previous commit was in flight into a single engine commit group
 //    (AnalysisEngine::begin_batch / try_admit_lean / end_batch): one
 //    snapshot publish and one replication DELTA frame per group instead
-//    of one per mutation.  A group of one uses the exact classic path.
+//    of one per mutation.  A lone mutation is a group of one (journalled
+//    as a one-op batch DELTA); replicas still apply the single-op
+//    ADMIT/REMOVE deltas that older primaries journal.
 //    Non-coalescable mutations (RESTORE, SAVE_CHECKPOINT, PROMOTE, ROLE,
 //    REPOINT, SUBSCRIBE setup, SHUTDOWN) are barriers: they split groups
 //    and execute alone.  All of it under the same writer mutex the

@@ -3,6 +3,9 @@
 // robustness against garbage input.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "core/holistic.hpp"
 #include "io/scenario_io.hpp"
 #include "net/topology.hpp"
@@ -91,15 +94,47 @@ TEST(EdgeCases, SimulatorSurvivesSustainedOverloadOfOneLink) {
 }
 
 TEST(EdgeCases, HolisticSweepCapReportsNonConvergence) {
-  // max_sweeps = 1 cannot reach a fixed point (sweep 1 changes jitters);
-  // the result must say so rather than claim schedulability.
-  const auto s = workload::make_figure2_scenario(10'000'000, true);
-  core::AnalysisContext ctx(s.network, s.flows);
+  // max_sweeps caps the passes over each cyclic component.  Three
+  // equal-priority flows round a switch triangle, each crossing two of its
+  // links, close a cycle whose back edge comes due again after the first
+  // pass: one pass cannot reach the fixed point, and the result must say so
+  // rather than claim schedulability.
+  net::Network n;
+  const net::NodeId sw[3] = {n.add_switch(), n.add_switch(), n.add_switch()};
+  net::NodeId host[3];
+  for (int i = 0; i < 3; ++i) {
+    n.add_duplex_link(sw[i], sw[(i + 1) % 3], 10'000'000);
+    host[i] = n.add_endhost();
+    n.add_duplex_link(host[i], sw[i], 10'000'000);
+  }
+  n.validate();
+  std::vector<gmf::Flow> flows;
+  for (int i = 0; i < 3; ++i) {
+    flows.push_back(gmf::make_sporadic_flow(
+        "f" + std::to_string(i),
+        net::Route({host[i], sw[i], sw[(i + 1) % 3], sw[(i + 2) % 3],
+                    host[(i + 2) % 3]}),
+        Time::ms(20), Time::ms(20), 1000 * 8));
+    flows.back().set_priority(1);
+  }
+  core::AnalysisContext ctx(n, flows);
   core::HolisticOptions opts;
   opts.max_sweeps = 1;
-  const auto r = core::analyze_holistic(ctx, opts);
-  EXPECT_FALSE(r.converged);
-  EXPECT_FALSE(r.schedulable);
+  const auto capped = core::analyze_holistic(ctx, opts);
+  EXPECT_FALSE(capped.converged);
+  EXPECT_FALSE(capped.schedulable);
+  opts.max_sweeps = 64;
+  EXPECT_TRUE(core::analyze_holistic(ctx, opts).schedulable);
+
+  // A Jacobi sweep cannot confirm its own fixed point: one sweep is never
+  // converged, even on a feed-forward set.
+  const auto s = workload::make_figure2_scenario(10'000'000, true);
+  core::AnalysisContext fig2(s.network, s.flows);
+  opts.order = core::SweepOrder::kJacobi;
+  opts.max_sweeps = 1;
+  const auto jacobi = core::analyze_holistic(fig2, opts);
+  EXPECT_FALSE(jacobi.converged);
+  EXPECT_FALSE(jacobi.schedulable);
 }
 
 TEST(EdgeCases, TinyHorizonMarksDivergenceEarly) {

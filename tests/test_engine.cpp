@@ -58,20 +58,19 @@ TEST(Engine, AddFlowReanalyzesOnlyItsComponent) {
   EXPECT_TRUE(r.schedulable);
   ASSERT_EQ(r.flows.size(), 3u);
   // Two untouched flows reused.  The new flow's stages are analysed once,
-  // in route order, with final inputs; the second (confirming) sweep finds
-  // no jitter changed and analyses nothing — exactly 1 per-flow analysis.
+  // in route order, with final inputs — exactly 1 per-flow analysis.
   EXPECT_EQ(eng.stats().flow_analyses - analyses, 1u);
   EXPECT_GE(eng.stats().flow_results_reused, 2u);
 }
 
-TEST(Engine, WarmStartConvergesInTwoSweepsForIndependentAdd) {
+TEST(Engine, WarmStartConvergesInOnePassForIndependentAdd) {
   const auto star = net::make_star_network(8, kSpeed);
   AnalysisEngine eng(star.net);
   eng.add_flow(voip_between(star, 0, 1, "a"));
   eng.add_flow(voip_between(star, 2, 3, "b"));
   (void)eng.evaluate();
   eng.add_flow(voip_between(star, 4, 5, "c"));
-  EXPECT_EQ(eng.evaluate().sweeps, 2);
+  EXPECT_EQ(eng.evaluate().sweeps, 1);
 }
 
 TEST(Engine, HubProbeAnalysesEachFlowOnce) {
@@ -79,10 +78,10 @@ TEST(Engine, HubProbeAnalysesEachFlowOnce) {
   // utilisation — every 4th a 25 fps camera feed (16 kB I-frame + three
   // 3 kB P-frames) above the VoIP legs.  A candidate call on the same
   // uplink puts all 65 flows in the probe's component.  The component
-  // is feed-forward (uplink, switch ingress, downlink), so the link-ordered
-  // sweep analyses every flow once with final inputs and a second sweep
-  // confirms the fixed point: exactly 2 sweeps and 65 flow analyses.  (A
-  // flow-major sweep needs 3 sweeps and 194 analyses here.)
+  // is feed-forward (uplink, switch ingress, downlink): every key is its
+  // own component, so the link-ordered sweep analyses every flow once with
+  // final inputs and confirms nothing: exactly 1 pass and 65 flow
+  // analyses.  (A flow-major sweep needs 3 sweeps and 194 analyses here.)
   const auto star = net::make_star_network(8, 100'000'000);
   const auto hub_flow = [&](int n) {
     net::Route route({star.hosts[0], star.sw,
@@ -111,12 +110,12 @@ TEST(Engine, HubProbeAnalysesEachFlowOnce) {
 
   const WhatIfResult lock_free = eng.snapshot()->what_if(candidate);
   EXPECT_TRUE(lock_free.admissible);
-  EXPECT_EQ(lock_free.sweeps(), 2);
+  EXPECT_EQ(lock_free.sweeps(), 1);
 
   // Same probe through the engine, whose counters record the solve.
   const EngineStats before = eng.stats();
   const WhatIfResult probe = eng.what_if(candidate);
-  EXPECT_EQ(probe.sweeps(), 2);
+  EXPECT_EQ(probe.sweeps(), 1);
   const EngineStats after = eng.stats();
   EXPECT_EQ(after.flow_analyses - before.flow_analyses, 65u);
   // Those 65 flows hold 339 per-frame hops (49 one-frame calls and 16
@@ -126,7 +125,7 @@ TEST(Engine, HubProbeAnalysesEachFlowOnce) {
   // the same 5, the calls and cameras there split by priority (35).
   EXPECT_EQ(after.hops_run - before.hops_run, 45u);
   EXPECT_EQ(after.hops_shared - before.hops_shared, 294u);
-  // Each of the 339 per-frame JSUMs is written once, in the first sweep.
+  // Each of the 339 per-frame JSUMs is written once.
   EXPECT_EQ(after.jsum_writes - before.jsum_writes, 339u);
 }
 
@@ -155,12 +154,12 @@ TEST(Engine, TreeProbeAndRemovalReanalyseOnlyChangedNodes) {
   const gmf::Flow d =
       workload::make_voip_flow("d", net::Route({h[3], s2, h[2]}));
 
-  // Probe: a and d analysed in the first sweep; the second sweep (d's new
-  // entries moved) analyses nothing.  b and c are kept.
+  // Probe: a and d analysed in one pass, nothing confirmed.  b and c are
+  // kept.
   EngineStats before = eng.stats();
   const WhatIfResult probe = eng.what_if(d);
   EXPECT_TRUE(probe.admissible);
-  EXPECT_EQ(probe.sweeps(), 2);
+  EXPECT_EQ(probe.sweeps(), 1);
   EngineStats after = eng.stats();
   EXPECT_EQ(after.flow_analyses - before.flow_analyses, 2u);
   EXPECT_EQ(after.flow_results_reused - before.flow_results_reused, 2u);
@@ -168,9 +167,9 @@ TEST(Engine, TreeProbeAndRemovalReanalyseOnlyChangedNodes) {
   // arrives at S2 with a larger shift.
   EXPECT_EQ(after.hops_run - before.hops_run, 4u);
   EXPECT_EQ(after.hops_shared - before.hops_shared, 0u);
-  // Every node of the component writes its (one-frame) JSUM once, in the
-  // first sweep: a 7 + b 3 + c 7 + d 3 stages.  Nothing upstream of a
-  // node changes after that, so the confirming sweep recomputes none.
+  // Every node of the component writes its (one-frame) JSUM once: a 7 +
+  // b 3 + c 7 + d 3 stages.  Nothing upstream of a node changes after
+  // that.
   EXPECT_EQ(after.jsum_writes - before.jsum_writes, 20u);
 
   // The commit of d re-solves the same way.
@@ -184,7 +183,7 @@ TEST(Engine, TreeProbeAndRemovalReanalyseOnlyChangedNodes) {
 
   // Removing d again: the tree's key graph is acyclic, so the solve
   // descends from the seed.  Only a's egress onto S2->h2 is re-analysed; it
-  // moves no jitter, so one sweep finds the fixed point.  b and c are kept.
+  // moves no jitter.  b and c are kept.
   ASSERT_TRUE(eng.remove_flow(3));
   before = eng.stats();
   const core::HolisticResult& r = eng.evaluate();
@@ -193,7 +192,7 @@ TEST(Engine, TreeProbeAndRemovalReanalyseOnlyChangedNodes) {
   EXPECT_EQ(r.sweeps, 1);
   EXPECT_EQ(after.flow_analyses - before.flow_analyses, 1u);
   EXPECT_EQ(after.flow_results_reused - before.flow_results_reused, 2u);
-  // One sweep writes every node's JSUM once: a, b and c, 17 stages.
+  // Every node's JSUM is written once: a, b and c, 17 stages.
   EXPECT_EQ(after.jsum_writes - before.jsum_writes, 17u);
 }
 

@@ -13,6 +13,7 @@
 #include "core/egress.hpp"
 #include "core/priority.hpp"
 #include "engine/analysis_engine.hpp"
+#include "io/scenario_io.hpp"
 #include "net/topology.hpp"
 #include "util/rng.hpp"
 #include "workload/scenario.hpp"
@@ -23,7 +24,7 @@ namespace {
 
 constexpr ethernet::LinkSpeedBps kSpeed = 10'000'000;
 
-TEST(Holistic, LoneFlowConvergesInTwoSweeps) {
+TEST(Holistic, LoneFlowConvergesInOnePass) {
   const auto star = net::make_star_network(4, kSpeed);
   std::vector<gmf::Flow> flows = {gmf::make_sporadic_flow(
       "a", net::Route({star.hosts[0], star.sw, star.hosts[1]}),
@@ -32,8 +33,9 @@ TEST(Holistic, LoneFlowConvergesInTwoSweeps) {
   const HolisticResult r = analyze_holistic(ctx);
   EXPECT_TRUE(r.converged);
   EXPECT_TRUE(r.schedulable);
-  // Sweep 1 installs the stage jitters, sweep 2 observes no change.
-  EXPECT_EQ(r.sweeps, 2);
+  // A path is feed-forward: each key is analysed once, with final inputs,
+  // and nothing is confirmed.
+  EXPECT_EQ(r.sweeps, 1);
   ASSERT_EQ(r.flows.size(), 1u);
   EXPECT_TRUE(r.flows[0].schedulable());
 }
@@ -139,9 +141,9 @@ TEST(Holistic, WorstResponseAccessor) {
   EXPECT_GT(r.worst_response(FlowId(0)), gmfnet::Time::zero());
 }
 
-TEST(Holistic, ManyIndependentFlowsStillTwoSweeps) {
+TEST(Holistic, ManyIndependentFlowsStillOnePass) {
   // Flows that share nothing have no cross-jitter: the fixed point arrives
-  // after one productive sweep.
+  // after one pass.
   const auto star = net::make_star_network(8, kSpeed);
   std::vector<gmf::Flow> flows;
   for (int i = 0; i < 4; ++i) {
@@ -155,17 +157,17 @@ TEST(Holistic, ManyIndependentFlowsStillTwoSweeps) {
   const HolisticResult r = analyze_holistic(ctx);
   EXPECT_TRUE(r.converged);
   EXPECT_TRUE(r.schedulable);
-  EXPECT_EQ(r.sweeps, 2);
+  EXPECT_EQ(r.sweeps, 1);
 }
 
 // ------------------------------------------------------------------------
-// Order independence.  Gauss-Seidel visits (flow, stage) nodes in the
-// topological order of the route-successor graph of directed links (a
-// cyclic graph is broken at its lowest link); Jacobi analyses whole flows
-// against a frozen snapshot.  Both climb from below to the least fixed
-// point, so the jitter maps and every per-stage HopResult of the final
-// analyses — response, busy period, instances, iterations — must agree
-// exactly, whatever order the sweep visited the nodes in.
+// Order independence.  Gauss-Seidel visits (flow, stage) nodes by strongly
+// connected component of the route-successor graph of directed links, in
+// topological order, iterating a cyclic component locally; Jacobi analyses
+// whole flows against a frozen snapshot.  Both climb from below to the
+// least fixed point, so the jitter maps and every per-stage HopResult of
+// the final analyses — response, busy period, instances, iterations — must
+// agree exactly, whatever order the sweep visited the nodes in.
 
 /// Verdicts, fixed points and every per-stage hop result agree.
 void expect_same_results(const HolisticResult& a, const HolisticResult& b,
@@ -250,8 +252,8 @@ TEST(HolisticOrder, RandomizedStarsMatchJacobi) {
     const HolisticResult r = expect_order_independent(ctx, where);
     if (!r.converged) continue;
     ++converged;
-    // Feed-forward: one productive sweep, one confirming sweep.
-    EXPECT_EQ(r.sweeps, 2) << where;
+    // Feed-forward: every key is its own component, one pass each.
+    EXPECT_EQ(r.sweeps, 1) << where;
   }
   EXPECT_GE(converged, 16) << "too few fixed points were compared";
 }
@@ -271,8 +273,8 @@ TEST(HolisticOrder, RandomizedTreesMatchJacobi) {
         const HolisticResult r = expect_order_independent(ctx, where);
         if (!r.converged) continue;
         ++converged;
-        // Feed-forward: one productive sweep, one confirming sweep.
-        EXPECT_EQ(r.sweeps, 2) << where;
+        // Feed-forward: every key is its own component, one pass each.
+        EXPECT_EQ(r.sweeps, 1) << where;
       }
     }
   }
@@ -334,7 +336,9 @@ std::vector<gmf::Flow> ring_flows(const RingWorld& r, std::int64_t sep_us) {
                     {fs}, 3)};
 }
 
-// The sweep must fall back to repeated passes in a broken-cycle order.
+// The ring's six switch links form one cyclic component, iterated to
+// quiescence; the host links upstream and downstream of it are analysed
+// once, before and after it.
 TEST(HolisticOrder, CyclicRingMatchesJacobi) {
   const RingWorld ring = make_ring();
   for (const std::int64_t sep_us : {400, 205}) {
@@ -345,21 +349,21 @@ TEST(HolisticOrder, CyclicRingMatchesJacobi) {
         solve_holistic(ctx, SolveRequest{}, HolisticOptions{}, &stats);
     EXPECT_TRUE(r.converged) << sep_us;
     EXPECT_GT(r.sweeps, 2) << "a cyclic key graph needs repeated passes";
-    EXPECT_EQ(r.sweeps, sep_us == 400 ? 4 : 38) << sep_us;
-    // 22 one-frame nodes (11 stages per flow).  The first sweep writes
-    // every JSUM; later sweeps rewrite only the nodes whose previous stage
-    // moved or was re-analysed, starting with the stages behind a back
-    // edge — never all 22 per sweep.
-    EXPECT_EQ(stats.jsum_writes, sep_us == 400 ? 48u : 592u) << sep_us;
+    EXPECT_EQ(r.sweeps, sep_us == 400 ? 3 : 37) << sep_us;
+    // 22 one-frame nodes (11 stages per flow).  The first pass writes every
+    // JSUM; later passes over the cycle rewrite only the nodes whose
+    // previous stage moved or was re-analysed, starting with the stages
+    // behind a back edge — never all 22 per pass.
+    EXPECT_EQ(stats.jsum_writes, sep_us == 400 ? 45u : 521u) << sep_us;
     EXPECT_GT(stats.jsum_writes, 22u) << sep_us;
     EXPECT_LT(stats.jsum_writes, 22u * static_cast<std::size_t>(r.sweeps))
         << sep_us;
     expect_order_independent(ctx, "ring " + std::to_string(sep_us) + "us",
                              512);
 
-    // Re-solved from its own fixed point, the first sweep changes no
-    // jitter, yet the stages behind the broken back edge still need their
-    // first analysis: the solve must not stop before they have it.
+    // Re-solved from its own fixed point, the first pass changes no
+    // jitter, yet the stages behind a back edge of the cycle still need
+    // their first analysis: the cycle must not stop before they have it.
     SolveRequest warm;
     warm.start = WarmStartView(r.jitters);
     const HolisticResult again = solve_holistic(ctx, warm, HolisticOptions{});
@@ -672,12 +676,12 @@ TEST(SeededSolve, CyclicRingSeedsFromBelowAndFallsBackFromAbove) {
 }
 
 // The stop rule for seeded solves.  Re-solved from its own fixed point with
-// every ring link marked changed, the ring's first sweep re-analyses every
+// every ring link marked changed, the cycle's first pass re-analyses every
 // node — the ones on back edges too — and writes no changed jitter.  A
-// re-analysed back-edge node must still keep the solve going: its
-// successor, visited earlier in the sweep, has not seen the new result.
-// (Here the result is the same, so the second sweep analyses nothing and
-// confirms the fixed point.)
+// re-analysed back-edge node must still keep the cycle going: its
+// successor, visited earlier in the pass, has not seen the new result.
+// (Here the result is the same, so the second pass analyses nothing and
+// rewrites only those successors' JSUMs.)
 TEST(SeededSolve, ReanalysedBackEdgeKeepsTheSolveGoing) {
   const RingWorld ring = make_ring();
   const std::vector<gmf::Flow> flows = ring_flows(ring, 400);
@@ -701,7 +705,7 @@ TEST(SeededSolve, ReanalysedBackEdgeKeepsTheSolveGoing) {
       solve_holistic(ctx, req, HolisticOptions{}, &stats);
   expect_same_results(again, fixed, "seeded ring re-solve");
   EXPECT_EQ(again.sweeps, 2);
-  EXPECT_EQ(stats.flow_analyses, 2u);  // both flows in sweep 1, none after
+  EXPECT_EQ(stats.flow_analyses, 2u);  // both flows in pass 1, none after
   EXPECT_EQ(stats.results_kept, 0u);
 }
 
@@ -900,6 +904,169 @@ TEST(SharedHops, GeneratedTwinsMatchJacobi) {
                   .hops_shared;
   }
   EXPECT_GT(shared, 0u);
+}
+
+// ------------------------------------------------------------------------
+// Generated equal-priority rings.  k = 3..8 switches s_i joined clockwise;
+// behind each hangs a spur switch t_i with a host h_i, and behind t_i a
+// tail switch u_i with a host g_i.  Flow j enters at h_a -> t_a -> s_a,
+// runs clockwise round part of the ring and leaves by s_b -> t_b -> h_b
+// (with `tail`, by s_b -> t_b -> u_b -> g_b).  The flows' interior ring
+// switches cover the whole ring, so consecutive ring links chain all the
+// way round: the ring links form one cyclic component, and the host spurs
+// are acyclic keys upstream and downstream of it.  Every flow has the same
+// priority; the frame separation sets the busiest ring link's load, from
+// safe to near-critical.
+
+struct GeneratedRing {
+  std::string name;
+  net::Network net;
+  std::vector<gmf::Flow> flows;
+};
+
+GeneratedRing generated_ring(std::size_t k, std::uint64_t seed, bool tail) {
+  Rng rng(0x5CC0'0001ull + k * 0x9E3779B9ull + seed * 0x85EBCA6Bull);
+  GeneratedRing w;
+  w.name = "ring k=" + std::to_string(k) + " seed " + std::to_string(seed);
+  net::Network& n = w.net;
+  std::vector<net::NodeId> s, t, h, u, g;
+  for (std::size_t i = 0; i < k; ++i) {
+    const std::string id = std::to_string(i);
+    s.push_back(n.add_switch("s" + id));
+    t.push_back(n.add_switch("t" + id));
+    h.push_back(n.add_endhost("h" + id));
+    u.push_back(n.add_switch("u" + id));
+    g.push_back(n.add_endhost("g" + id));
+  }
+  constexpr ethernet::LinkSpeedBps kSpeed = 100'000'000;
+  for (std::size_t i = 0; i < k; ++i) {
+    n.add_duplex_link(s[i], s[(i + 1) % k], kSpeed);
+    n.add_duplex_link(s[i], t[i], kSpeed);
+    n.add_duplex_link(t[i], h[i], kSpeed);
+    n.add_duplex_link(t[i], u[i], kSpeed);
+    n.add_duplex_link(u[i], g[i], kSpeed);
+  }
+  n.validate();
+
+  // 2..4 flows (3..4 on a triangle) starting spread round the ring.  Flow
+  // j's interior switches reach the next flow's start (one further with
+  // `extra`), so together they cover every switch.
+  const std::size_t m = k == 3 ? 3 + rng.next_below(2) : 2 + rng.next_below(3);
+  const std::size_t r = rng.next_below(k);
+  std::vector<std::size_t> start(m);
+  for (std::size_t j = 0; j < m; ++j) start[j] = (r + j * k / m) % k;
+  std::vector<std::vector<std::int64_t>> payloads(m);
+  std::vector<double> ring_bits(k, 0.0);  // mean frame bits per ring link
+  std::vector<net::Route> routes;
+  for (std::size_t j = 0; j < m; ++j) {
+    const std::size_t gap = (start[(j + 1) % m] + k - start[j]) % k;
+    const std::size_t extra = gap + 2 <= k - 1 ? rng.next_below(2) : 0;
+    const std::size_t links = gap + 1 + extra;  // ring links crossed
+    EXPECT_LE(links, k - 1) << w.name;
+    const std::size_t a = start[j];
+    const std::size_t b = (a + links) % k;
+    std::vector<net::NodeId> nodes{h[a], t[a]};
+    for (std::size_t i = 0; i <= links; ++i) nodes.push_back(s[(a + i) % k]);
+    nodes.push_back(t[b]);
+    if (tail) {
+      nodes.push_back(u[b]);
+      nodes.push_back(g[b]);
+    } else {
+      nodes.push_back(h[b]);
+    }
+    routes.emplace_back(std::move(nodes));
+    double bits = 0;
+    for (std::size_t f = 0, frames = 1 + rng.next_below(3); f < frames; ++f) {
+      payloads[j].push_back(200 + static_cast<std::int64_t>(
+                                      rng.next_below(1301)));
+      bits += static_cast<double>(payloads[j].back() + 38) * 8;
+    }
+    bits /= static_cast<double>(payloads[j].size());
+    for (std::size_t i = 0; i < links; ++i) ring_bits[(a + i) % k] += bits;
+  }
+  constexpr double kLoad[] = {0.3, 0.5, 0.65, 0.75};
+  const double busiest = *std::max_element(ring_bits.begin(), ring_bits.end());
+  const auto sep_us = static_cast<std::int64_t>(
+      busiest / static_cast<double>(kSpeed) * 1e6 / kLoad[seed % 4]);
+  for (std::size_t j = 0; j < m; ++j) {
+    std::vector<gmf::FrameSpec> frames;
+    for (const std::int64_t bytes : payloads[j]) {
+      gmf::FrameSpec fs;
+      fs.min_separation = gmfnet::Time::us(sep_us);
+      fs.deadline = gmfnet::Time::ms(100);
+      fs.jitter = gmfnet::Time::us(static_cast<std::int64_t>(
+          rng.next_below(500)));
+      fs.payload_bits = bytes * 8;
+      frames.push_back(fs);
+    }
+    w.flows.emplace_back("f" + std::to_string(j), routes[j],
+                         std::move(frames), 1);
+  }
+  return w;
+}
+
+// Each generated ring against Jacobi, bit for bit; a seeded add from below
+// against the same solve unseeded; removals from above against a solve
+// from scratch; and the downstream spurs analysed once: lengthening every
+// exit by two stages (the tail) adds exactly two per-frame hops per frame,
+// whatever number of passes the cycle takes.  A failure prints the
+// world as a scenario file, to shrink into tests/regressions/.
+TEST(GeneratedRings, MatchJacobiSeededAndFromScratch) {
+  int converged = 0;
+  int compared_changes = 0;
+  for (std::size_t k = 3; k <= 8; ++k) {
+    for (std::uint64_t seed = 0; seed < 4; ++seed) {
+      const bool failed_before = HasFailure();
+      const GeneratedRing w = generated_ring(k, seed, /*tail=*/false);
+      const AnalysisContext ctx(w.net, w.flows);
+      HolisticOptions gs;
+      gs.max_sweeps = 512;
+      HolisticOptions jc = gs;
+      jc.order = SweepOrder::kJacobi;
+      jc.threads = 2;
+      IncrementalStats st;
+      const HolisticResult r = solve_holistic(ctx, SolveRequest{}, gs, &st);
+      expect_same_results(r, analyze_holistic(ctx, jc), w.name);
+
+      if (r.converged) {
+        ++converged;
+        // A back edge of the cycle comes due again after the first pass.
+        EXPECT_GE(r.sweeps, 2) << w.name;
+        const GeneratedRing wt = generated_ring(k, seed, /*tail=*/true);
+        IncrementalStats stt;
+        const HolisticResult rt = solve_holistic(
+            AnalysisContext(wt.net, wt.flows), SolveRequest{}, gs, &stt);
+        ASSERT_TRUE(rt.converged) << w.name;
+        EXPECT_EQ(rt.sweeps, r.sweeps) << w.name;
+        std::size_t frames = 0;
+        for (const gmf::Flow& f : w.flows) frames += f.frame_count();
+        EXPECT_EQ(stt.hops_run + stt.hops_shared - st.hops_run -
+                      st.hops_shared,
+                  2 * frames)
+            << w.name;
+
+        const std::vector<gmf::Flow> residents(w.flows.begin(),
+                                               w.flows.end() - 1);
+        if (const auto c = add_change(w.net, residents, w.flows.back())) {
+          expect_seeded_matches(w.net, *c, "add to " + w.name);
+          ++compared_changes;
+        }
+        for (const std::size_t idx : {std::size_t{0}, w.flows.size() / 2}) {
+          if (const auto c = remove_change(w.net, w.flows, idx)) {
+            expect_seeded_matches(
+                w.net, *c, "remove " + std::to_string(idx) + " from " + w.name);
+            ++compared_changes;
+          }
+        }
+      }
+      if (!failed_before && HasFailure()) {
+        ADD_FAILURE() << w.name << " as a scenario file:\n"
+                      << io::format_scenario({w.net, w.flows});
+      }
+    }
+  }
+  EXPECT_GE(converged, 20) << "too few rings reached a fixed point";
+  EXPECT_GE(compared_changes, 60) << "too few seeded changes were compared";
 }
 
 }  // namespace
