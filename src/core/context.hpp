@@ -346,6 +346,15 @@ class AnalysisContext {
   /// The same by dense link id (empty for net::kNoLink).
   [[nodiscard]] const std::vector<FlowId>& flows_on_link(net::LinkId id) const;
 
+  /// Calls `fn(id)` once for every link that carries a flow of this
+  /// context (in first-use order): O(links used), no route walk.
+  template <typename Fn>
+  void for_each_used_link(Fn&& fn) const {
+    for (const LinkState& state : link_states_) {
+      if (!state.flows.empty()) fn(state.id);
+    }
+  }
+
   /// hep(τ_i, N1, N2), eq (2): other flows on the link with priority >= τ_i.
   [[nodiscard]] std::vector<FlowId> hep(FlowId i, LinkRef link) const;
   /// lp(τ_i, N1, N2), eq (3): other flows on the link with lower priority.

@@ -2,8 +2,6 @@
 
 #include <stdexcept>
 
-#include "core/hop_level.hpp"
-
 namespace gmfnet::core {
 
 namespace {
@@ -19,18 +17,26 @@ LinkRef outgoing_link(const AnalysisContext& ctx, FlowId i, NodeId n) {
 }  // namespace
 
 bool egress_feasible(const AnalysisContext& ctx, FlowId i, NodeId n) {
-  // eq (35) with the self term included (DESIGN.md correction #3).
-  return ctx.egress_level_utilization(i, outgoing_link(ctx, i, n)) < 1.0;
+  return egress_site(ctx, i, outgoing_link(ctx, i, n)).feasible;
 }
 
-HopResult analyze_egress(const AnalysisContext& ctx, const JitterMap& jitters,
-                         FlowId i, std::size_t frame, NodeId n,
-                         const HopOptions& opts) {
-  const LinkRef link = outgoing_link(ctx, i, n);
-  if (!egress_feasible(ctx, i, n)) return {};
+HopSite egress_site(const AnalysisContext& ctx, FlowId i, LinkRef link) {
+  HopSite site;
+  site.kind = HopKind::kEgress;
+  site.flow = i;
+  site.link = link;
+  site.params = &ctx.link_params(i, link);
+  site.circ = ctx.circ(link.src);
+  site.prop = ctx.network().prop(link.src, link.dst);
+  // eq (35) with the self term included (DESIGN.md correction #3).
+  site.feasible = ctx.egress_level_utilization(i, link) < 1.0;
+  return site;
+}
 
-  const gmf::FlowLinkParams& pi = ctx.link_params(i, link);
-  const gmfnet::Time circ = ctx.circ(n);
+HopTerms egress_terms(const HopSite& site, std::size_t frame,
+                      const HopOptions& opts) {
+  const gmf::FlowLinkParams& pi = *site.params;
+  const gmfnet::Time circ = site.circ;
   const gmfnet::Time mft = pi.mft();
   const gmfnet::Time self_circ =
       opts.charge_self_circ ? circ : gmfnet::Time::zero();
@@ -51,8 +57,17 @@ HopResult analyze_egress(const AnalysisContext& ctx, const JitterMap& jitters,
   // eq (32): R(q) = w(q) - q*TSUM_i + C_i^k; eq (33) adds propagation.
   h.tsum = pi.tsum();
   h.tail = pi.c(frame);
-  h.prop = ctx.network().prop(link.src, link.dst);
-  return analyze_hop(ctx, jitters, HopKind::kEgress, link, i, h, opts);
+  h.prop = site.prop;
+  return h;
+}
+
+HopResult analyze_egress(const AnalysisContext& ctx, const JitterMap& jitters,
+                         FlowId i, std::size_t frame, NodeId n,
+                         const HopOptions& opts) {
+  HopSite site = egress_site(ctx, i, outgoing_link(ctx, i, n));
+  if (!site.feasible) return {};
+  bind_level(ctx, jitters, site, opts);
+  return analyze_hop(site, egress_terms(site, frame, opts), opts);
 }
 
 }  // namespace gmfnet::core

@@ -15,6 +15,7 @@
 #include <cstddef>
 
 #include "core/context.hpp"
+#include "core/hop_level.hpp"
 #include "core/hop_result.hpp"
 
 namespace gmfnet::core {
@@ -24,10 +25,21 @@ namespace gmfnet::core {
 [[nodiscard]] bool egress_feasible(const AnalysisContext& ctx, FlowId i,
                                    NodeId n);
 
+/// Flow i's egress site (core/hop_level.hpp) on `link`, the link it
+/// leaves a switch by: its parameters there, CIRC of the switch, the
+/// link's propagation delay and eq (35); the level source is left unbound.
+[[nodiscard]] HopSite egress_site(const AnalysisContext& ctx, FlowId i,
+                                  LinkRef link);
+
+/// The egress recurrence's terms for frame `frame` at `site`.
+[[nodiscard]] HopTerms egress_terms(const HopSite& site, std::size_t frame,
+                                    const HopOptions& opts);
+
 /// R_i^k,link(N, succ(τ_i, N)): response time of frame k of flow i from
 /// enqueueing in the priority queue of N to full reception at the successor
 /// node.  Includes the link propagation delay (eq 33).  N must be an
-/// intermediate switch of flow i's route.
+/// intermediate switch of flow i's route.  One frame: resolves the site,
+/// then runs its terms.
 [[nodiscard]] HopResult analyze_egress(const AnalysisContext& ctx,
                                        const JitterMap& jitters, FlowId i,
                                        std::size_t frame, NodeId n,

@@ -29,15 +29,36 @@ gmfnet::Time FlowResult::worst_response() const {
   return worst;
 }
 
+HopSite stage_site(const AnalysisContext& ctx, FlowId i, std::size_t stage) {
+  if (stage == 0) return first_hop_site(ctx, i);
+  const std::vector<StageKey>& stages = ctx.stages(i);
+  if (!stages[stage].is_link()) {
+    // The stage before an ingress crosses the link it arrives over.
+    return ingress_site(ctx, i, stages[stage - 1].as_link());
+  }
+  return egress_site(ctx, i, stages[stage].as_link());
+}
+
+HopResult analyze_site(const HopSite& site, std::size_t frame,
+                       const HopOptions& opts) {
+  if (!site.feasible) return {};
+  switch (site.kind) {
+    case HopKind::kFirstHop:
+      return analyze_hop(site, first_hop_terms(site, frame, opts), opts);
+    case HopKind::kIngress:
+      return analyze_hop(site, ingress_terms(site, frame, opts), opts);
+    case HopKind::kEgress:
+      break;
+  }
+  return analyze_hop(site, egress_terms(site, frame, opts), opts);
+}
+
 HopResult analyze_stage(const AnalysisContext& ctx, const JitterMap& jitters,
                         FlowId i, std::size_t stage, std::size_t frame,
                         const HopOptions& opts) {
-  if (stage == 0) return analyze_first_hop(ctx, jitters, i, frame, opts);
-  const StageKey& key = ctx.stages(i)[stage];
-  if (!key.is_link()) {
-    return analyze_ingress(ctx, jitters, i, frame, key.a, opts);
-  }
-  return analyze_egress(ctx, jitters, i, frame, key.a, opts);
+  HopSite site = stage_site(ctx, i, stage);
+  if (site.feasible) bind_level(ctx, jitters, site, opts);
+  return analyze_site(site, frame, opts);
 }
 
 gmfnet::Time stage_jitter_sum(const AnalysisContext& ctx,

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "core/context.hpp"
+#include "core/hop_level.hpp"
 #include "core/hop_result.hpp"
 
 namespace gmfnet::core {
@@ -41,9 +42,21 @@ struct FlowResult {
   [[nodiscard]] gmfnet::Time worst_response() const;
 };
 
-/// Runs the per-hop analysis of stage `stage` (an index into
-/// ctx.stages(i)) for one frame of flow i: the work-conserving first hop at
-/// stage 0, else the ingress or egress analysis of the stage's switch.
+/// The hop site of node (i, stage), `stage` an index into ctx.stages(i):
+/// the work-conserving first hop at stage 0, else the ingress or egress
+/// site of the stage's switch (core/hop_level.hpp).  Its level source is
+/// left unbound; bind_level binds it, once per node.
+[[nodiscard]] HopSite stage_site(const AnalysisContext& ctx, FlowId i,
+                                 std::size_t stage);
+
+/// Runs `site`'s hop analysis for frame `frame`: an infeasible site's
+/// non-converged result, else the site's terms over its bound level
+/// source.
+[[nodiscard]] HopResult analyze_site(const HopSite& site, std::size_t frame,
+                                     const HopOptions& opts);
+
+/// Runs the per-hop analysis of stage `stage` for one frame of flow i:
+/// stage_site, bound, then analyze_site.
 [[nodiscard]] HopResult analyze_stage(const AnalysisContext& ctx,
                                       const JitterMap& jitters, FlowId i,
                                       std::size_t stage, std::size_t frame,

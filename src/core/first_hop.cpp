@@ -1,23 +1,25 @@
 #include "core/first_hop.hpp"
 
-#include "core/hop_level.hpp"
-
 namespace gmfnet::core {
 
 bool first_hop_feasible(const AnalysisContext& ctx, FlowId i) {
-  const net::Route& route = ctx.flow(i).route();
-  const LinkRef link(route.node_at(0), route.node_at(1));
-  return ctx.link_utilization(link) < 1.0;  // eq (20)
+  return ctx.link_utilization(ctx.route_links(i).front()) < 1.0;  // eq (20)
 }
 
-HopResult analyze_first_hop(const AnalysisContext& ctx,
-                            const JitterMap& jitters, FlowId i,
-                            std::size_t frame, const HopOptions& opts) {
-  const net::Route& route = ctx.flow(i).route();
-  const LinkRef link(route.node_at(0), route.node_at(1));
-  if (!first_hop_feasible(ctx, i)) return {};  // eq (20) violated
+HopSite first_hop_site(const AnalysisContext& ctx, FlowId i) {
+  HopSite site;
+  site.kind = HopKind::kFirstHop;
+  site.flow = i;
+  site.link = ctx.route_links(i).front();
+  site.params = &ctx.link_params(i, site.link);
+  site.prop = ctx.network().prop(site.link.src, site.link.dst);
+  site.feasible = first_hop_feasible(ctx, i);
+  return site;
+}
 
-  const gmf::FlowLinkParams& pi = ctx.link_params(i, link);
+HopTerms first_hop_terms(const HopSite& site, std::size_t frame,
+                         const HopOptions& /*opts*/) {
+  const gmf::FlowLinkParams& pi = *site.params;
   HopTerms h;
   // Interference: every other flow on the link, and the analysed flow
   // itself in the busy period, by transmission demand MX (eqs 15, 17).
@@ -32,8 +34,17 @@ HopResult analyze_first_hop(const AnalysisContext& ctx,
   // eq (18): R(q) = w(q) - q*TSUM_i + C_i^k; eq (19) adds propagation.
   h.tsum = pi.tsum();
   h.tail = pi.c(frame);
-  h.prop = ctx.network().prop(link.src, link.dst);
-  return analyze_hop(ctx, jitters, HopKind::kFirstHop, link, i, h, opts);
+  h.prop = site.prop;
+  return h;
+}
+
+HopResult analyze_first_hop(const AnalysisContext& ctx,
+                            const JitterMap& jitters, FlowId i,
+                            std::size_t frame, const HopOptions& opts) {
+  HopSite site = first_hop_site(ctx, i);
+  if (!site.feasible) return {};  // eq (20) violated
+  bind_level(ctx, jitters, site, opts);
+  return analyze_hop(site, first_hop_terms(site, frame, opts), opts);
 }
 
 }  // namespace gmfnet::core

@@ -1,10 +1,10 @@
 #include "core/holistic.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <stdexcept>
 #include <utility>
 
-#include "core/egress.hpp"
 #include "core/hop_level.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
@@ -155,7 +155,15 @@ struct SweepGroup {
   bool stale = true;
 };
 
-/// The visiting order of one solve.
+/// A flow with nodes in the plan: its nodes are the stages from `stage`
+/// on, the first of them with flag `due`.
+struct PlannedFlow {
+  FlowId flow;
+  std::uint32_t stage = 0;
+  std::uint32_t due = 0;
+};
+
+/// The visiting order of one solve: the forward closure of its root keys.
 struct SweepPlan {
   /// Grouped by strongly connected component of the key graph, components
   /// in topological order: component c holds groups [scc_end[c-1],
@@ -163,12 +171,11 @@ struct SweepPlan {
   std::vector<SweepGroup> groups;
   std::vector<std::uint32_t> scc_end;
   std::vector<SweepNode> nodes;  ///< grouped, each group in flow order
+  std::vector<PlannedFlow> flows;  ///< in flow order
   /// Per node, flow-major (a flow's stages in route order): the node's
   /// JSUM must be recomputed.  Set when the flow's previous stage was
   /// written with a changed entry or analysed since the node's last write.
   std::vector<char> jsum_due;
-  /// Some component holds more than one key (the key graph has a cycle).
-  bool cyclic = false;
 
   /// True when a node of groups [gb, ge) has its JSUM due.  A pass leaves
   /// no group stale, so a component is quiescent exactly when this is
@@ -181,9 +188,9 @@ struct SweepPlan {
   }
 };
 
-/// Per-thread buffers of link_ordered_groups, reused across solves so a
-/// plan allocates nothing in the steady state.  The returned plan lives
-/// here too: a thread runs one solve at a time.
+/// Per-thread buffers of the key graph and the plan, reused across solves
+/// so a plan allocates nothing in the steady state.  The plan lives here
+/// too: a thread runs one solve at a time.
 struct PlanScratch {
   static constexpr std::uint32_t kNone = ~std::uint32_t{0};
 
@@ -192,7 +199,7 @@ struct PlanScratch {
     return scratch;
   }
 
-  std::vector<std::uint32_t> key_of;  ///< by link id; kNone between builds
+  std::vector<std::uint32_t> key_of;  ///< by link id; kNone between solves
   std::vector<net::LinkId> keys;      ///< key -> link id, in LinkRef order
   std::vector<std::uint32_t> succ_begin;  ///< CSR successor lists by key
   std::vector<std::uint32_t> succ;
@@ -204,21 +211,27 @@ struct PlanScratch {
   std::vector<std::uint32_t> low;
   std::vector<std::uint32_t> stack;
   std::vector<std::pair<std::uint32_t, std::uint32_t>> path;
-  std::vector<std::uint32_t> pos;       ///< key -> visiting position
+  std::vector<std::uint32_t> at;        ///< visiting position -> key
   std::vector<std::uint32_t> scc_size;  ///< component sizes, in order
+  std::vector<char> cyclic;   ///< by key: its component has several keys
+  std::vector<char> reached;  ///< by key: in the forward closure
+  std::vector<std::uint32_t> pos;  ///< closure key -> planned position
+  std::vector<std::uint32_t> first;  ///< by flow: first planned route
+                                     ///< link, kNone: no node planned
   SweepPlan plan;
 };
 
 /// Condenses the key graph (CSR in `ps`) with an iterative Tarjan.  It
 /// emits components sinks first, each as the stack above its root, so
-/// handing out visiting positions (ps.pos) from the back lays the
+/// handing out visiting positions (ps.at) from the back lays the
 /// components out in topological order, each one's keys in DFS preorder
 /// from the first one reached.  ps.scc_size gets their sizes in that order.
 void condense(PlanScratch& ps, std::uint32_t n) {
   constexpr std::uint32_t kNone = PlanScratch::kNone;
   ps.num.assign(n, kNone);
   ps.low.assign(n, kNone);
-  ps.pos.resize(n);
+  ps.at.resize(n);
+  ps.cyclic.resize(n);
   ps.scc_size.clear();
   std::uint32_t next = 0;
   std::uint32_t left = n;
@@ -254,32 +267,37 @@ void condense(PlanScratch& ps, std::uint32_t n) {
         w = ps.stack.back();
         ps.stack.pop_back();
         ps.low[w] = kNone;
-        ps.pos[w] = --left;
+        ps.at[--left] = w;
       } while (w != v);
+      // A route never repeats a link back to back, so no key has an edge
+      // to itself: a component is cyclic exactly when it has two keys.
+      for (std::uint32_t p = left; p < top; ++p) {
+        ps.cyclic[ps.at[p]] = top - left > 1 ? 1 : 0;
+      }
       ps.scc_size.push_back(top - left);
     }
   }
   std::reverse(ps.scc_size.begin(), ps.scc_size.end());
 }
 
-/// The groups of `iterated` in visiting order.  Keys are the directed
-/// links of the iterated routes, numbered in LinkRef order (by link rank);
-/// the key graph has an edge l_t -> l_{t+1} for consecutive links of every
-/// iterated route.  Its strongly connected components are visited in
-/// topological order (condense), and each key contributes its link group,
-/// then its ingress group.  So every node's upstream stages in other
-/// components are final before it is first analysed.
-SweepPlan& link_ordered_groups(const AnalysisContext& ctx,
-                               const std::vector<FlowId>& iterated) {
+/// Builds the key graph of every route of `ctx` into `ps` and condenses
+/// it.  Keys are the directed links of the routes, numbered in LinkRef
+/// order (by link rank); the graph has an edge l_t -> l_{t+1} for
+/// consecutive links of every route.  No key is reached yet.
+PlanScratch& key_graph(const AnalysisContext& ctx) {
   constexpr std::uint32_t kNone = PlanScratch::kNone;
   PlanScratch& ps = PlanScratch::local();
   if (ps.key_of.size() < ctx.network().link_count()) {
     ps.key_of.resize(ctx.network().link_count(), kNone);
   }
+  const std::size_t flows = ctx.flow_count();
+  const auto route_of = [&](std::size_t f) -> const std::vector<net::LinkId>& {
+    return ctx.route_link_ids(FlowId(static_cast<std::int32_t>(f)));
+  };
 
   ps.keys.clear();
-  for (const FlowId id : iterated) {
-    for (const net::LinkId l : ctx.route_link_ids(id)) {
+  for (std::size_t f = 0; f < flows; ++f) {
+    for (const net::LinkId l : route_of(f)) {
       if (ps.key_of[l] != kNone) continue;
       ps.key_of[l] = 0;
       ps.keys.push_back(l);
@@ -294,8 +312,8 @@ SweepPlan& link_ordered_groups(const AnalysisContext& ctx,
 
   // Successor lists in CSR form, one edge per consecutive route pair.
   ps.succ_begin.assign(n + 1, 0);
-  for (const FlowId id : iterated) {
-    const std::vector<net::LinkId>& route = ctx.route_link_ids(id);
+  for (std::size_t f = 0; f < flows; ++f) {
+    const std::vector<net::LinkId>& route = route_of(f);
     for (std::size_t t = 0; t + 1 < route.size(); ++t) {
       ++ps.succ_begin[ps.key_of[route[t]] + 1];
     }
@@ -305,15 +323,72 @@ SweepPlan& link_ordered_groups(const AnalysisContext& ctx,
   }
   ps.succ.resize(ps.succ_begin[n]);
   ps.cursor.assign(ps.succ_begin.begin(), ps.succ_begin.end() - 1);
-  for (const FlowId id : iterated) {
-    const std::vector<net::LinkId>& route = ctx.route_link_ids(id);
+  for (std::size_t f = 0; f < flows; ++f) {
+    const std::vector<net::LinkId>& route = route_of(f);
     for (std::size_t t = 0; t + 1 < route.size(); ++t) {
       ps.succ[ps.cursor[ps.key_of[route[t]]]++] = ps.key_of[route[t + 1]];
     }
   }
 
   condense(ps, n);
+  ps.reached.assign(n, 0);
+  return ps;
+}
+
+/// Marks key `v` reached and queues it (on ps.stack, which Tarjan leaves
+/// empty) for close_forward.
+void reach(PlanScratch& ps, std::uint32_t v) {
+  if (ps.reached[v]) return;
+  ps.reached[v] = 1;
+  ps.stack.push_back(v);
+}
+
+/// Closes the reached keys forward: every key reachable from one queued by
+/// reach() is reached too.  Returns true when the closure holds a cyclic
+/// component.
+bool close_forward(PlanScratch& ps) {
+  bool cyclic = false;
+  while (!ps.stack.empty()) {
+    const std::uint32_t v = ps.stack.back();
+    ps.stack.pop_back();
+    cyclic |= ps.cyclic[v] != 0;
+    for (std::uint32_t e = ps.succ_begin[v]; e < ps.succ_begin[v + 1]; ++e) {
+      const std::uint32_t w = ps.succ[e];
+      if (ps.reached[w]) continue;
+      ps.reached[w] = 1;
+      ps.stack.push_back(w);
+    }
+  }
+  return cyclic;
+}
+
+/// The groups of the reached keys in visiting order: the components in
+/// topological order (condense), each key contributing its link group,
+/// then its ingress group.  A flow contributes its nodes from its first
+/// reached route link on (the closure is closed forward, so every later
+/// one is reached too).  So every node's upstream stages in other
+/// components are final, or outside the plan, before it is first
+/// analysed.  A flow flagged in `seeded` starts with its nodes' JSUMs not
+/// due, every other flow with all of them due.
+SweepPlan& lay_out(const AnalysisContext& ctx, PlanScratch& ps,
+                   const std::vector<char>& seeded) {
+  constexpr std::uint32_t kNone = PlanScratch::kNone;
   SweepPlan& plan = ps.plan;
+
+  // Positions of the reached keys; a component is reached whole or not
+  // at all (its keys reach each other).  scc_end holds the planned
+  // components' sizes until the groups are placed.
+  ps.pos.resize(ps.keys.size());
+  plan.scc_end.clear();
+  std::uint32_t placed = 0;
+  std::uint32_t p = 0;
+  for (const std::uint32_t size : ps.scc_size) {
+    if (ps.reached[ps.at[p]]) {
+      for (std::uint32_t q = p; q < p + size; ++q) ps.pos[ps.at[q]] = placed++;
+      plan.scc_end.push_back(size);
+    }
+    p += size;
+  }
 
   // Groups in visiting order (link group 2p, ingress group 2p + 1 for the
   // key at position p): count each group's nodes, then place the nodes
@@ -322,20 +397,29 @@ SweepPlan& link_ordered_groups(const AnalysisContext& ctx,
     return 2 * std::size_t{ps.pos[ps.key_of[l]]};
   };
   std::vector<SweepGroup>& groups = plan.groups;
-  groups.assign(2 * std::size_t{n}, SweepGroup{});
-  for (const net::LinkId l : ps.keys) {
-    const net::Link& link = ctx.network().links()[l];
+  groups.assign(2 * std::size_t{placed}, SweepGroup{});
+  for (std::uint32_t v = 0; v < ps.keys.size(); ++v) {
+    if (!ps.reached[v]) continue;
+    const net::Link& link = ctx.network().links()[ps.keys[v]];
     const LinkRef ref(link.src, link.dst);
-    SweepGroup& link_group = groups[link_group_of(l)];
-    SweepGroup& ingress_group = groups[link_group_of(l) + 1];
+    SweepGroup& link_group = groups[2 * std::size_t{ps.pos[v]}];
+    SweepGroup& ingress_group = groups[2 * std::size_t{ps.pos[v]} + 1];
     link_group.key = StageKey::link(ref);
     ingress_group.key = StageKey::ingress(ref.dst);
     link_group.link = ingress_group.link = ref;
   }
+  const std::size_t flows = ctx.flow_count();
+  ps.first.assign(flows, kNone);
   ps.cursor.assign(groups.size() + 1, 0);
-  for (const FlowId id : iterated) {
-    const std::vector<net::LinkId>& route = ctx.route_link_ids(id);
-    for (std::size_t t = 0; t < route.size(); ++t) {
+  for (std::size_t f = 0; f < flows; ++f) {
+    const std::vector<net::LinkId>& route =
+        ctx.route_link_ids(FlowId(static_cast<std::int32_t>(f)));
+    std::size_t t = 0;
+    while (t < route.size() && !ps.reached[ps.key_of[route[t]]]) ++t;
+    if (t == route.size()) continue;
+    ps.first[f] = static_cast<std::uint32_t>(t);
+    for (; t < route.size(); ++t) {
+      assert(ps.reached[ps.key_of[route[t]]]);
       ++ps.cursor[link_group_of(route[t]) + 1];
       if (t + 1 < route.size()) ++ps.cursor[link_group_of(route[t]) + 2];
     }
@@ -345,44 +429,45 @@ SweepPlan& link_ordered_groups(const AnalysisContext& ctx,
     groups[g].begin = groups[g].end = ps.cursor[g];
   }
   plan.nodes.resize(ps.cursor[groups.size()]);
-  std::uint32_t due = 0;  // the flow's first node's jsum_due index
-  for (const FlowId id : iterated) {
+  plan.flows.clear();
+  plan.jsum_due.clear();
+  for (std::size_t f = 0; f < flows; ++f) {
+    if (ps.first[f] == kNone) continue;
+    const FlowId id(static_cast<std::int32_t>(f));
     const std::vector<net::LinkId>& route = ctx.route_link_ids(id);
     const std::size_t frames = ctx.flow(id).frame_count();
-    for (std::size_t t = 0; t < route.size(); ++t) {
+    const auto from = static_cast<std::uint32_t>(2 * ps.first[f]);
+    const auto due = static_cast<std::uint32_t>(plan.jsum_due.size());
+    plan.flows.push_back({id, from, due});
+    for (std::size_t t = ps.first[f]; t < route.size(); ++t) {
       const auto stage = static_cast<std::uint32_t>(2 * t);
       const std::size_t g = link_group_of(route[t]);
-      plan.nodes[groups[g].end++] = {id, stage, due + stage,
+      plan.nodes[groups[g].end++] = {id, stage, due + stage - from,
                                      t + 1 == route.size()};
       groups[g].frames += frames;
       if (t + 1 < route.size()) {
-        plan.nodes[groups[g + 1].end++] = {id, stage + 1, due + stage + 1,
-                                           false};
+        plan.nodes[groups[g + 1].end++] = {id, stage + 1,
+                                           due + stage + 1 - from, false};
         groups[g + 1].frames += frames;
       }
     }
-    due += static_cast<std::uint32_t>(2 * route.size() - 1);
+    plan.jsum_due.resize(due + 2 * route.size() - 1 - from,
+                         seeded[f] ? 0 : 1);
   }
   for (const net::LinkId l : ps.keys) ps.key_of[l] = kNone;
 
   // Drop the empty ingress groups (keys that end every route on them) and
   // note where each component's groups end.  A component's first link
   // group is never empty.
-  plan.cyclic = false;
-  plan.scc_end.clear();
   std::size_t kept = 0;
   std::size_t g = 0;
-  for (const std::uint32_t size : ps.scc_size) {
-    plan.cyclic |= size > 1;  // a route never repeats a link back to back,
-                              // so no key has an edge to itself
-    for (const std::size_t ge = g + 2 * std::size_t{size}; g < ge; ++g) {
+  for (std::uint32_t& end : plan.scc_end) {
+    for (const std::size_t ge = g + 2 * std::size_t{end}; g < ge; ++g) {
       if (groups[g].begin != groups[g].end) groups[kept++] = groups[g];
     }
-    plan.scc_end.push_back(static_cast<std::uint32_t>(kept));
+    end = static_cast<std::uint32_t>(kept);
   }
   groups.resize(kept);
-  // Every node's JSUM is due in the first pass.
-  plan.jsum_due.assign(due, 1);
   return plan;
 }
 
@@ -393,6 +478,32 @@ const HopResult* previous_hop(const FrameResult& frame, std::size_t stage) {
   if (frame.stages.size() < stage) return nullptr;
   const HopResult& prev = frame.stages[stage - 1].hop;
   return prev.converged ? &prev : nullptr;
+}
+
+/// True when every planned flow whose first node starts not due (a seeded
+/// flow) holds that node's JSUMs already: its previous stage lies outside
+/// the plan and is never written, so nothing else would write them.
+[[maybe_unused]] bool seeded_jsums_hold(const AnalysisContext& ctx,
+                                        const SweepPlan& plan,
+                                        const JitterMap& jitters,
+                                        const std::vector<FlowResult>& flows) {
+  for (const PlannedFlow& pf : plan.flows) {
+    if (plan.jsum_due[pf.due]) continue;
+    const FlowResult& fr = flows[static_cast<std::size_t>(pf.flow.v)];
+    const StageKey& key = ctx.stages(pf.flow)[pf.stage];
+    for (std::size_t k = 0; k < fr.frames.size(); ++k) {
+      const HopResult* prev = nullptr;
+      if (pf.stage > 0) {
+        prev = previous_hop(fr.frames[k], pf.stage);
+        if (prev == nullptr) continue;
+      }
+      if (jitters.jitter(pf.flow, key, k) !=
+          stage_jitter_sum(ctx, jitters, pf.flow, pf.stage, k, prev)) {
+        return false;
+      }
+    }
+  }
+  return true;
 }
 
 // ------------------------------------------------- shared hop results --
@@ -407,22 +518,22 @@ struct NodeKey {
   /// validation keeps them apart today, the key does not rely on it.
   HopKind kind = HopKind::kFirstHop;
   std::int64_t priority = 0;  ///< egress only, else 0
-  /// Egress only: egress_feasible of `flow`, -1 until a twin asks.
-  std::int8_t feasible = -1;
-  FlowId flow;
+  /// The site's feasibility: at an egress the analysed flow's own bit, at
+  /// the other hops the same for every node of the group.
+  bool feasible = false;
   std::uint64_t hash = 0;
 };
 
 NodeKey node_key(const AnalysisContext& ctx, const JitterMap& jitters,
-                 const SweepGroup& g, const SweepNode& nd) {
+                 const SweepGroup& g, const HopSite& site) {
   NodeKey key;
-  key.params = &ctx.link_params(nd.flow, g.link);
-  key.shift = jitters.max_jitter(nd.flow, g.key);
-  key.kind = nd.stage == 0      ? HopKind::kFirstHop
-             : g.key.is_link()  ? HopKind::kEgress
-                                : HopKind::kIngress;
-  if (key.kind == HopKind::kEgress) key.priority = ctx.flow(nd.flow).priority();
-  key.flow = nd.flow;
+  key.params = site.params;
+  key.shift = jitters.max_jitter(site.flow, g.key);
+  key.kind = site.kind;
+  if (key.kind == HopKind::kEgress) {
+    key.priority = ctx.flow(site.flow).priority();
+  }
+  key.feasible = site.feasible;
   key.hash = mix64(key.params->digest() ^
                    mix64(static_cast<std::uint64_t>(key.shift.ps()) ^
                          (static_cast<std::uint64_t>(key.priority) << 2) ^
@@ -462,16 +573,13 @@ class SharedHops {
 
   /// The entry of this visit whose node is `key`'s twin at `frame`, or the
   /// free slot where (key, frame) goes (then holds() is false).
-  /// `feasible(flow)` is egress_feasible at the group's egress port; it
-  /// runs only for egress keys that match in everything else.
-  template <typename Feasible>
-  SharedHop& find(NodeKey& key, std::size_t frame, Feasible&& feasible) {
+  SharedHop& find(const NodeKey& key, std::size_t frame) {
     const std::uint64_t hash = hash_of(key, frame);
     const std::size_t mask = slots_.size() - 1;
     for (std::size_t i = mix64(hash) & mask;; i = (i + 1) & mask) {
       SharedHop& e = slots_[i];
       if (e.visit != visit_ ||
-          (e.hash == hash && e.frame == frame && twins(e.key, key, feasible))) {
+          (e.hash == hash && e.frame == frame && twins(e.key, key))) {
         return e;
       }
     }
@@ -495,16 +603,10 @@ class SharedHops {
     return key.hash + frame * 0x9E3779B97F4A7C15ull;
   }
 
-  template <typename Feasible>
-  static bool twins(NodeKey& a, NodeKey& b, Feasible& feasible) {
-    if (a.shift != b.shift || a.kind != b.kind || a.priority != b.priority ||
-        !(a.params == b.params || a.params->same_content(*b.params))) {
-      return false;
-    }
-    if (a.kind != HopKind::kEgress) return true;
-    if (a.feasible < 0) a.feasible = feasible(a.flow) ? 1 : 0;
-    if (b.feasible < 0) b.feasible = feasible(b.flow) ? 1 : 0;
-    return a.feasible == b.feasible;
+  static bool twins(const NodeKey& a, const NodeKey& b) {
+    return a.shift == b.shift && a.kind == b.kind &&
+           a.priority == b.priority && a.feasible == b.feasible &&
+           (a.params == b.params || a.params->same_content(*b.params));
   }
 
   std::vector<SharedHop> slots_;
@@ -523,7 +625,9 @@ struct PassOutcome {
 /// lines 8/13/17: the jitter at the previous stage plus that stage's
 /// response) of every node whose JSUM is due (see holistic.hpp); step 2
 /// analyses the nodes when the group is stale, and any frame never
-/// analysed at this stage.  A skipped node keeps its (possibly seeded)
+/// analysed at this stage.  A node resolves its hop site once, on its
+/// first analysed frame, and binds its level source on its first frame
+/// not served by a twin.  A skipped node keeps its (possibly seeded)
 /// result in `flows`.  A frame whose hop diverges stops there.
 /// `last_pass[f]` is raised to `pass` when a node of flow f is analysed.
 PassOutcome pass_link_ordered(const AnalysisContext& ctx, SweepPlan& plan,
@@ -568,23 +672,28 @@ PassOutcome pass_link_ordered(const AnalysisContext& ctx, SweepPlan& plan,
       const SweepNode& nd = plan.nodes[n];
       const auto f = static_cast<std::size_t>(nd.flow.v);
       FlowResult& fr = flows[f];
-      NodeKey key;  // made when the node's first frame is analysed
+      HopSite site;  // resolved, with its key, on the first analysed frame
+      NodeKey key;
       bool analysed = false;
+      bool bound = false;
       for (std::size_t k = 0; k < fr.frames.size(); ++k) {
         FrameResult& fk = fr.frames[k];
         if (nd.stage > 0 && previous_hop(fk, nd.stage) == nullptr) continue;
         const bool had = fk.stages.size() > nd.stage;
         if (had && !g.stale) continue;
-        if (!analysed) key = node_key(ctx, jitters, g, nd);
-        SharedHop& e = shared.find(key, k, [&](FlowId id) {
-          return egress_feasible(ctx, id, g.link.src);
-        });
+        if (!analysed) {
+          site = stage_site(ctx, nd.flow, nd.stage);
+          key = node_key(ctx, jitters, g, site);
+        }
+        SharedHop& e = shared.find(key, k);
         HopResult hop;
         if (shared.holds(e)) {
           hop = e.hop;
           ++out.hops_shared;
         } else {
-          hop = analyze_stage(ctx, jitters, nd.flow, nd.stage, k, opts);
+          if (!bound && site.feasible) bind_level(ctx, jitters, site, opts);
+          bound = true;
+          hop = analyze_site(site, k, opts);
           ++out.hops_run;
           shared.claim(e, key, k, hop);
         }
@@ -609,14 +718,13 @@ PassOutcome pass_link_ordered(const AnalysisContext& ctx, SweepPlan& plan,
   return out;
 }
 
-/// Derives every iterated frame's end-to-end verdict from its stages.
-void finalize_frames(const AnalysisContext& ctx,
-                     const std::vector<FlowId>& iterated,
+/// Derives every planned flow's frame verdicts from its stages.
+void finalize_frames(const AnalysisContext& ctx, const SweepPlan& plan,
                      std::vector<FlowResult>& flows) {
-  for (const FlowId id : iterated) {
-    FlowResult& fr = flows[static_cast<std::size_t>(id.v)];
+  for (const PlannedFlow& pf : plan.flows) {
+    FlowResult& fr = flows[static_cast<std::size_t>(pf.flow.v)];
     for (std::size_t k = 0; k < fr.frames.size(); ++k) {
-      finalize_frame(ctx, id, k, fr.frames[k]);
+      finalize_frame(ctx, pf.flow, k, fr.frames[k]);
     }
   }
 }
@@ -641,42 +749,75 @@ HolisticResult solve_holistic(const AnalysisContext& ctx,
     return solve_jacobi(ctx, opts, std::move(out), stats);
   }
 
-  std::vector<FlowId> ids(ctx.flow_count());
-  for (std::size_t f = 0; f < ids.size(); ++f) {
-    ids[f] = FlowId(static_cast<std::int32_t>(f));
-  }
-  SweepPlan& plan = link_ordered_groups(ctx, ids);
+  // The seeded result each flow starts from, if any.
+  const std::size_t n = ctx.flow_count();
+  const auto seed_of = [&](std::size_t f) -> const FlowResult* {
+    const FlowResult* s = f < req.seed->size() ? (*req.seed)[f] : nullptr;
+    return s != nullptr && !s->frames.empty() ? s : nullptr;
+  };
 
-  // A seed from above descends to the least fixed point only where the
-  // fixed point is unique (an acyclic key graph); otherwise every flow
-  // climbs from its source jitters instead.
-  const bool seeded = req.seed != nullptr && !(req.seed_above && plan.cyclic);
-  if (req.seed_above && !seeded) {
-    for (const FlowId id : ids) out.jitters.reset_to_source(ctx, id);
+  // Plan the forward closure of the root keys: with a seed, the changed
+  // links and every unseeded flow's route; without one, every key.  A
+  // seed from above descends to the least fixed point only where the
+  // closure's fixed point is unique (no cyclic component in it);
+  // otherwise every flow climbs from its source jitters instead, and the
+  // closure is every key.
+  PlanScratch& ps = key_graph(ctx);
+  std::vector<char> seeded(n, 0);
+  bool use_seed = req.seed != nullptr;
+  if (use_seed) {
+    for (const LinkRef l : *req.changed_links) {
+      const net::LinkId id = ctx.link_id(l);
+      if (id != net::kNoLink && ps.key_of[id] != PlanScratch::kNone) {
+        reach(ps, ps.key_of[id]);
+      }
+    }
+    for (std::size_t f = 0; f < n; ++f) {
+      seeded[f] = seed_of(f) != nullptr ? 1 : 0;
+      if (seeded[f]) continue;
+      for (const net::LinkId l :
+           ctx.route_link_ids(FlowId(static_cast<std::int32_t>(f)))) {
+        reach(ps, ps.key_of[l]);
+      }
+    }
+    if (close_forward(ps) && req.seed_above) {
+      use_seed = false;
+      seeded.assign(n, 0);
+    }
   }
-  if (seeded) {
+  if (!use_seed) ps.reached.assign(ps.keys.size(), 1);
+  SweepPlan& plan = lay_out(ctx, ps, seeded);
+
+  if (req.seed_above && !use_seed) {
+    for (std::size_t f = 0; f < n; ++f) {
+      out.jitters.reset_to_source(ctx, FlowId(static_cast<std::int32_t>(f)));
+    }
+  }
+  if (use_seed) {
     for (SweepGroup& g : plan.groups) {
       g.stale = req.changed_links->contains(g.link);
     }
   }
-  for (const FlowId id : ids) {
-    const auto f = static_cast<std::size_t>(id.v);
+  for (std::size_t f = 0; f < n; ++f) {
+    const FlowId id(static_cast<std::int32_t>(f));
     FlowResult& fr = out.flows[f];
-    const FlowResult* s =
-        seeded && f < req.seed->size() ? (*req.seed)[f] : nullptr;
-    if (s != nullptr && !s->frames.empty()) {
-      fr = *s;
+    if (seeded[f]) {
+      fr = *seed_of(f);
       continue;
     }
     fr.frames.resize(ctx.flow(id).frame_count());
     for (FrameResult& fk : fr.frames) fk.stages.reserve(ctx.stages(id).size());
   }
-  std::vector<int> last_pass(ctx.flow_count(), -1);
+  assert(seeded_jsums_hold(ctx, plan, out.jitters, out.flows));
+  std::vector<int> last_pass(n, -1);
 
   // Components in topological order, each iterated to quiescence: its
   // upstream is final, so nothing outside it can make one of its JSUMs due
   // again.  Once a hop diverges or a component reaches the pass cap, the
-  // solve cannot converge and each remaining component gets one pass.
+  // solve cannot converge and each remaining component gets one pass.  A
+  // component outside the plan counts as one pass: its seed is final, and
+  // a pass over it would change nothing.
+  out.sweeps = n > 0 ? 1 : 0;
   bool stopped = false;
   std::size_t gb = 0;
   for (const std::uint32_t ge : plan.scc_end) {
@@ -703,7 +844,7 @@ HolisticResult solve_holistic(const AnalysisContext& ctx,
     gb = ge;
   }
   out.converged = !stopped;
-  finalize_frames(ctx, ids, out.flows);
+  finalize_frames(ctx, plan, out.flows);
   if (stats != nullptr) {
     stats->sweeps += static_cast<std::size_t>(out.sweeps);
     // Every unseeded flow has its source stage analysed in its first

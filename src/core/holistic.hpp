@@ -40,19 +40,36 @@
 // (AnalysisContext::link_rank), CSR successor lists, nodes counted into
 // their groups, all in per-thread buffers reused by the next solve.
 //
+// The forward closure.  A solve plans only the keys reachable, in the key
+// graph, from its root keys: for an unseeded solve every key, for a seeded
+// one the changed links (see SolveRequest) and every route link of a flow
+// without a seeded result.  A planned flow contributes its nodes from its
+// first planned link on; the closure is closed forward, so they are a
+// suffix of its route.  A key outside the closure has no changed link and
+// no unseeded flow upstream of it, so nothing it reads moves in the solve:
+// its nodes keep their seeded results and its flows are not finalized
+// again.  The Tarjan condensation is still of every key, so the planned
+// components keep the order and shape they have in the full graph (a
+// component is reached whole or not at all).
+//
 // Change-driven JSUM writes.  Node (f, s)'s JSUM is the jitter at (f, s-1)
 // plus that stage's response: a pure function of what node (f, s-1) holds,
 // its jitter entries and its stage results (and at s = 0 the constant
 // source jitter).  So step 1 recomputes it only when (f, s-1) was written
 // with a changed entry or analysed (run or shared) since (f, s)'s last
-// write.  Every node starts due, so the first sweep writes every JSUM as
-// before.  The rule is exact: a skipped write would store the value
-// already there, and set_jitter treats an equal write as a no-op (no
-// change, no stale key, no new version).  Inside a cyclic component the
-// nodes behind a back edge come due in the next pass, because their
-// previous stage is analysed after them; that is what keeps the component
-// iterating.  `IncrementalStats::jsum_writes` counts the per-frame JSUMs
-// recomputed.
+// write.  An unseeded flow's nodes start due, so its first pass writes
+// every JSUM; a seeded flow's nodes start not due, since SolveRequest's
+// contract makes each seeded entry equal its previous stage's JSUM.  So a
+// seeded solve recomputes only the unseeded flows' JSUMs and those behind
+// a node that moved or was analysed.  The rule is exact: a skipped write
+// would store the value already there, and set_jitter treats an equal
+// write as a no-op (no change, no stale key, no new version).  A seeded
+// flow's first planned node has its previous stage outside the plan, never
+// written, so its entries must hold already (an assert checks it where
+// asserts are on).  Inside a cyclic component the nodes behind a back edge
+// come due in the next pass, because their previous stage is analysed
+// after them; that is what keeps the component iterating.
+// `IncrementalStats::jsum_writes` counts the per-frame JSUMs recomputed.
 //
 // Change-driven seeded solves.  A request may carry a seed: the flows'
 // converged stage results from the previous fixed point, plus the links
@@ -65,20 +82,28 @@
 // reads exactly the inputs its seeded result was computed from.  So a probe
 // re-analyses the candidate, the nodes on its route links, and whatever
 // lies downstream of a jitter the candidate moved; the rest of its
-// component is kept verbatim.  A seed from below (the fixed point before
-// flows were added) climbs to the least fixed point on any key graph.  A
-// seed from above (the fixed point before flows were removed) descends,
-// which reaches the least fixed point only where the fixed point is
-// unique: on an acyclic key graph, where one pass per key computes every
-// node from final inputs.  When any component is cyclic (an equal-priority
-// ring may have several fixed points) the solve drops a seed from above
-// and restarts every flow from its source jitters.
+// component is kept verbatim, and only the closure is walked.
 //
-// A solve always iterates every flow of its context.  The engine gives
-// each solve a context holding exactly one link-sharing component (a shard,
-// or the shards a probe candidate touches plus the candidate), so nothing
-// outside the component is ever iterated, and every flow a change can
-// reach is.
+// A seed from below (the fixed point before flows were added) climbs to
+// the least fixed point on any key graph.  A seed from above (the fixed
+// point before flows were removed) descends, which reaches the least fixed
+// point only where the fixed point is unique.  Outside the closure that
+// always holds: the keys there form an upstream-closed part of the graph
+// (whatever feeds them lies outside the closure too) whose inputs did not
+// change, so the Kleene climb of the whole operator, restricted to them,
+// is the climb of their own operator, the same before and after the
+// change; the old least fixed point, restricted to them, is therefore
+// still theirs, cyclic or not.  Inside the closure the descent is exact on
+// an acyclic closure, where one pass per key computes every node from
+// final inputs.  When the closure holds a cyclic component (an
+// equal-priority ring may have several fixed points) the solve drops a
+// seed from above, restarts every flow from its source jitters and plans
+// every key, as an unseeded solve.
+//
+// A solve plans within its context only.  The engine gives each solve a
+// context holding exactly one link-sharing component (a shard, or the
+// shards a probe candidate touches plus the candidate), so nothing outside
+// the component is ever planned, and every key a change can reach is.
 //
 // Shared hop results.  Besides its key's jitter entries and the flows on
 // its link, which every node of a group visit reads alike, a stage
@@ -101,10 +126,20 @@
 // that a group visit resets in O(1), so keying allocates nothing in the
 // steady state.
 //
+// The per-node hop site.  A group visit's analyses write no jitter, so
+// everything a node's stage analysis reads but the frame — its link,
+// parameters, feasibility and level source — is resolved once per analysed
+// node (stage_site, core/hop_level.hpp HopSite), and each frame runs only
+// its HopTerms and the kernel.  The twin key takes its feasibility bit
+// from the site; the level source is bound on the node's first frame that
+// no twin serves.
+//
 // `HolisticResult::sweeps` is the most passes any component took: 1 on a
-// feed-forward component.  `max_sweeps` caps the passes per component; once
-// a hop diverges or a component reaches the cap, the solve is not
-// converged and every remaining component gets one pass.
+// feed-forward component, and a component outside the closure counts as
+// one pass (a pass over it would change nothing).  `max_sweeps` caps the
+// passes per component; once a hop diverges or a component reaches the
+// cap, the solve is not converged and every remaining component gets one
+// pass.
 // `IncrementalStats::flow_analyses` counts, per flow with at least one node
 // analysed (run or served from a twin), the passes up to the last one that
 // analysed it (counted within its component; 1 on a feed-forward
@@ -146,9 +181,9 @@ enum class SweepOrder { kGaussSeidel, kJacobi };
 /// to the *same* least fixed point, in far fewer sweeps).  A seeded
 /// request may also start from above — the converged map of the same flow
 /// set plus some flows — if it says so (SolveRequest::seed_above): the
-/// solve then keeps the map only on an acyclic key graph, where the fixed
-/// point is unique, and restarts every flow from its source jitters
-/// otherwise.
+/// solve then keeps the map only where the forward closure of the change
+/// is acyclic, and restarts every flow from its source jitters otherwise
+/// (see the header).
 class WarmStartView {
  public:
   /// Disengaged: the solve starts from JitterMap::initial(ctx).
@@ -183,7 +218,8 @@ struct HolisticResult {
   /// — the admission controller's verdict.
   bool schedulable = false;
   /// Gauss-Seidel: the most passes any strongly connected component of the
-  /// key graph took (1 on a feed-forward component, 0 with no flows).
+  /// key graph took (1 on a feed-forward component or one outside the
+  /// closure, 0 with no flows).
   /// Jacobi: sweeps executed, including the last, unchanged one.
   int sweeps = 0;
   std::vector<FlowResult> flows;  ///< per-flow results at the fixed point
@@ -215,38 +251,49 @@ struct IncrementalStats {
 
 /// One solve, described as a request.  This is the single solver entry
 /// point: whole-set analyses and the engine's shard and probe solves are
-/// the same request over every flow of a context, seeded or not, so every
-/// caller runs the same sweep loop (solve_holistic).
+/// the same request over a context, seeded or not, so every caller runs
+/// the same sweep loop (solve_holistic); an unseeded solve is the closure
+/// of every key.
 struct SolveRequest {
   /// Seed map; disengaged: the initial map.
   WarmStartView start;
   /// Seed results, indexed by flow id: a flow whose entry is non-null and
   /// has frames starts with these stage results instead of none (flows
-  /// past the end start with none).  Contract: each seeded result is what
-  /// the stage analyses compute from `start`'s entries on the context's
-  /// flow sets, except on `changed_links` — in practice, the converged
-  /// results that come with `start`'s converged entries, from the world
-  /// before the flows on `changed_links` were added or removed.  Unseeded
-  /// flows may only ride changed links.  Null: no seed, every node is
-  /// analysed at least once.  Borrowed; must outlive the call.
+  /// past the end start with none).  Contract, in practice met by the
+  /// finalized converged results that come with `start`'s converged
+  /// entries, from the world before the flows on `changed_links` were
+  /// added or removed:
+  ///   - each seeded stage result is what the stage analysis computes from
+  ///     `start`'s entries on the context's flow sets, except on
+  ///     `changed_links`;
+  ///   - each seeded flow's entry in `start` at a stage equals that
+  ///     stage's JSUM, computed from its previous stage's entry and
+  ///     seeded result (the source jitter at stage 0), so its JSUMs start
+  ///     not due;
+  ///   - each seeded result is finalized (finalize_frame): a flow outside
+  ///     the closure is returned as seeded.
+  /// An unseeded flow may ride any link; its route links are roots of the
+  /// closure.  Null: no seed, every key is planned and every node analysed
+  /// at least once.  Borrowed; must outlive the call.
   const std::vector<const FlowResult*>* seed = nullptr;
   /// The links whose flow set changed since the seed was computed (the
-  /// route links of added and removed flows).  Their keys start stale; every
-  /// other key starts clean and keeps its seeded results until one of its
-  /// JSUM entries moves.  Required with a seed (std::logic_error otherwise).
-  /// Borrowed; must outlive the call.
+  /// route links of added and removed flows).  Their keys are roots of the
+  /// closure and start stale; every other key starts clean and keeps its
+  /// seeded results until one of its JSUM entries moves.  Required with a
+  /// seed (std::logic_error otherwise).  Borrowed; must outlive the call.
   const std::set<LinkRef>* changed_links = nullptr;
   /// True when `start` and the seed come from *above* the least fixed
   /// point (flows were removed).  The descent is exact only on an acyclic
-  /// key graph; on a cyclic one the solve ignores the seed and restarts
-  /// every flow from its source jitters.  False: they lie at or below it
-  /// (flows were added), valid on any key graph.
+  /// closure; when the closure is cyclic the solve ignores the seed and
+  /// restarts every flow from its source jitters.  False: they lie at or
+  /// below it (flows were added), valid on any key graph.
   bool seed_above = false;
 };
 
-/// Runs the holistic fixed point described by `req` under `opts` over every
-/// flow of `ctx`, and finalizes `schedulable` (converged and every flow
-/// meets its deadlines).  Gauss-Seidel honours the whole request; Jacobi
+/// Runs the holistic fixed point described by `req` under `opts` over the
+/// flows of `ctx` (the forward closure of the change when seeded; see the
+/// header), and finalizes `schedulable` (converged and every flow meets its
+/// deadlines).  Gauss-Seidel honours the whole request; Jacobi
 /// (`opts.order`), the unseeded oracle, starts from `req.start` and
 /// ignores `seed`, `changed_links` and `seed_above`.
 /// `opts.warm_start` is ignored in favour of `req.start`.  Sweeps, flow

@@ -7,13 +7,16 @@
 
 namespace gmfnet::core {
 
-bool LinkLevel::ensure(const AnalysisContext& ctx, const JitterMap& jitters,
-                       LinkRef link, const StageKey& stage, FlowId self) {
+LinkLevel::Gather LinkLevel::ensure(const AnalysisContext& ctx,
+                                    const JitterMap& jitters, LinkRef link,
+                                    const StageKey& stage, FlowId self) {
   if (ctx.stamp() != ctx_stamp_ || ctx_stamp_ == 0) {
     gather(ctx, jitters, link, stage);
-    return true;
+    return Gather::kContext;
   }
-  if (jitters.stamp() == jitter_stamp_ && jitter_stamp_ != 0) return false;
+  if (jitters.stamp() == jitter_stamp_ && jitter_stamp_ != 0) {
+    return Gather::kNone;
+  }
 
   // The jitter stamp moved: re-check each member's jitter version.
   bool self_current = true;
@@ -21,14 +24,14 @@ bool LinkLevel::ensure(const AnalysisContext& ctx, const JitterMap& jitters,
     if (jitters.flow_version(members_[m]) == versions_[m]) continue;
     if (members_[m] != self) {
       gather(ctx, jitters, link, stage);
-      return true;
+      return Gather::kVersion;
     }
     self_current = false;  // the analysed flow's own write: excluded
   }
   // Trust the jitter stamp only when every member, self included, is
   // current; otherwise the next analysis of another flow re-checks.
   jitter_stamp_ = self_current ? jitters.stamp() : 0;
-  return false;
+  return Gather::kNone;
 }
 
 void LinkLevel::gather(const AnalysisContext& ctx, const JitterMap& jitters,
@@ -160,7 +163,16 @@ LevelSlot& HopScratch::level(const AnalysisContext& ctx,
   if (!tables_[t]) tables_[t] = std::make_unique<LinkLevel>();
   LinkLevel& table = *tables_[t];
   const StageKey stage = stage_of(kind, link);
-  if (table.ensure(ctx, jitters, link, stage, i)) ++gathers_;
+  switch (table.ensure(ctx, jitters, link, stage, i)) {
+    case LinkLevel::Gather::kContext:
+      ++gathers_.context;
+      break;
+    case LinkLevel::Gather::kVersion:
+      ++gathers_.version;
+      break;
+    case LinkLevel::Gather::kNone:
+      break;
+  }
 
   LevelSlot& slot = table.slot(i);
   const bool hep_only = kind == HopKind::kEgress;
@@ -197,16 +209,22 @@ NaiveLevel& HopScratch::naive(const AnalysisContext& ctx,
   return naive_;
 }
 
-HopResult analyze_hop(const AnalysisContext& ctx, const JitterMap& jitters,
-                      HopKind kind, LinkRef link, FlowId i,
-                      const HopTerms& terms, const HopOptions& opts) {
-  FixedPointOptions fp;
-  fp.horizon = opts.horizon;
+void bind_level(const AnalysisContext& ctx, const JitterMap& jitters,
+                HopSite& site, const HopOptions& opts) {
   HopScratch& scratch = HopScratch::local();
   if (opts.use_envelope) {
-    return solve_hop(terms, scratch.level(ctx, jitters, kind, link, i), fp);
+    site.slot = &scratch.level(ctx, jitters, site.kind, site.link, site.flow);
+  } else {
+    site.naive = &scratch.naive(ctx, jitters, site.kind, site.link, site.flow);
   }
-  return solve_hop(terms, scratch.naive(ctx, jitters, kind, link, i), fp);
+}
+
+HopResult analyze_hop(const HopSite& site, const HopTerms& terms,
+                      const HopOptions& opts) {
+  FixedPointOptions fp;
+  fp.horizon = opts.horizon;
+  if (site.slot != nullptr) return solve_hop(terms, *site.slot, fp);
+  return solve_hop(terms, *site.naive, fp);
 }
 
 HopScratch& HopScratch::local() {

@@ -82,6 +82,17 @@
 // (parameters, shift, frame, hop kind, egress priority and feasibility)
 // within a group visit and copies the result to the other nodes.
 //
+// The per-node site.  Everything a hop analysis reads except the frame —
+// the hop kind, its link, the analysed flow's FlowLinkParams there, the
+// switch's CIRC, the link's propagation delay, the feasibility test (eq 20,
+// the ingress analogue, eq 35) and the level source — is the same for
+// every frame of one (flow, stage) node while no jitter is written.  A
+// HopSite holds it, resolved once per node (core/end_to_end.hpp,
+// stage_site); each frame then only states its HopTerms and runs the
+// kernel.  The sweep resolves a site per analysed node, the flow-major
+// path one per frame, since it writes the flow's own jitters between
+// stages.
+//
 // Everything here is per-thread (HopScratch::local()): no locks, no
 // allocation on the steady-state path, safe under Jacobi sweeps and the
 // engine's batched what-if pools, where each worker has its own tables.
@@ -131,12 +142,16 @@ class LevelSlot {
 /// ports, the ingress stage at the link's destination for ingress FIFOs).
 class LinkLevel {
  public:
+  /// Why ensure() (re-)gathered, if it did.
+  enum class Gather : std::uint8_t { kNone, kContext, kVersion };
+
   /// Makes the table describe the flows on `link` with their shifts at
   /// `stage` (see the file comment for the evidence checked).  `self` is
   /// the analysed flow, whose own jitter version is not checked.  Returns
-  /// true when it (re-)gathered.
-  bool ensure(const AnalysisContext& ctx, const JitterMap& jitters,
-              LinkRef link, const StageKey& stage, FlowId self);
+  /// the evidence that made it (re-)gather: a moved context stamp (or a
+  /// first use), or another member's moved jitter version.
+  Gather ensure(const AnalysisContext& ctx, const JitterMap& jitters,
+                LinkRef link, const StageKey& stage, FlowId self);
 
   /// The envelope entries of `self`'s interferers: every other member, or
   /// with `hep_only` the members of priority >= self's (eq 2), counted per
@@ -227,8 +242,14 @@ class HopScratch {
   NaiveLevel& naive(const AnalysisContext& ctx, const JitterMap& jitters,
                     HopKind kind, LinkRef link, FlowId i);
 
-  /// Link-table gathers on this thread so far (tests pin when they happen).
-  [[nodiscard]] std::uint64_t gathers() const { return gathers_; }
+  /// Link-table gathers on this thread so far, by the evidence that forced
+  /// them (tests pin when they happen).
+  struct Gathers {
+    std::uint64_t context = 0;  ///< a moved context stamp, or a first use
+    std::uint64_t version = 0;  ///< another member's moved jitter version
+    [[nodiscard]] std::uint64_t total() const { return context + version; }
+  };
+  [[nodiscard]] const Gathers& gathers() const { return gathers_; }
 
  private:
   /// tables_[2 * link id + (ingress ? 1 : 0)], grown to the largest
@@ -241,7 +262,7 @@ class HopScratch {
   std::vector<std::unique_ptr<LinkLevel>> tables_;
   std::vector<gmf::EnvelopeSpec> specs_;  ///< interferers() buffer
   NaiveLevel naive_;
-  std::uint64_t gathers_ = 0;
+  Gathers gathers_;
 };
 
 /// How a hop weighs a demand sum: mx * MX + NX * nx.
@@ -271,12 +292,32 @@ struct HopTerms {
   gmfnet::Time prop;
 };
 
-/// Flow `i`'s `kind` analysis on `link` (the incoming link for an ingress)
-/// with `terms`: the recurrence above, over the LevelSlot source, or over
-/// the NaiveLevel one when opts.use_envelope is off.  The caller has
-/// checked feasibility.
-HopResult analyze_hop(const AnalysisContext& ctx, const JitterMap& jitters,
-                      HopKind kind, LinkRef link, FlowId i,
-                      const HopTerms& terms, const HopOptions& opts);
+/// One (flow, stage) node's hop, resolved once for all of its frames (see
+/// the file comment).  The per-hop files make it (first_hop_site,
+/// ingress_site, egress_site) and state its HopTerms per frame.
+struct HopSite {
+  HopKind kind = HopKind::kFirstHop;
+  FlowId flow;
+  LinkRef link;  ///< the link transmitted on; an ingress' incoming link
+  const gmf::FlowLinkParams* params = nullptr;  ///< `flow`'s, on `link`
+  gmfnet::Time circ;  ///< CIRC of the hop's switch (zero at a first hop)
+  gmfnet::Time prop;  ///< `link`'s propagation delay (zero at an ingress)
+  bool feasible = false;  ///< eq (20), the ingress analogue, eq (35)
+  /// The level source bind_level made current: the envelope slot, or the
+  /// naive oracle under HopOptions::use_envelope = false.
+  LevelSlot* slot = nullptr;
+  NaiveLevel* naive = nullptr;
+};
+
+/// Binds `site`'s level source on this thread's arena, current against
+/// (ctx, jitters).  It stays current until a jitter is written or another
+/// site's naive source is bound.
+void bind_level(const AnalysisContext& ctx, const JitterMap& jitters,
+                HopSite& site, const HopOptions& opts);
+
+/// The recurrence above with `terms`, over `site`'s bound level source.
+/// The caller has checked feasibility.
+HopResult analyze_hop(const HopSite& site, const HopTerms& terms,
+                      const HopOptions& opts);
 
 }  // namespace gmfnet::core

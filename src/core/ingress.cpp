@@ -2,8 +2,6 @@
 
 #include <stdexcept>
 
-#include "core/hop_level.hpp"
-
 namespace gmfnet::core {
 
 namespace {
@@ -19,17 +17,24 @@ LinkRef incoming_link(const AnalysisContext& ctx, FlowId i, NodeId n) {
 }  // namespace
 
 bool ingress_feasible(const AnalysisContext& ctx, FlowId i, NodeId n) {
-  return ctx.ingress_utilization(incoming_link(ctx, i, n)) < 1.0;
+  return ingress_site(ctx, i, incoming_link(ctx, i, n)).feasible;
 }
 
-HopResult analyze_ingress(const AnalysisContext& ctx, const JitterMap& jitters,
-                          FlowId i, std::size_t frame, NodeId n,
-                          const HopOptions& opts) {
-  const LinkRef in_link = incoming_link(ctx, i, n);
-  if (!ingress_feasible(ctx, i, n)) return {};
+HopSite ingress_site(const AnalysisContext& ctx, FlowId i, LinkRef in_link) {
+  HopSite site;
+  site.kind = HopKind::kIngress;
+  site.flow = i;
+  site.link = in_link;
+  site.params = &ctx.link_params(i, in_link);
+  site.circ = ctx.circ(in_link.dst);
+  site.feasible = ctx.ingress_utilization(in_link) < 1.0;
+  return site;
+}
 
-  const gmf::FlowLinkParams& pi = ctx.link_params(i, in_link);
-  const gmfnet::Time circ = ctx.circ(n);
+HopTerms ingress_terms(const HopSite& site, std::size_t frame,
+                       const HopOptions& opts) {
+  const gmf::FlowLinkParams& pi = *site.params;
+  const gmfnet::Time circ = site.circ;
   const std::int64_t nf_k = pi.nframes(frame);
   HopTerms h;
   // Interference: every other flow received over the same incoming
@@ -52,7 +57,16 @@ HopResult analyze_ingress(const AnalysisContext& ctx, const JitterMap& jitters,
   // CIRC(N) (the final frame's service); no propagation at an ingress.
   h.tsum = pi.tsum();
   h.tail = circ;
-  return analyze_hop(ctx, jitters, HopKind::kIngress, in_link, i, h, opts);
+  return h;
+}
+
+HopResult analyze_ingress(const AnalysisContext& ctx, const JitterMap& jitters,
+                          FlowId i, std::size_t frame, NodeId n,
+                          const HopOptions& opts) {
+  HopSite site = ingress_site(ctx, i, incoming_link(ctx, i, n));
+  if (!site.feasible) return {};
+  bind_level(ctx, jitters, site, opts);
+  return analyze_hop(site, ingress_terms(site, frame, opts), opts);
 }
 
 }  // namespace gmfnet::core

@@ -13,6 +13,7 @@
 #include <cstddef>
 
 #include "core/context.hpp"
+#include "core/hop_level.hpp"
 #include "core/hop_result.hpp"
 
 namespace gmfnet::core {
@@ -24,9 +25,20 @@ namespace gmfnet::core {
 [[nodiscard]] bool ingress_feasible(const AnalysisContext& ctx, FlowId i,
                                     NodeId n);
 
+/// Flow i's ingress site (core/hop_level.hpp) behind `in_link`, the link
+/// it arrives over: its parameters there, CIRC of the receiving switch and
+/// the feasibility test above; the level source is left unbound.
+[[nodiscard]] HopSite ingress_site(const AnalysisContext& ctx, FlowId i,
+                                   LinkRef in_link);
+
+/// The ingress recurrence's terms for frame `frame` at `site`.
+[[nodiscard]] HopTerms ingress_terms(const HopSite& site, std::size_t frame,
+                                     const HopOptions& opts);
+
 /// R_i^k,in(N): response time of frame k of flow i inside switch N, from
 /// "all Ethernet frames received at N" to "all enqueued in the priority
-/// queue".  N must be an intermediate switch of flow i's route.
+/// queue".  N must be an intermediate switch of flow i's route.  One
+/// frame: resolves the site, then runs its terms.
 [[nodiscard]] HopResult analyze_ingress(const AnalysisContext& ctx,
                                         const JitterMap& jitters, FlowId i,
                                         std::size_t frame, NodeId n,

@@ -13,6 +13,7 @@ AnalysisEngine::AnalysisEngine(net::Network network, core::HolisticOptions opts)
           std::move(network))),
       opts_(opts) {
   pin_options();
+  link_shard_.assign(empty_ctx_->network().link_count(), kNoShard);
   publish();  // publish the (empty) world
 }
 
@@ -73,18 +74,6 @@ void AnalysisEngine::record_run(const RunStats& rs) {
   stats_.hops_run.v.fetch_add(rs.hops_run, std::memory_order_relaxed);
   stats_.hops_shared.v.fetch_add(rs.hops_shared, std::memory_order_relaxed);
   stats_.jsum_writes.v.fetch_add(rs.jsum_writes, std::memory_order_relaxed);
-}
-
-std::vector<std::uint32_t> AnalysisEngine::touched_shards(
-    const std::vector<net::LinkRef>& links) const {
-  std::vector<std::uint32_t> out;
-  for (const net::LinkRef l : links) {
-    const auto it = link_shard_.find(l);
-    if (it != link_shard_.end()) out.push_back(it->second);
-  }
-  std::sort(out.begin(), out.end());
-  out.erase(std::unique(out.begin(), out.end()), out.end());
-  return out;
 }
 
 std::uint32_t AnalysisEngine::merge_shards(
@@ -181,13 +170,17 @@ std::uint32_t AnalysisEngine::merge_shards(
   return merged_idx;
 }
 
-bool AnalysisEngine::split_if_disconnected(std::uint32_t idx) {
+bool AnalysisEngine::split_if_disconnected(
+    std::uint32_t idx, std::optional<std::uint32_t> gone) {
   Shard& s = shards_[idx];
   const core::AnalysisContext& ctx = *s.ctx;
   const std::size_t n = ctx.flow_count();
   if (n <= 1) return false;
 
-  // Union-find (path halving) over local flow ids via shared links.
+  // Union-find (path halving) over local flow ids: the flows on one link
+  // are united by chaining its consecutive members, O(sum of members).  A
+  // union keeps the smaller root, so each root is its component's
+  // smallest local id.
   std::vector<std::uint32_t> parent(n);
   std::iota(parent.begin(), parent.end(), 0u);
   const auto find = [&](std::uint32_t x) {
@@ -202,34 +195,35 @@ bool AnalysisEngine::split_if_disconnected(std::uint32_t idx) {
     b = find(b);
     if (a != b) parent[std::max(a, b)] = std::min(a, b);
   };
-  for (std::size_t f = 0; f < n; ++f) {
-    for (const net::LinkRef l :
-         ctx.route_links(net::FlowId(static_cast<std::int32_t>(f)))) {
-      for (const net::FlowId j : ctx.flows_on_link(l)) {
-        unite(static_cast<std::uint32_t>(f),
-              static_cast<std::uint32_t>(j.v));
-      }
+  ctx.for_each_used_link([&](net::LinkId l) {
+    const std::vector<net::FlowId>& on = ctx.flows_on_link(l);
+    for (std::size_t k = 1; k < on.size(); ++k) {
+      unite(static_cast<std::uint32_t>(on[k - 1].v),
+            static_cast<std::uint32_t>(on[k].v));
     }
-  }
+  });
 
   // Components in first-appearance (local id) order: each part's flows keep
   // their relative local order, preserving per-link flow order.
   std::vector<std::vector<std::uint32_t>> members;
-  std::map<std::uint32_t, std::size_t> comp_of_root;
-  for (std::size_t f = 0; f < n; ++f) {
-    const std::uint32_t r = find(static_cast<std::uint32_t>(f));
-    const auto it = comp_of_root.find(r);
-    if (it == comp_of_root.end()) {
-      comp_of_root.emplace(r, members.size());
-      members.push_back({static_cast<std::uint32_t>(f)});
-    } else {
-      members[it->second].push_back(static_cast<std::uint32_t>(f));
+  std::vector<std::uint32_t> part_of_root(n, kNoShard);  // none yet
+  for (std::uint32_t f = 0; f < n; ++f) {
+    std::uint32_t& part = part_of_root[find(f)];
+    if (part == kNoShard) {
+      part = static_cast<std::uint32_t>(members.size());
+      members.emplace_back();
     }
+    members[part].push_back(f);
   }
   if (members.size() <= 1) return false;
 
-  const bool cache_full =
-      s.cache && s.cache->converged && s.cache->flows.size() == n;
+  // The cache entry of local id f: one further on past the removed flow's
+  // entry, when the cache still holds it.
+  const auto entry = [&](std::uint32_t f) {
+    return gone && f >= *gone ? f + 1 : f;
+  };
+  const bool cache_full = s.cache && s.cache->converged &&
+                          s.cache->flows.size() == n + (gone ? 1 : 0);
   std::vector<Shard> parts;
   parts.reserve(members.size());
   for (const std::vector<std::uint32_t>& m : members) {
@@ -248,9 +242,10 @@ bool AnalysisEngine::split_if_disconnected(std::uint32_t idx) {
       c.sweeps = s.cache->sweeps;
       bool sched = true;
       for (std::size_t k = 0; k < m.size(); ++k) {
-        c.flows.push_back(s.cache->flows[m[k]]);
+        const std::uint32_t e = entry(m[k]);
+        c.flows.push_back(s.cache->flows[e]);
         c.jitters.adopt_flow(s.cache->jitters,
-                             net::FlowId(static_cast<std::int32_t>(m[k])),
+                             net::FlowId(static_cast<std::int32_t>(e)),
                              net::FlowId(static_cast<std::int32_t>(k)));
         sched &= c.flows.back().schedulable();
       }
@@ -278,11 +273,8 @@ void AnalysisEngine::index_shard(std::uint32_t sid) {
   const Shard& s = shards_[sid];
   for (std::uint32_t l = 0; l < s.to_global.size(); ++l) {
     locs_[static_cast<std::size_t>(s.to_global[l].v)] = FlowLoc{sid, l};
-    for (const net::LinkRef link :
-         s.ctx->route_links(net::FlowId(static_cast<std::int32_t>(l)))) {
-      link_shard_[link] = sid;
-    }
   }
+  s.ctx->for_each_used_link([&](net::LinkId l) { link_shard_[l] = sid; });
 }
 
 void AnalysisEngine::renumber_shards(const std::vector<std::uint32_t>& erased) {
@@ -298,7 +290,9 @@ void AnalysisEngine::renumber_shards(const std::vector<std::uint32_t>& erased) {
     }
   }
   for (FlowLoc& fl : locs_) fl.shard = remap[fl.shard];
-  for (auto& [link, sid] : link_shard_) sid = remap[sid];
+  for (std::uint32_t& sid : link_shard_) {
+    if (sid != kNoShard) sid = remap[sid];
+  }
 }
 
 net::FlowId AnalysisEngine::add_flow(gmf::Flow flow) {
@@ -306,7 +300,7 @@ net::FlowId AnalysisEngine::add_flow(gmf::Flow flow) {
   const net::FlowId global(static_cast<std::int32_t>(locs_.size()));
 
   const std::vector<std::uint32_t> touched =
-      touched_shards(flow.route().links());
+      owning_shards(network(), link_shard_, flow.route().links());
   std::uint32_t target;
   if (touched.empty()) {
     target = static_cast<std::uint32_t>(shards_.size());
@@ -324,8 +318,8 @@ net::FlowId AnalysisEngine::add_flow(gmf::Flow flow) {
   Shard& s = shards_[target];
   core::AnalysisContext work = *s.ctx;
   const net::FlowId local = work.add_flow(std::move(flow));
-  for (const net::LinkRef l : work.route_links(local)) {
-    s.dirty_links.insert(l);
+  for (const net::LinkRef l : work.route_links(local)) s.dirty_links.insert(l);
+  for (const net::LinkId l : work.route_link_ids(local)) {
     link_shard_[l] = target;
   }
   s.ctx = std::make_shared<const core::AnalysisContext>(std::move(work));
@@ -342,20 +336,17 @@ bool AnalysisEngine::remove_flow(std::size_t index) {
   Shard& s = shards_[loc.shard];
   const net::FlowId local(static_cast<std::int32_t>(loc.local));
   const std::vector<net::LinkRef> touched_links = s.ctx->route_links(local);
+  const std::vector<net::LinkId> touched_ids = s.ctx->route_link_ids(local);
 
   core::AnalysisContext work = *s.ctx;
   work.remove_flow(loc.local);
   s.ctx = std::make_shared<const core::AnalysisContext>(std::move(work));
   s.to_global.erase(s.to_global.begin() +
                     static_cast<std::ptrdiff_t>(loc.local));
-  if (s.cache && loc.local < s.cache->flows.size()) {
-    // Keep the cache parallel to the shifted local ids; the surviving
-    // entries remain the converged state of their (clean) components.
-    core::HolisticResult c = *s.cache;
-    c.flows.erase(c.flows.begin() + static_cast<std::ptrdiff_t>(loc.local));
-    c.jitters.erase_flow(local);
-    s.cache = std::make_shared<const core::HolisticResult>(std::move(c));
-  }
+  // The cache keeps the removed flow's entry until the split check below:
+  // a split cuts its parts from it directly, otherwise the entry is
+  // erased there.
+  const bool cached = s.cache && loc.local < s.cache->flows.size();
   for (const net::LinkRef l : touched_links) s.dirty_links.insert(l);
   s.removal_pending = true;
 
@@ -369,9 +360,9 @@ bool AnalysisEngine::remove_flow(std::size_t index) {
   }
   locs_.erase(locs_.begin() + static_cast<std::ptrdiff_t>(index));
 
-  // Links that lost their last flow leave the link->shard map.
-  for (const net::LinkRef l : touched_links) {
-    if (s.ctx->flows_on_link(l).empty()) link_shard_.erase(l);
+  // Links that lost their last flow leave the link->shard index.
+  for (const net::LinkId l : touched_ids) {
+    if (s.ctx->flows_on_link(l).empty()) link_shard_[l] = kNoShard;
   }
 
   if (s.flow_count() == 0) {
@@ -386,12 +377,21 @@ bool AnalysisEngine::remove_flow(std::size_t index) {
     }
     // Rebuild-on-remove: the removal may have disconnected the domain.
     const std::size_t before_split = shards_.size();
-    if (split_if_disconnected(loc.shard)) {
+    if (split_if_disconnected(loc.shard, cached ? std::optional(loc.local)
+                                                : std::nullopt)) {
       index_shard(loc.shard);
       for (auto k = static_cast<std::uint32_t>(before_split);
            k < shards_.size(); ++k) {
         index_shard(k);
       }
+    } else if (cached) {
+      // Keep the cache parallel to the shifted local ids; the surviving
+      // entries remain the converged state of their (clean) components.
+      Shard& kept = shards_[loc.shard];
+      core::HolisticResult c = *kept.cache;
+      c.flows.erase(c.flows.begin() + static_cast<std::ptrdiff_t>(loc.local));
+      c.jitters.erase_flow(local);
+      kept.cache = std::make_shared<const core::HolisticResult>(std::move(c));
     }
   }
   publish_stale_ = true;

@@ -31,16 +31,17 @@
 //
 //  * Warm-started, change-driven fixed point.  Re-analysis seeds the
 //    holistic iteration from the previously converged JitterMap and stage
-//    results instead of zeros, and re-analyses only the (flow, stage) nodes
-//    on the changed links and downstream of a jitter that moves (see
-//    core/holistic.hpp).  The sweep operator is monotone and adding a flow
-//    only adds interference, so the old fixed point under-approximates the
-//    new one and the iteration reaches the *same* least fixed point (on a
-//    feed-forward shard in one pass per key).  After a removal the old
-//    fixed point lies above the new one: the solve descends from it where
-//    the shard's key graph is acyclic (the fixed point is unique there) and
-//    restarts the component's flows from their source jitters where it is
-//    cyclic.  Other components keep their converged state either way.
+//    results instead of zeros, and walks only the forward closure of the
+//    changed links, re-analysing the (flow, stage) nodes on them and
+//    downstream of a jitter that moves (see core/holistic.hpp).  The sweep
+//    operator is monotone and adding a flow only adds interference, so the
+//    old fixed point under-approximates the new one and the iteration
+//    reaches the *same* least fixed point (on a feed-forward shard in one
+//    pass per key).  After a removal the old fixed point lies above the new
+//    one: the solve descends from it where the closure is acyclic (the
+//    fixed point is unique there) and restarts the component's flows from
+//    their source jitters where it is cyclic.  Other components keep their
+//    converged state either way.
 //
 // Results are bit-identical to a from-scratch AnalysisContext +
 // analyze_holistic run on the same flow set: both iterations converge to
@@ -59,7 +60,6 @@
 #include <atomic>
 #include <cstddef>
 #include <iosfwd>
-#include <map>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -296,10 +296,6 @@ class AnalysisEngine {
     PaddedCounter jsum_writes;
   };
 
-  /// Shard indices (ascending, deduped) owning the given route links.
-  [[nodiscard]] std::vector<std::uint32_t> touched_shards(
-      const std::vector<net::LinkRef>& links) const;
-
   /// Merges the given shards (ascending indices) into one, preserving each
   /// part's local order; returns the merged shard's index.
   std::uint32_t merge_shards(const std::vector<std::uint32_t>& parts);
@@ -307,11 +303,16 @@ class AnalysisEngine {
   /// Splits shard `idx` into its link-sharing components if the last
   /// removal disconnected it (rebuild-on-remove).  New parts are appended
   /// at the end of shards_ (existing shard positions are untouched);
-  /// returns true when a split happened.
-  bool split_if_disconnected(std::uint32_t idx);
+  /// returns true when a split happened.  `gone`: the local id of the
+  /// removed flow when the shard's cache still holds its entry (the
+  /// entries after it sit one further on); the parts' caches are cut
+  /// from that cache directly.
+  bool split_if_disconnected(std::uint32_t idx,
+                             std::optional<std::uint32_t> gone);
 
-  /// Points locs_ and link_shard_ at shard `sid`'s current contents
-  /// (O(shard), used after domain-local surgery).
+  /// Points locs_ and link_shard_ at shard `sid`'s current contents: its
+  /// flows and the links it uses, each once (O(shard), used after
+  /// domain-local surgery).
   void index_shard(std::uint32_t sid);
 
   /// Fixes locs_/link_shard_ shard references after erasing the given
@@ -358,7 +359,9 @@ class AnalysisEngine {
   core::HolisticOptions opts_;
   std::vector<Shard> shards_;
   std::vector<FlowLoc> locs_;  ///< global flow id -> (shard, local)
-  std::map<net::LinkRef, std::uint32_t> link_shard_;
+  /// Dense link id -> owning shard (kNoShard: no resident flow uses it),
+  /// one entry per network link; a publication copies it flat.
+  std::vector<std::uint32_t> link_shard_;
   /// True when a mutation or lean commit happened since the last
   /// publication.
   bool publish_stale_ = true;

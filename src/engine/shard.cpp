@@ -23,6 +23,21 @@ std::vector<MergeEnt> merge_order(
   return ents;
 }
 
+std::vector<std::uint32_t> owning_shards(
+    const net::Network& net, const std::vector<std::uint32_t>& link_shard,
+    const std::vector<net::LinkRef>& links) {
+  std::vector<std::uint32_t> out;
+  for (const net::LinkRef l : links) {
+    const net::LinkId id = net.link_id(l);
+    if (id != net::kNoLink && link_shard[id] != kNoShard) {
+      out.push_back(link_shard[id]);
+    }
+  }
+  std::sort(out.begin(), out.end());
+  out.erase(std::unique(out.begin(), out.end()), out.end());
+  return out;
+}
+
 RunStats Shard::run(const core::HolisticOptions& opts) {
   RunStats rs;
   if (!needs_run()) return rs;
@@ -38,10 +53,11 @@ RunStats Shard::run(const core::HolisticOptions& opts) {
   } else {
     // Warm start: every flow starts from the old fixed point, jitters and
     // stage results alike — below the new fixed point after an add, above
-    // it after a removal, which the solve honours only on an acyclic key
-    // graph.  Only the nodes on dirty links, and those downstream of a
-    // jitter that moves, are re-analysed.  Flows with no cached entries
-    // start from their source jitters, unseeded.
+    // it after a removal, which the solve honours only where the forward
+    // closure of the dirty links is acyclic.  Only the nodes on dirty
+    // links, and those downstream of a jitter that moves, are re-analysed.
+    // Flows with no cached entries start from their source jitters,
+    // unseeded.
     start = cache->jitters;
     for (std::size_t f = cache->flows.size(); f < flow_count(); ++f) {
       start.reset_to_source(*ctx, net::FlowId(static_cast<std::int32_t>(f)));

@@ -44,6 +44,15 @@ struct RunStats {
   std::size_t jsum_writes = 0;  ///< core::IncrementalStats::jsum_writes
 };
 
+/// A link no resident flow uses has no owning shard.
+inline constexpr std::uint32_t kNoShard = ~std::uint32_t{0};
+
+/// The shards owning `links` (ascending, deduplicated) under `link_shard`,
+/// the owning shard by dense link id of `net` (kNoShard: none).
+[[nodiscard]] std::vector<std::uint32_t> owning_shards(
+    const net::Network& net, const std::vector<std::uint32_t>& link_shard,
+    const std::vector<net::LinkRef>& links);
+
 /// Where one global flow id lives: which shard, and at which shard-local id.
 struct FlowLoc {
   std::uint32_t shard = 0;

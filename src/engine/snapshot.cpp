@@ -269,13 +269,7 @@ EngineSnapshot::Probe EngineSnapshot::run_probe(const gmf::Flow& candidate,
   // The shards the candidate's route links already belong to; the probe
   // world is exactly their union + the candidate: one link-sharing
   // component, since the candidate shares a link with every part.
-  for (const net::LinkRef l : candidate.route().links()) {
-    const auto it = link_shard_.find(l);
-    if (it != link_shard_.end()) p.touched.push_back(it->second);
-  }
-  std::sort(p.touched.begin(), p.touched.end());
-  p.touched.erase(std::unique(p.touched.begin(), p.touched.end()),
-                  p.touched.end());
+  p.touched = owning_shards(network(), link_shard_, candidate.route().links());
 
   ProbeScratch::Entry* entry = find_entry(scratch, p.touched);
   if (entry == nullptr) entry = &build_entry(scratch, p.touched);

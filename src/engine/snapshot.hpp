@@ -36,7 +36,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -328,8 +327,8 @@ class EngineSnapshot : public std::enable_shared_from_this<EngineSnapshot> {
   core::HolisticOptions opts_;
   std::vector<ShardView> shards_;
   std::vector<FlowLoc> locs_;
-  /// Directed link -> owning shard (links with at least one resident flow).
-  std::map<net::LinkRef, std::uint32_t> link_shard_;
+  /// Dense link id -> owning shard (kNoShard: no resident flow uses it).
+  std::vector<std::uint32_t> link_shard_;
   /// result()'s lazily assembled whole-set view.
   mutable std::once_flag global_once_;
   mutable std::optional<core::HolisticResult> global_;

@@ -340,18 +340,18 @@ AnalysisEngine::AnalysisEngine(RestoredState&& st, core::HolisticOptions opts)
 
   // Index the partition, rejecting links claimed by two shards (the
   // locality-domain invariant every later mutation leans on).
+  link_shard_.assign(network().link_count(), kNoShard);
   for (std::uint32_t si = 0; si < shards_.size(); ++si) {
     const Shard& s = shards_[si];
     for (std::uint32_t l = 0; l < s.to_global.size(); ++l) {
       locs_[static_cast<std::size_t>(s.to_global[l].v)] = FlowLoc{si, l};
-      for (const net::LinkRef link :
-           s.ctx->route_links(net::FlowId(static_cast<std::int32_t>(l)))) {
-        const auto [it, fresh] = link_shard_.emplace(link, si);
-        if (!fresh && it->second != si) {
-          throw std::logic_error("link owned by two shards");
-        }
-      }
     }
+    s.ctx->for_each_used_link([&](net::LinkId l) {
+      if (link_shard_[l] != kNoShard) {
+        throw std::logic_error("link owned by two shards");
+      }
+      link_shard_[l] = si;
+    });
   }
 
   // Publish the restored world.  Every shard holds a persisted cache, so

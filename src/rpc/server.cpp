@@ -535,9 +535,9 @@ void Server::dispatch_what_if(std::uint64_t conn_id, std::uint64_t seq,
   // eventfd wakeup; the response joins the current write batch instead of
   // waking the reactor again.  Fat batches still fan out below.  A probe is
   // not always cheap: in-process a campus-cell probe costs ~40 us, a
-  // 65-flow AV hub ~0.2 ms and a tree_churn subtree ~0.9 ms, all of it
-  // reactor time here (see the ROADMAP item "Probes never block the
-  // reactor").
+  // 65-flow AV hub ~0.2 ms and a tree_churn subtree ~0.25 ms (median,
+  // 4-vCPU host), all of it reactor time here (see the ROADMAP item
+  // "Probes never block the reactor").
   if (req.candidates.size() <= 2) {
     Response resp;
     try {

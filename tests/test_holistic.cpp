@@ -922,6 +922,7 @@ struct GeneratedRing {
   std::string name;
   net::Network net;
   std::vector<gmf::Flow> flows;
+  std::vector<net::NodeId> t, h, u, g;  ///< spur and tail nodes, by i
 };
 
 GeneratedRing generated_ring(std::size_t k, std::uint64_t seed, bool tail) {
@@ -1002,6 +1003,10 @@ GeneratedRing generated_ring(std::size_t k, std::uint64_t seed, bool tail) {
     w.flows.emplace_back("f" + std::to_string(j), routes[j],
                          std::move(frames), 1);
   }
+  w.t = std::move(t);
+  w.h = std::move(h);
+  w.u = std::move(u);
+  w.g = std::move(g);
   return w;
 }
 
@@ -1067,6 +1072,127 @@ TEST(GeneratedRings, MatchJacobiSeededAndFromScratch) {
   }
   EXPECT_GE(converged, 20) << "too few rings reached a fixed point";
   EXPECT_GE(compared_changes, 60) << "too few seeded changes were compared";
+}
+
+// ------------------------------------------------------------------------
+// The forward closure.  A seeded solve plans only the keys reachable from
+// its changed links and its unseeded flows' routes; everything upstream or
+// beside them keeps its seed.  On a generated ring with tails, a spur flow
+// x = x_b -> t_b -> u_b -> g_b from a host x_b of its own shares the tail
+// t_b -> u_b -> g_b of the ring flows that exit at b, and nothing else:
+// adding or removing it changes keys downstream of the ring only, so the
+// closure is acyclic although the component is not.
+
+/// A generated ring world (with tails) plus the spur flow x, last.
+struct SpurWorld {
+  net::Network net;
+  std::vector<gmf::Flow> flows;
+  std::size_t exit_frames = 0;  ///< frames of the flows that exit at b
+};
+
+/// `w` with x at the exit of its last flow.
+SpurWorld with_spur_flow(const GeneratedRing& w) {
+  const net::Route& exit = w.flows.back().route();
+  const net::NodeId tb = exit.node_at(exit.node_count() - 3);
+  const auto b = static_cast<std::size_t>(
+      std::find(w.t.begin(), w.t.end(), tb) - w.t.begin());
+  SpurWorld s;
+  s.net = w.net;
+  const net::NodeId xb = s.net.add_endhost("x" + std::to_string(b));
+  s.net.add_duplex_link(xb, tb, 100'000'000);
+  s.net.validate();
+  s.flows = w.flows;
+  for (const gmf::Flow& f : w.flows) {
+    if (f.route().uses_link(tb, w.u[b])) s.exit_frames += f.frame_count();
+  }
+  gmf::FrameSpec fs;
+  fs.min_separation = gmfnet::Time::ms(1);
+  fs.deadline = gmfnet::Time::ms(100);
+  fs.jitter = gmfnet::Time::us(50);
+  fs.payload_bits = 300 * 8;
+  s.flows.emplace_back("x", net::Route({xb, tb, w.u[b], w.g[b]}),
+                       std::vector<gmf::FrameSpec>{fs}, 1);
+  return s;
+}
+
+TEST(ForwardClosure, SpurAddAndRemovalStayOffTheRing) {
+  const GeneratedRing w = generated_ring(5, 2, /*tail=*/true);
+  const SpurWorld x = with_spur_flow(w);
+  ASSERT_EQ(x.exit_frames, 2u) << "the pins below assume this world";
+  {
+    // The ring itself is a cyclic component.
+    const HolisticResult r = analyze_holistic(AnalysisContext(x.net, x.flows));
+    ASSERT_TRUE(r.converged);
+    ASSERT_GE(r.sweeps, 2);
+  }
+
+  // x joins from below.  The plan is x's first link and the tail: x's
+  // five stages, then the exit flows' egress at t_b (stale: x joined its
+  // link) and their two stages after it.  x's JSUMs are written, and the
+  // exit flows' behind their re-analysed egress; the egress' own JSUMs,
+  // behind the untouched ring, hold already.
+  const std::vector<gmf::Flow> residents(x.flows.begin(), x.flows.end() - 1);
+  const std::optional<Change> add =
+      add_change(x.net, residents, x.flows.back());
+  ASSERT_TRUE(add.has_value());
+  const IncrementalStats as =
+      expect_seeded_matches(x.net, *add, "spur add to " + w.name);
+  EXPECT_EQ(as.hops_run, 5 + 3 * x.exit_frames);
+  EXPECT_EQ(as.hops_shared, 0u);
+  EXPECT_EQ(as.jsum_writes, 5 + 2 * x.exit_frames);
+  EXPECT_EQ(as.results_kept, w.flows.size() - 1);
+
+  // x leaves from above.  The closure (the tail) is acyclic, so the seed
+  // is kept although the component's ring is cyclic: the exit flows'
+  // three tail stages are re-analysed, nothing else.
+  const std::optional<Change> rm =
+      remove_change(x.net, x.flows, x.flows.size() - 1);
+  ASSERT_TRUE(rm.has_value());
+  const IncrementalStats rs =
+      expect_seeded_matches(x.net, *rm, "spur removal from " + w.name);
+  EXPECT_EQ(rs.hops_run, 3 * x.exit_frames);
+  EXPECT_EQ(rs.hops_shared, 0u);
+  EXPECT_EQ(rs.jsum_writes, 2 * x.exit_frames);
+  EXPECT_EQ(rs.results_kept, w.flows.size() - 1);
+}
+
+// A flow without a seeded result is a root of the closure whatever
+// `changed_links` says: it is analysed even when none of its links
+// changed.
+TEST(ForwardClosure, UnseededFlowOffTheChangedLinksIsAnalysed) {
+  const auto tree = net::make_tree_network(3, 2, 100'000'000);
+  const std::vector<gmf::Flow> flows =
+      random_flows(tree.net, tree.hosts, 5, false);
+  ASSERT_GE(flows.size(), 3u);
+  const AnalysisContext ctx(tree.net, flows);
+  const HolisticResult fixed = analyze_holistic(ctx);
+  ASSERT_TRUE(fixed.converged);
+
+  // Every flow but the last is seeded; no link is named changed.
+  std::vector<const FlowResult*> seed;
+  for (std::size_t f = 0; f + 1 < flows.size(); ++f) {
+    seed.push_back(&fixed.flows[f]);
+  }
+  const std::set<LinkRef> none;
+  SolveRequest req;
+  req.start = WarmStartView(fixed.jitters);
+  req.seed = &seed;
+  req.changed_links = &none;
+  IncrementalStats stats;
+  const HolisticResult r =
+      solve_holistic(ctx, req, HolisticOptions{}, &stats);
+  expect_same_results(r, fixed, "unseeded last flow");
+  const FlowId last(static_cast<std::int32_t>(flows.size() - 1));
+  EXPECT_TRUE(r.flows[static_cast<std::size_t>(last.v)].all_converged());
+  // It starts from the fixed point, so its analyses move nothing and
+  // every seeded flow is kept.
+  EXPECT_EQ(stats.flow_analyses, 1u);
+  EXPECT_EQ(stats.results_kept, flows.size() - 1);
+  std::size_t hops = 0;
+  for (std::size_t k = 0; k < flows.back().frame_count(); ++k) {
+    hops += ctx.stages(last).size();
+  }
+  EXPECT_EQ(stats.hops_run + stats.hops_shared, hops);
 }
 
 }  // namespace

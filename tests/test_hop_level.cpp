@@ -98,11 +98,13 @@ TEST(HopLevel, UplinkOf48CallsAnd16CamerasIsTwoClasses) {
   ASSERT_TRUE(fixed.converged);
   for (const JitterMap* jm : {&fixed.jitters}) {
     LinkLevel table;
-    EXPECT_TRUE(table.ensure(ctx, *jm, uplink, StageKey::link(uplink),
-                             FlowId(0)));
+    EXPECT_EQ(table.ensure(ctx, *jm, uplink, StageKey::link(uplink),
+                           FlowId(0)),
+              LinkLevel::Gather::kContext);
     // Nothing changed since: the second ensure is two stamp compares.
-    EXPECT_FALSE(table.ensure(ctx, *jm, uplink, StageKey::link(uplink),
-                              FlowId(5)));
+    EXPECT_EQ(table.ensure(ctx, *jm, uplink, StageKey::link(uplink),
+                           FlowId(5)),
+              LinkLevel::Gather::kNone);
     EXPECT_EQ(table.class_count(), 2u);
 
     // Flow 0 is a camera (priority 6), flow 1 a call (priority 5).
@@ -285,17 +287,17 @@ TEST(HopLevel, OwnWritesDoNotRegatherTheTable) {
   // downlink — even though every frame rewrites its own ingress and egress
   // jitters.
   JitterMap jm = initial;
-  const std::uint64_t g0 = scratch.gathers();
+  const std::uint64_t g0 = scratch.gathers().total();
   const FlowResult first = analyze_flow_end_to_end(ctx, jm, FlowId(8));
-  EXPECT_EQ(scratch.gathers() - g0, 3u);
+  EXPECT_EQ(scratch.gathers().total() - g0, 3u);
   EXPECT_NE(jm.flow_version(FlowId(8)), initial.flow_version(FlowId(8)));
 
   // Again from the initial map: only the analysed flow differs from what
   // the tables recorded, so nothing is gathered and the result is the same.
   JitterMap again = initial;
-  const std::uint64_t g1 = scratch.gathers();
+  const std::uint64_t g1 = scratch.gathers().total();
   const FlowResult second = analyze_flow_end_to_end(ctx, again, FlowId(8));
-  EXPECT_EQ(scratch.gathers(), g1);
+  EXPECT_EQ(scratch.gathers().total(), g1);
   ASSERT_EQ(first.frames.size(), second.frames.size());
   for (std::size_t k = 0; k < first.frames.size(); ++k) {
     EXPECT_EQ(first.frames[k].response, second.frames[k].response);
@@ -304,10 +306,10 @@ TEST(HopLevel, OwnWritesDoNotRegatherTheTable) {
   // Flow 15 shares flow 8's route; against `jm` it must see flow 8's new
   // shifts, so all three tables re-gather (a jitter version covers every
   // stage of its flow).
-  const std::uint64_t g2 = scratch.gathers();
+  const std::uint64_t g2 = scratch.gathers().total();
   JitterMap other = jm;
   const FlowResult by_class = analyze_flow_end_to_end(ctx, other, FlowId(15));
-  EXPECT_EQ(scratch.gathers() - g2, 3u);
+  EXPECT_EQ(scratch.gathers().total() - g2, 3u);
   HopOptions naive;
   naive.use_envelope = false;
   JitterMap other_naive = jm;
