@@ -1,6 +1,6 @@
 // Experiment E8: convergence behaviour of the holistic fixed point
 // ("Putting it all together"): passes to convergence vs. utilization and
-// the link-ordered Gauss-Seidel vs. Jacobi (parallel) ablation, on
+// the link-ordered Gauss-Seidel vs. the serial Jacobi oracle, on
 // generated deadline-monotonic sets over the Figure-1 topology.  Prints the
 // link-ordered sweep's per-frame hop analyses run and served from an
 // identical node's result, and writes every row to
@@ -78,13 +78,10 @@ int main(int argc, char** argv) {
       core::AnalysisContext ctx(fig.net, ts->flows);
       ++total;
 
-      core::HolisticOptions gs;
-      core::HolisticOptions jc;
-      jc.order = core::SweepOrder::kJacobi;
       core::HolisticResult rg, rj;
       gs_ms += wall_ms(
-          [&] { rg = core::solve_holistic(ctx, {}, gs, &gs_stats); });
-      jc_ms += wall_ms([&] { rj = core::analyze_holistic(ctx, jc); });
+          [&] { rg = core::solve_holistic(ctx, {}, {}, &gs_stats); });
+      jc_ms += wall_ms([&] { rj = core::solve_jacobi(ctx); });
       pass_ok &= rj.converged == rg.converged;
       if (!rg.converged) continue;
       ++converged;

@@ -95,17 +95,12 @@ int main(int argc, char** argv) {
 
   // The engine owns the sharded analysis world; the what-if probes below
   // reuse its published fixed point.  The slack sweep wants one whole-set
-  // context, so it builds its own — but warm-starts its solve from the
-  // engine's converged jitters (same flows, same global order), so the
-  // fixed point is confirmed rather than recomputed.
+  // context, so it builds and solves its own: the same least fixed point.
   engine::AnalysisEngine eng(scenario.network);
   for (const gmf::Flow& f : scenario.flows) eng.add_flow(f);
-  const core::HolisticResult& engine_result = eng.evaluate();
 
   const core::AnalysisContext slack_ctx(scenario.network, scenario.flows);
-  core::HolisticOptions slack_opts;
-  slack_opts.warm_start = core::WarmStartView(engine_result.jitters);
-  const auto slack = core::compute_slack(slack_ctx, slack_opts);
+  const auto slack = core::compute_slack(slack_ctx);
   if (!slack) {
     std::printf("analysis diverged: the configuration is overloaded\n");
     return 1;

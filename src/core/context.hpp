@@ -147,7 +147,7 @@ class JitterMap {
                   gmfnet::Time value);
 
   /// Replaces this map's entries for `flow` with those of `other` (used by
-  /// the Jacobi sweep to merge per-flow results computed against a frozen
+  /// the Jacobi sweep to adopt a flow's results computed against a frozen
   /// snapshot).
   void adopt_flow(const JitterMap& other, FlowId flow);
 
@@ -266,7 +266,7 @@ class JitterMap {
 /// The analysis world.  Flow addition validates the flow and eagerly
 /// precomputes, for every link of its route, the FlowLinkParams and
 /// DemandCurve — so all analysis-time queries are read-only and safe to
-/// issue from parallel (Jacobi) sweeps.  Per-link aggregates (utilization
+/// issue from parallel solves.  Per-link aggregates (utilization
 /// sums) are maintained incrementally: an add/remove touches only the links
 /// of the affected flow's route.
 class AnalysisContext {

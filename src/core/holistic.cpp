@@ -7,7 +7,6 @@
 
 #include "core/hop_level.hpp"
 #include "util/rng.hpp"
-#include "util/thread_pool.hpp"
 
 namespace gmfnet::core {
 
@@ -50,41 +49,29 @@ bool inputs_dirty(const std::vector<char>& changed,
   return false;
 }
 
-/// One Jacobi sweep: all dirty-input flows against a frozen snapshot, in
-/// parallel; their jitters are merged back afterwards.  The pool is created
-/// once per solve and reused across sweeps.
+/// One Jacobi sweep: every dirty-input flow analysed against a frozen
+/// snapshot of `jitters`, its entries adopted back in flow order.
 bool sweep_jacobi(const AnalysisContext& ctx, JitterMap& jitters,
                   const HopOptions& hop,
                   const std::vector<std::vector<FlowId>>& neighbors,
                   bool first_sweep, std::vector<char>& changed,
-                  std::vector<FlowResult>& results, ThreadPool& pool) {
+                  std::vector<FlowResult>& results) {
   const JitterMap snapshot = jitters;
-  const std::size_t n = ctx.flow_count();
   // All reads go against the previous sweep's flags (Jacobi semantics).
   const std::vector<char> changed_prev = changed;
-  std::vector<char> analyzed(n, 0);
-  std::vector<JitterMap> locals(n);
-
-  pool.parallel_for(n, [&](std::size_t f) {
+  bool ok = true;
+  for (std::size_t f = 0; f < ctx.flow_count(); ++f) {
     if (!first_sweep && !inputs_dirty(changed_prev, neighbors, f)) {
       changed[f] = 0;
-      return;
+      continue;
     }
     const FlowId id(static_cast<std::int32_t>(f));
-    locals[f] = snapshot;
-    results[f] = analyze_flow_end_to_end(ctx, locals[f], id, hop);
-    changed[f] = locals[f].flow_equals(snapshot, id) ? 0 : 1;
-    analyzed[f] = 1;
-  });
-
-  JitterMap merged = snapshot;
-  bool ok = true;
-  for (std::size_t f = 0; f < n; ++f) {
-    if (!analyzed[f]) continue;
-    merged.adopt_flow(locals[f], FlowId(static_cast<std::int32_t>(f)));
+    JitterMap local = snapshot;
+    results[f] = analyze_flow_end_to_end(ctx, local, id, hop);
+    changed[f] = local.flow_equals(snapshot, id) ? 0 : 1;
+    jitters.adopt_flow(local, id);
     ok &= results[f].all_converged();
   }
-  jitters = std::move(merged);
   return ok;
 }
 
@@ -96,31 +83,6 @@ void finalize_schedulable(HolisticResult& r) {
                                  [](const FlowResult& fr) {
                                    return fr.schedulable();
                                  });
-}
-
-/// Jacobi solve (kept separate: its sweeps are pool-parallel).
-/// Bit-identical to the historical Jacobi analyze_holistic.
-HolisticResult solve_jacobi(const AnalysisContext& ctx,
-                            const HolisticOptions& opts, HolisticResult out,
-                            IncrementalStats* stats) {
-  const std::vector<std::vector<FlowId>> neighbors = link_neighbors(ctx);
-  std::vector<char> changed(ctx.flow_count(), 1);
-  ThreadPool pool(opts.threads);
-
-  for (int sweep = 0; sweep < opts.max_sweeps; ++sweep) {
-    const bool ok = sweep_jacobi(ctx, out.jitters, opts.hop, neighbors,
-                                 sweep == 0, changed, out.flows, pool);
-    out.sweeps = sweep + 1;
-    if (stats != nullptr) ++stats->sweeps;
-    if (!ok) break;  // a hop diverged: not converged
-    if (std::none_of(changed.begin(), changed.end(),
-                     [](char c) { return c != 0; })) {
-      out.converged = true;
-      break;
-    }
-  }
-  finalize_schedulable(out);
-  return out;
 }
 
 // ----------------------------------------------- link-ordered sweeps --
@@ -741,13 +703,8 @@ HolisticResult solve_holistic(const AnalysisContext& ctx,
   }
 
   HolisticResult out;
-  out.jitters =
-      req.start.engaged() ? req.start.map() : JitterMap::initial(ctx);
+  out.jitters = req.start != nullptr ? *req.start : JitterMap::initial(ctx);
   out.flows.resize(ctx.flow_count());
-
-  if (opts.order == SweepOrder::kJacobi) {
-    return solve_jacobi(ctx, opts, std::move(out), stats);
-  }
 
   // The seeded result each flow starts from, if any.
   const std::size_t n = ctx.flow_count();
@@ -863,9 +820,31 @@ HolisticResult solve_holistic(const AnalysisContext& ctx,
 
 HolisticResult analyze_holistic(const AnalysisContext& ctx,
                                 const HolisticOptions& opts) {
-  SolveRequest req;
-  req.start = opts.warm_start;
-  return solve_holistic(ctx, req, opts);
+  return solve_holistic(ctx, {}, opts);
+}
+
+HolisticResult solve_jacobi(const AnalysisContext& ctx,
+                            const HolisticOptions& opts,
+                            IncrementalStats* stats) {
+  HolisticResult out;
+  out.jitters = JitterMap::initial(ctx);
+  out.flows.resize(ctx.flow_count());
+  const std::vector<std::vector<FlowId>> neighbors = link_neighbors(ctx);
+  std::vector<char> changed(ctx.flow_count(), 1);
+  for (int sweep = 0; sweep < opts.max_sweeps; ++sweep) {
+    const bool ok = sweep_jacobi(ctx, out.jitters, opts.hop, neighbors,
+                                 sweep == 0, changed, out.flows);
+    out.sweeps = sweep + 1;
+    if (stats != nullptr) ++stats->sweeps;
+    if (!ok) break;  // a hop diverged: not converged
+    if (std::none_of(changed.begin(), changed.end(),
+                     [](char c) { return c != 0; })) {
+      out.converged = true;
+      break;
+    }
+  }
+  finalize_schedulable(out);
+  return out;
 }
 
 }  // namespace gmfnet::core

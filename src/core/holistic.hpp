@@ -146,11 +146,10 @@
 // component), `results_kept` the seeded flows that finished with none, and
 // `hops_run` / `hops_shared` the per-frame analyses run and copied.
 //
-// A solve may instead ask for Jacobi sweeps (SweepOrder::kJacobi): whole
-// flows analysed against a frozen snapshot, embarrassingly parallel over a
-// thread pool, with no seed.  It reaches the same fixed point and serves as the
-// parallel path and the test oracle of the link-ordered sweep.  There is no
-// acceleration: a feed-forward component already settles in one pass.
+// The test oracle is solve_jacobi: Jacobi sweeps, whole flows analysed
+// serially against a frozen snapshot, unseeded.  It reaches the same fixed
+// point by a path that shares nothing with the link-ordered plan.  There is
+// no acceleration: a feed-forward component already settles in one pass.
 #pragma once
 
 #include <cstddef>
@@ -163,51 +162,10 @@
 
 namespace gmfnet::core {
 
-enum class SweepOrder { kGaussSeidel, kJacobi };
-
-/// Typed non-owning warm-start handle: seed the iteration from a previously
-/// converged map instead of JitterMap::initial(ctx).
-///
-/// Lifetime contract: the view borrows the map — the referenced JitterMap
-/// must outlive every solve the view is passed to, and must not be mutated
-/// while a solve reads it.  The solve copies the map's state on entry
-/// (copy-on-write, one pointer per flow), so the borrow ends when the call
-/// returns.
-///
-/// Soundness contract: seeding is sound whenever the seed lies at or below
-/// the least fixed point of the sweep operator — e.g. the converged map of
-/// the same flow set minus some flows (interference only grew, so the old
-/// fixed point is a valid under-approximation and the iteration converges
-/// to the *same* least fixed point, in far fewer sweeps).  A seeded
-/// request may also start from above — the converged map of the same flow
-/// set plus some flows — if it says so (SolveRequest::seed_above): the
-/// solve then keeps the map only where the forward closure of the change
-/// is acyclic, and restarts every flow from its source jitters otherwise
-/// (see the header).
-class WarmStartView {
- public:
-  /// Disengaged: the solve starts from JitterMap::initial(ctx).
-  WarmStartView() = default;
-  /// Borrows `seed` (not owned; see the lifetime contract above).
-  explicit WarmStartView(const JitterMap& seed) : map_(&seed) {}
-
-  [[nodiscard]] bool engaged() const { return map_ != nullptr; }
-  /// The borrowed seed; only meaningful when engaged().
-  [[nodiscard]] const JitterMap& map() const { return *map_; }
-
- private:
-  const JitterMap* map_ = nullptr;
-};
-
 struct HolisticOptions {
   HopOptions hop;                 ///< per-hop options (horizon, ablations)
   int max_sweeps = 64;            ///< cap on the passes per component
-                                  ///< (Jacobi: on the sweeps)
-  SweepOrder order = SweepOrder::kGaussSeidel;
-  std::size_t threads = 0;        ///< Jacobi worker threads (0 = hardware)
-  /// Warm start for analyze_holistic (see WarmStartView for the lifetime
-  /// and soundness contracts).  Disengaged: start from the initial map.
-  WarmStartView warm_start;
+                                  ///< (solve_jacobi: on the sweeps)
 };
 
 struct HolisticResult {
@@ -220,7 +178,7 @@ struct HolisticResult {
   /// Gauss-Seidel: the most passes any strongly connected component of the
   /// key graph took (1 on a feed-forward component or one outside the
   /// closure, 0 with no flows).
-  /// Jacobi: sweeps executed, including the last, unchanged one.
+  /// solve_jacobi: sweeps executed, including the last, unchanged one.
   int sweeps = 0;
   std::vector<FlowResult> flows;  ///< per-flow results at the fixed point
   JitterMap jitters;              ///< the fixed-point jitter map
@@ -255,8 +213,14 @@ struct IncrementalStats {
 /// the same sweep loop (solve_holistic); an unseeded solve is the closure
 /// of every key.
 struct SolveRequest {
-  /// Seed map; disengaged: the initial map.
-  WarmStartView start;
+  /// Seed map; null: JitterMap::initial(ctx).  Borrowed: it must outlive
+  /// the call and not be mutated while the solve reads it; the solve copies
+  /// it on entry (copy-on-write, one pointer per flow).  Sound whenever it
+  /// lies at or below the least fixed point of the sweep operator, e.g. the
+  /// converged map of the same flow set minus some flows (interference
+  /// only grew, so the solve climbs to the same least fixed point in far
+  /// fewer passes).  A map from above needs `seed_above`.
+  const JitterMap* start = nullptr;
   /// Seed results, indexed by flow id: a flow whose entry is non-null and
   /// has frames starts with these stage results instead of none (flows
   /// past the end start with none).  Contract, in practice met by the
@@ -293,19 +257,25 @@ struct SolveRequest {
 /// Runs the holistic fixed point described by `req` under `opts` over the
 /// flows of `ctx` (the forward closure of the change when seeded; see the
 /// header), and finalizes `schedulable` (converged and every flow meets its
-/// deadlines).  Gauss-Seidel honours the whole request; Jacobi
-/// (`opts.order`), the unseeded oracle, starts from `req.start` and
-/// ignores `seed`, `changed_links` and `seed_above`.
-/// `opts.warm_start` is ignored in favour of `req.start`.  Sweeps, flow
-/// analyses and kept seeded results are counted in `stats` when provided.
+/// deadlines).  Sweeps, flow analyses, kept seeded results, hop analyses
+/// and JSUM writes are counted in `stats` when provided.
 [[nodiscard]] HolisticResult solve_holistic(const AnalysisContext& ctx,
                                             const SolveRequest& req,
                                             const HolisticOptions& opts,
                                             IncrementalStats* stats = nullptr);
 
-/// Convenience wrapper: an unseeded solve_holistic starting from
-/// `opts.warm_start`.
+/// Convenience wrapper: an unseeded solve_holistic.
 [[nodiscard]] HolisticResult analyze_holistic(const AnalysisContext& ctx,
                                               const HolisticOptions& opts = {});
+
+/// The Jacobi oracle: unseeded sweeps from JitterMap::initial(ctx), each
+/// analysing every flow whose inputs changed against the previous sweep's
+/// map and adopting the results in flow order, until a sweep changes
+/// nothing (converged) or a hop diverges or `opts.max_sweeps` is reached.
+/// One sweep never confirms its own fixed point.  Serial; only
+/// `stats->sweeps` is counted.
+[[nodiscard]] HolisticResult solve_jacobi(const AnalysisContext& ctx,
+                                          const HolisticOptions& opts = {},
+                                          IncrementalStats* stats = nullptr);
 
 }  // namespace gmfnet::core

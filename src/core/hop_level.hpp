@@ -94,8 +94,8 @@
 // stages.
 //
 // Everything here is per-thread (HopScratch::local()): no locks, no
-// allocation on the steady-state path, safe under Jacobi sweeps and the
-// engine's batched what-if pools, where each worker has its own tables.
+// allocation on the steady-state path, safe under the engine's pools
+// (dirty shards, batched what-ifs), where each worker has its own tables.
 #pragma once
 
 #include <cstdint>

@@ -12,16 +12,8 @@ AnalysisEngine::AnalysisEngine(net::Network network, core::HolisticOptions opts)
     : empty_ctx_(std::make_shared<const core::AnalysisContext>(
           std::move(network))),
       opts_(opts) {
-  pin_options();
   link_shard_.assign(empty_ctx_->network().link_count(), kNoShard);
   publish();  // publish the (empty) world
-}
-
-void AnalysisEngine::pin_options() {
-  opts_.warm_start = {};  // the engine owns warm starting
-  // Shard and probe solves may run on pool workers, where a Jacobi solve
-  // would build a nested pool per solve.
-  opts_.order = core::SweepOrder::kGaussSeidel;
 }
 
 const gmf::Flow& AnalysisEngine::flow(std::size_t index) const {
@@ -400,14 +392,13 @@ bool AnalysisEngine::remove_flow(std::size_t index) {
 }
 
 std::size_t AnalysisEngine::effective_threads() const {
-  return opts_.threads != 0
-             ? opts_.threads
-             : std::max(1u, std::thread::hardware_concurrency());
+  return pool_ ? pool_->size()
+               : std::max(1u, std::thread::hardware_concurrency());
 }
 
 void AnalysisEngine::ensure_pool() {
   if (!pool_) {
-    pool_ = std::make_unique<ThreadPool>(opts_.threads);
+    pool_ = std::make_unique<ThreadPool>();
     // One probe workspace per parallel_for_slotted slot (workers + the
     // calling thread's inline slot).
     batch_scratch_ = std::vector<ProbeScratch>(pool_->size() + 1);
@@ -448,7 +439,7 @@ bool AnalysisEngine::solve_dirty() {
   std::vector<RunStats> rs(dirty.size());
   if (dirty.size() > 1 && effective_threads() > 1) {
     // Independent domains: fan the dirty shards over the pool.  Shard runs
-    // are Gauss-Seidel (no nested pools) and touch disjoint state.
+    // touch disjoint state.
     ensure_pool();
     pool_->parallel_for(dirty.size(), [&](std::size_t k) {
       rs[k] = shards_[dirty[k]].run(opts_);

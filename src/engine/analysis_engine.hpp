@@ -109,11 +109,9 @@ struct EngineStats {
 
 class AnalysisEngine {
  public:
-  /// `opts.warm_start` is ignored: the engine owns warm starting.
-  /// `opts.order` is also ignored: every shard/probe solve is Gauss-Seidel
-  /// (the engine's parallelism comes from fanning shards and batch probes
-  /// over the pool, not from Jacobi sweeps; results are the same unique
-  /// least fixed point either way).
+  /// Every shard and probe solve runs core::solve_holistic under `opts`;
+  /// the engine's parallelism comes from fanning dirty shards and batch
+  /// probes over a pool sized to the hardware.
   explicit AnalysisEngine(net::Network network,
                           core::HolisticOptions opts = {});
 
@@ -346,11 +344,7 @@ class AnalysisEngine {
   /// Folds one run's counters into the stats (relaxed atomics).
   void record_run(const RunStats& rs);
 
-  /// Clears the options the engine owns (warm start, sweep order); both
-  /// constructors call it.
-  void pin_options();
-
-  /// Worker count a pool for this engine would have (without creating one).
+  /// Worker count of the engine's pool (without creating one).
   [[nodiscard]] std::size_t effective_threads() const;
 
   void ensure_pool();

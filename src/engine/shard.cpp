@@ -64,7 +64,7 @@ RunStats Shard::run(const core::HolisticOptions& opts) {
     }
     seed.reserve(cache->flows.size());
     for (const core::FlowResult& fr : cache->flows) seed.push_back(&fr);
-    req.start = core::WarmStartView(start);
+    req.start = &start;
     req.seed = &seed;
     req.changed_links = &dirty_links;
     req.seed_above = removal_pending;

@@ -329,7 +329,7 @@ EngineSnapshot::Probe EngineSnapshot::run_probe(const gmf::Flow& candidate,
     const std::set<net::LinkRef> changed(route.begin(), route.end());
     core::IncrementalStats is;
     core::SolveRequest req;
-    req.start = core::WarmStartView(start);
+    req.start = &start;
     req.seed = &entry->base_seed;
     req.changed_links = &changed;
     p.local = core::solve_holistic(ctx, req, opts_, &is);

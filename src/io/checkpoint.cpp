@@ -75,9 +75,8 @@ void AnalysisEngine::save(std::ostream& os) {
   engine_sec.u64(locs_.size());
   engine_sec.u64(shards_.size());
   // Analysis-option fingerprint: every field the persisted fixed points
-  // depend on.  (Sweep order, thread count and the envelope fast path do
-  // not change results — see core/holistic.hpp — so they are free to
-  // differ across save/restore.)
+  // depend on.  (The envelope fast path does not change results — see
+  // core/hop_result.hpp — so it is free to differ across save/restore.)
   engine_sec.time(opts_.hop.horizon);
   engine_sec.u8(opts_.hop.charge_self_circ ? 1 : 0);
   engine_sec.i32(opts_.max_sweeps);
@@ -286,8 +285,6 @@ AnalysisEngine::AnalysisEngine(RestoredState&& st, core::HolisticOptions opts)
     : empty_ctx_(std::make_shared<const core::AnalysisContext>(
           std::move(st.network))),
       opts_(opts) {
-  pin_options();
-
   // Rebuild every shard's context directly from the persisted partition:
   // adding the shard's flows in local order reproduces the exact per-link
   // flow order (locals are kept ascending in global id, the one-context

@@ -184,7 +184,8 @@ class Server {
  public:
   /// Binds and listens (throws TransportError on failure); serve() then
   /// accepts connections.  The engine must have been constructed with
-  /// `cfg.engine_opts`.
+  /// `cfg.engine_opts` (its hop options and pass cap), since RESTORE
+  /// rebuilds it under them.
   Server(std::shared_ptr<engine::AnalysisEngine> engine, ServerConfig cfg);
   ~Server();
 

@@ -127,10 +127,4 @@ void ThreadPool::parallel_for_slotted(
   if (error) std::rethrow_exception(error);
 }
 
-void parallel_for(std::size_t n, const std::function<void(std::size_t)>& body,
-                  std::size_t threads) {
-  ThreadPool pool(threads);
-  pool.parallel_for(n, body);
-}
-
 }  // namespace gmfnet

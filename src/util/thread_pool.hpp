@@ -1,9 +1,10 @@
 // Work-stealing-free, dead-simple thread pool with a parallel_for helper.
 //
-// Used for embarrassingly parallel parameter sweeps in the benches (each
-// (utilization, seed) cell is independent) and for the Jacobi variant of the
-// holistic fixed point, where all flows' response times in one sweep are
-// computed against a frozen jitter snapshot.
+// Used by the analysis engine to fan dirty shards and batched what-if
+// probes over its workers (engine/analysis_engine.cpp), by the RPC daemon's
+// reader pool for WHAT_IF_BATCH candidates (rpc/server.hpp), and for
+// embarrassingly parallel parameter sweeps in the benches (each
+// (utilization, seed) cell is independent).
 #pragma once
 
 #include <condition_variable>
@@ -71,10 +72,5 @@ class ThreadPool {
   std::size_t in_flight_ = 0;
   bool stop_ = false;
 };
-
-/// Standalone one-shot parallel_for over a transient pool sized to the
-/// hardware. Handy in benches where no pool object is around.
-void parallel_for(std::size_t n, const std::function<void(std::size_t)>& body,
-                  std::size_t threads = 0);
 
 }  // namespace gmfnet

@@ -130,9 +130,8 @@ TEST(EdgeCases, HolisticSweepCapReportsNonConvergence) {
   // converged, even on a feed-forward set.
   const auto s = workload::make_figure2_scenario(10'000'000, true);
   core::AnalysisContext fig2(s.network, s.flows);
-  opts.order = core::SweepOrder::kJacobi;
   opts.max_sweeps = 1;
-  const auto jacobi = core::analyze_holistic(fig2, opts);
+  const auto jacobi = core::solve_jacobi(fig2, opts);
   EXPECT_FALSE(jacobi.converged);
   EXPECT_FALSE(jacobi.schedulable);
 }

@@ -54,13 +54,8 @@ TEST(Holistic, Figure2ScenarioSchedulable) {
 TEST(Holistic, GaussSeidelAndJacobiAgreeOnFixedPoint) {
   const auto s = workload::make_figure2_scenario(kSpeed, true);
   const AnalysisContext ctx(s.network, s.flows);
-  HolisticOptions gs;
-  gs.order = SweepOrder::kGaussSeidel;
-  HolisticOptions jc;
-  jc.order = SweepOrder::kJacobi;
-  jc.threads = 4;
-  const HolisticResult rg = analyze_holistic(ctx, gs);
-  const HolisticResult rj = analyze_holistic(ctx, jc);
+  const HolisticResult rg = analyze_holistic(ctx);
+  const HolisticResult rj = solve_jacobi(ctx);
   ASSERT_TRUE(rg.converged);
   ASSERT_TRUE(rj.converged);
   // Same least fixed point -> identical jitters and response bounds.
@@ -207,14 +202,10 @@ void expect_same_results(const HolisticResult& a, const HolisticResult& b,
 HolisticResult expect_order_independent(const AnalysisContext& ctx,
                                         const std::string& where,
                                         int max_sweeps = 64) {
-  HolisticOptions gs;
-  gs.max_sweeps = max_sweeps;
-  HolisticOptions jc;
-  jc.order = SweepOrder::kJacobi;
-  jc.threads = 2;
-  jc.max_sweeps = max_sweeps;
-  HolisticResult rg = analyze_holistic(ctx, gs);
-  expect_same_results(rg, analyze_holistic(ctx, jc), where);
+  HolisticOptions opts;
+  opts.max_sweeps = max_sweeps;
+  HolisticResult rg = analyze_holistic(ctx, opts);
+  expect_same_results(rg, solve_jacobi(ctx, opts), where);
   return rg;
 }
 
@@ -365,7 +356,7 @@ TEST(HolisticOrder, CyclicRingMatchesJacobi) {
     // jitter, yet the stages behind a back edge of the cycle still need
     // their first analysis: the cycle must not stop before they have it.
     SolveRequest warm;
-    warm.start = WarmStartView(r.jitters);
+    warm.start = &r.jitters;
     const HolisticResult again = solve_holistic(ctx, warm, HolisticOptions{});
     expect_same_results(again, r, "ring re-solve " + std::to_string(sep_us));
   }
@@ -506,7 +497,7 @@ HolisticResult solve_change(const AnalysisContext& ctx, const Change& c,
   }
   const AnalysisContext component(ctx.network(), std::move(flows));
   SolveRequest req;
-  req.start = WarmStartView(start);
+  req.start = &start;
   if (seeded) {
     req.seed = &seed;
     req.changed_links = &c.changed;
@@ -546,11 +537,9 @@ IncrementalStats expect_seeded_matches(const net::Network& net,
   const HolisticResult seeded = solve_change(ctx, c, true, &seeded_stats);
   const HolisticResult plain = solve_change(ctx, c, false, &plain_stats);
   HolisticOptions jc;
-  jc.order = SweepOrder::kJacobi;
-  jc.threads = 2;
   jc.max_sweeps = 512;
   expect_same_results(seeded, plain, where + " (seeded vs unseeded)");
-  expect_same_results(seeded, analyze_holistic(ctx, jc),
+  expect_same_results(seeded, solve_jacobi(ctx, jc),
                       where + " (seeded vs Jacobi)");
   EXPECT_LE(seeded_stats.flow_analyses, plain_stats.flow_analyses) << where;
   EXPECT_LE(seeded_stats.sweeps, plain_stats.sweeps) << where;
@@ -697,7 +686,7 @@ TEST(SeededSolve, ReanalysedBackEdgeKeepsTheSolveGoing) {
     for (const LinkRef l : ctx.route_links(id)) changed.insert(l);
   }
   SolveRequest req;
-  req.start = WarmStartView(fixed.jitters);
+  req.start = &fixed.jitters;
   req.seed = &seed;
   req.changed_links = &changed;
   IncrementalStats stats;
@@ -755,10 +744,7 @@ IncrementalStats expect_sharing_exact(const net::Network& net,
   SolveRequest req;
   IncrementalStats stats;
   const HolisticResult r = solve_holistic(ctx, req, HolisticOptions{}, &stats);
-  HolisticOptions jc;
-  jc.order = SweepOrder::kJacobi;
-  jc.threads = 2;
-  expect_same_results(r, analyze_holistic(ctx, jc), where + " (vs Jacobi)");
+  expect_same_results(r, solve_jacobi(ctx), where + " (vs Jacobi)");
   expect_stages_reanalyse(ctx, r, where);
   return stats;
 }
@@ -1026,12 +1012,9 @@ TEST(GeneratedRings, MatchJacobiSeededAndFromScratch) {
       const AnalysisContext ctx(w.net, w.flows);
       HolisticOptions gs;
       gs.max_sweeps = 512;
-      HolisticOptions jc = gs;
-      jc.order = SweepOrder::kJacobi;
-      jc.threads = 2;
       IncrementalStats st;
       const HolisticResult r = solve_holistic(ctx, SolveRequest{}, gs, &st);
-      expect_same_results(r, analyze_holistic(ctx, jc), w.name);
+      expect_same_results(r, solve_jacobi(ctx, gs), w.name);
 
       if (r.converged) {
         ++converged;
@@ -1175,7 +1158,7 @@ TEST(ForwardClosure, UnseededFlowOffTheChangedLinksIsAnalysed) {
   }
   const std::set<LinkRef> none;
   SolveRequest req;
-  req.start = WarmStartView(fixed.jitters);
+  req.start = &fixed.jitters;
   req.seed = &seed;
   req.changed_links = &none;
   IncrementalStats stats;

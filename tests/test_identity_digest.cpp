@@ -299,17 +299,14 @@ std::vector<World> worlds() {
 /// level source and with the paper's literal self terms.
 void fold_whole_set(Digest& d, const World& w) {
   const core::AnalysisContext ctx(w.net, w.flows);
-  for (const core::SweepOrder order :
-       {core::SweepOrder::kGaussSeidel, core::SweepOrder::kJacobi}) {
+  for (const bool jacobi : {false, true}) {
     for (int variant = 0; variant < 3; ++variant) {
       core::HolisticOptions opts;
-      opts.order = order;
-      opts.threads = 2;
       opts.hop.use_envelope = variant != 1;
       opts.hop.charge_self_circ = variant != 2;
       core::IncrementalStats stats;
-      core::SolveRequest req;
-      d.add(core::solve_holistic(ctx, req, opts, &stats));
+      d.add(jacobi ? core::solve_jacobi(ctx, opts, &stats)
+                   : core::solve_holistic(ctx, {}, opts, &stats));
       if (d.work()) d.add(stats.flow_analyses);
       if (d.sweeps()) d.add(stats.sweeps);
       if (d.work()) {

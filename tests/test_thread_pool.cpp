@@ -148,12 +148,6 @@ TEST(ThreadPool, CallerTakesChunksToo) {
   for (auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
-TEST(ThreadPool, StandaloneParallelFor) {
-  std::vector<std::atomic<int>> hits(64);
-  parallel_for(64, [&](std::size_t i) { hits[i].fetch_add(1); }, 4);
-  for (auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
 TEST(ThreadPool, SingleThreadPoolStillWorks) {
   ThreadPool pool(1);
   std::vector<int> order;
